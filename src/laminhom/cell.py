@@ -25,9 +25,16 @@ flux map replaced by its tangent: M_i q_i + b_{G,i} = tau_G with b_{G,i} =
 D2W_i[G] e_d, solved in closed form,
 
     tau_G = (sum_i M_i^{-1})^{-1} sum_i M_i^{-1} b_{G,i},
-    q_i   = M_i^{-1} (tau_G - b_{G,i}),
+    q_i   = M_i^{-1} (tau_G - b_{G,i}).
 
-and the second linearization replaces b by the third-derivative flux
+The acoustic inverses M_i^{-1} depend on the base state only, so one set of
+them serves every direction: `solve_linearized` takes a stack of directions
+and `assemble` solves all d^2 elementary directions against one M^{-1}.  The
+2x2 / 3x3 inverses (and the inner Newton step M^{-1} r) are the closed-form
+adjugate over the determinant, as are the acoustic tensors themselves (see
+`energy`).
+
+The second linearization replaces b by the third-derivative flux
 g_i = (D3W_i[G + q_G x e_d, H + q_H x e_d]) e_d.
 
 `assemble` averages the pointwise derivatives along the corrected state to
@@ -54,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DomainError, dist_to_rotations
+from .energy import DomainError, _tAB, det_inverse, dist_to_rotations
 
 __all__ = [
     "ConvergenceError",
@@ -166,7 +173,7 @@ def _embed(G, q):
 def _gram_deviation(Fc):
     """|F^T F - Id|_F per cell: cheap upper bound proxy for dist(F, SO(d))."""
     d = Fc.shape[-1]
-    G = np.einsum("nji,njk->nik", Fc, Fc) - np.eye(d)
+    G = _tAB(Fc, Fc) - np.eye(d)
     return np.sqrt(np.einsum("nij,nij->n", G, G))
 
 
@@ -179,12 +186,17 @@ def _frob_cond(M, Minv):
     return np.sqrt(np.einsum("nij,nij->n", M, M) * np.einsum("nij,nij->n", Minv, Minv))
 
 
+def _checked_inverse(M):
+    """Closed-form M_i^{-1}; SingularityError when any M_i is singular or not finite."""
+    Minv = det_inverse(M)[1]
+    if not np.isfinite(Minv).all():
+        raise SingularityError("acoustic tensor singular or not finite")
+    return Minv
+
+
 def _acoustic_inverses(w, omega, Fc, opts):
     M = w.acoustic_cells(omega, Fc)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"acoustic tensor singular: {exc}") from exc
+    Minv = _checked_inverse(M)
     worst = float(np.max(_frob_cond(M, Minv)))
     if worst > opts.cond_cap:
         raise SingularityError(
@@ -215,11 +227,8 @@ def _inner_flux_solve(w, omega, F, sigma, p_start, opts):
         if settled.all():
             return p, iters, backtracks
         iters += 1
-        M = w.acoustic_cells(omega, Fc)
-        try:
-            dp = -np.linalg.solve(M, res[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(f"acoustic tensor singular in line search: {exc}") from exc
+        Minv = _checked_inverse(w.acoustic_cells(omega, Fc))
+        dp = -(Minv @ res[..., None])[..., 0]
         dp[settled] = 0.0
         t = np.ones(n)
         accepted = settled.copy()
@@ -328,31 +337,43 @@ def solve_corrector(w, sample, F, opts=None):
 # =====================================================================
 
 
-def solve_linearized(w, sample, F, base, G, opts=None):
-    """Linearized corrector in direction G around a solved base state.
+def _flux_constant_solve(Minv, b):
+    """Stacked closed-form solve of M_i q_i + b_i = tau with mean-zero q.
 
-    Returns (q, tau): per-cell gradients q_i (exactly mean zero) and the
-    constant linearized flux tau with M_i q_i + D2W_i[G] e_d = tau.
+    Minv: (n,d,d) acoustic inverses; b: (k,n,d) per-direction fluxes.
+    Returns q (k,n,d) with exactly zero mean and tau (k,d).
+    """
+    A = Minv.mean(axis=0)
+    rhs = np.einsum("nij,anj->ani", Minv, b).mean(axis=1)
+    try:
+        tau = np.linalg.solve(A, rhs.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"harmonic-mean matrix singular: {exc}") from exc
+    q = np.einsum("nij,anj->ani", Minv, tau[:, None, :] - b)
+    return q - q.mean(axis=1, keepdims=True), tau
+
+
+def solve_linearized(w, sample, F, base, G, opts=None):
+    """Linearized correctors in the directions G around a solved base state.
+
+    G is one direction (d,d) or a stack (k,d,d); all directions share one
+    set of acoustic inverses.  Returns (q, tau): per-cell gradients q_i
+    (exactly mean zero) and the constant linearized flux tau with
+    M_i q_i + D2W_i[G] e_d = tau, shaped (n,d) and (d,) for one direction,
+    (k,n,d) and (k,d) for a stack.
     """
     opts = opts or SolverOptions()
     _check_sample(sample)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    d = w.dim
-    dd = d - 1
+    Gs = G[None] if G.ndim == 2 else G
+    dd = w.dim - 1
     omega = np.asarray(sample.values, dtype=float)
     Fc = _deform(F, base.p)
     _, Minv = _acoustic_inverses(w, omega, Fc, opts)
-    b = w.tangent_apply_cells(omega, Fc, G)[:, :, dd]
-    A = Minv.mean(axis=0)
-    rhs = np.einsum("nij,nj->ni", Minv, b).mean(axis=0)
-    try:
-        tau = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"harmonic-mean matrix singular: {exc}") from exc
-    q = np.einsum("nij,nj->ni", Minv, tau[None, :] - b)
-    q = q - q.mean(axis=0)
-    return q, tau
+    b = np.stack([w.tangent_apply_cells(omega, Fc, Ga)[:, :, dd] for Ga in Gs])
+    q, tau = _flux_constant_solve(Minv, b)
+    return (q[0], tau[0]) if G.ndim == 2 else (q, tau)
 
 
 def solve_second_linearized(w, sample, F, base, G, H, opts=None):
@@ -365,23 +386,14 @@ def solve_second_linearized(w, sample, F, base, G, H, opts=None):
     opts = opts or SolverOptions()
     _check_sample(sample)
     F = np.asarray(F, dtype=float)
-    d = w.dim
-    dd = d - 1
+    dd = w.dim - 1
     omega = np.asarray(sample.values, dtype=float)
-    qG, _ = solve_linearized(w, sample, F, base, G, opts)
-    qH, _ = solve_linearized(w, sample, F, base, H, opts)
+    (qG, qH), _ = solve_linearized(w, sample, F, base, np.stack([G, H]), opts)
     Fc = _deform(F, base.p)
     g = w.third_apply_cells(omega, Fc, _embed(G, qG), _embed(H, qH))[:, :, dd]
     _, Minv = _acoustic_inverses(w, omega, Fc, opts)
-    A = Minv.mean(axis=0)
-    rhs = np.einsum("nij,nj->ni", Minv, g).mean(axis=0)
-    try:
-        theta = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"harmonic-mean matrix singular: {exc}") from exc
-    r = np.einsum("nij,nj->ni", Minv, theta[None, :] - g)
-    r = r - r.mean(axis=0)
-    return r, theta
+    r, theta = _flux_constant_solve(Minv, g[None])
+    return r[0], theta[0]
 
 
 # =====================================================================
@@ -399,7 +411,8 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
     order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
-    solves, cached on the base solution); 3: + third-order moduli.
+    directions in one stacked solve, cached on the base solution); 3: +
+    third-order moduli.
     """
     opts = opts or SolverOptions()
     if order not in (0, 1, 2, 3):
@@ -418,11 +431,14 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
     third = None
     if order >= 2:
         pairs = [(j, k) for j in range(d) for k in range(d)]
+        missing = [pair for pair in pairs if pair not in base.q]
+        if missing:
+            q, tau = solve_linearized(
+                w, sample, F, base, np.stack([_elementary(d, *pair) for pair in missing]), opts)
+            for a, pair in enumerate(missing):
+                base.q[pair], base.tau[pair] = q[a], tau[a]
         A_all = np.empty((d * d, n, d, d))
         for a, (j, k) in enumerate(pairs):
-            if (j, k) not in base.q:
-                base.q[(j, k)], base.tau[(j, k)] = solve_linearized(
-                    w, sample, F, base, _elementary(d, j, k), opts)
             A_all[a] = _embed(_elementary(d, j, k), base.q[(j, k)])
         T_all = np.empty_like(A_all)
         for a in range(d * d):

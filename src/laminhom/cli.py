@@ -139,15 +139,16 @@ def fmt(x):
     return str(x)
 
 
-def _parse_matrix(text, dim, what):
+def _parse_matrix(text, what):
+    """Square matrix from ';'-separated rows; ExperimentConfig checks its size."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
-    if len(rows) != dim:
-        raise ConfigError(f"{what} needs {dim} rows separated by ';', got {len(rows)}")
+    if not rows:
+        raise ConfigError(f"{what} needs rows separated by ';'")
     out = []
     for r in rows:
         entries = r.replace(",", " ").split()
-        if len(entries) != dim:
-            raise ConfigError(f"{what} row {r!r} needs {dim} entries")
+        if len(entries) != len(rows):
+            raise ConfigError(f"{what} row {r!r} needs {len(rows)} entries, one per row")
         try:
             out.append([float(e) for e in entries])
         except ValueError as exc:
@@ -188,7 +189,9 @@ class ExperimentConfig:
         if self.dimension not in (2, 3):
             raise ConfigError(f"dimension must be 2 or 3, got {self.dimension}")
         if self.F.shape != (self.dimension, self.dimension):
-            raise ConfigError(f"deformation must be {self.dimension}x{self.dimension}")
+            raise ConfigError(
+                f"deformation must be {self.dimension}x{self.dimension} ({self.dimension} rows "
+                f"of {self.dimension} entries), got shape {self.F.shape}")
         try:
             self.material()
             self.covariance()
@@ -343,23 +346,22 @@ def load_config(path):
     defo = _section(cp, "deformation")
     run = _section(cp, "run")
 
-    dim = _as_int("material", "dimension", _need(mat, "material", "dimension"))
-    if dim not in (2, 3):
-        raise ConfigError(f"dimension must be 2 or 3, got {dim}")
     mode = _need(defo, "deformation", "mode").strip().lower()
     if mode == "matrix":
         if "angle" in defo or "strain" in defo or "magnitude" in defo:
             raise ConfigError("matrix mode takes only the matrix key")
-        F = _parse_matrix(_need(defo, "deformation", "matrix"), dim, "deformation.matrix")
+        F = _parse_matrix(_need(defo, "deformation", "matrix"), "deformation.matrix")
     elif mode == "identity_plus":
         if "matrix" in defo:
             raise ConfigError("identity_plus mode does not take a matrix key")
         angle = _as_float("deformation", "angle", defo.get("angle", "0"))
-        strain = _parse_matrix(_need(defo, "deformation", "strain"), dim,
-                               "deformation.strain")
+        strain = _parse_matrix(_need(defo, "deformation", "strain"), "deformation.strain")
         magnitude = _as_float("deformation", "magnitude",
                               _need(defo, "deformation", "magnitude"))
-        F = rotation_from_angle(angle, dim) @ (np.eye(dim) + magnitude * strain)
+        k = len(strain)
+        F = np.eye(k) + magnitude * strain
+        if k >= 2:  # the rotation acts in the (e1, e2) plane
+            F = rotation_from_angle(angle, k) @ F
     else:
         raise ConfigError(f"deformation.mode must be matrix or identity_plus, got {mode!r}")
 
@@ -373,7 +375,7 @@ def load_config(path):
         lame=(_as_float("material", "lambda", _need(mat, "material", "lambda")),
               _as_float("material", "mu", _need(mat, "material", "mu"))),
         modulation=_as_float("material", "modulation", _need(mat, "material", "modulation")),
-        dimension=dim,
+        dimension=_as_int("material", "dimension", _need(mat, "material", "dimension")),
         cov_kind=_need(cov, "covariance", "kind").strip(),
         variance=_as_float("covariance", "variance", _need(cov, "covariance", "variance")),
         correlation_length=_as_float("covariance", "correlation_length",

@@ -18,6 +18,17 @@ with amplitude a in [0, 1), so W inherits all structural properties of W0
 uniformly in omega.  Derivatives in F up to third order are implemented in
 closed form; `omega_derivative` gives the partial in omega.
 
+The acoustic tensor M_jk = D2W[e_j x e_d, e_k x e_d] of the laminate axis
+e_d is built directly rather than read off d tangent applications:
+
+* Saint Venant-Kirchhoff, f = F e_d:
+  M = m(omega) [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2 - 1)) Id];
+* neo-Hookean, g = F^{-T} e_d and beta = lam ln J - mu:
+  M = m(omega) [mu Id + (lam - beta) g g^T].
+
+Determinants and inverses of the small (2x2 or 3x3) matrices are the
+closed-form adjugate over the determinant (`det_inverse`).
+
 Besides the scalar-point API (`evaluate`, `derivative`, `omega_derivative`)
 the class exposes batched kernels operating on per-cell arrays of deformation
 gradients, shape (n, d, d).  The cell-problem solvers are built entirely on
@@ -39,6 +50,7 @@ __all__ = [
     "EnergyDensity",
     "SAINT_VENANT_KIRCHHOFF",
     "NEO_HOOKEAN",
+    "det_inverse",
     "dist_to_rotations",
     "rotation_from_angle",
     "random_rotation",
@@ -54,6 +66,7 @@ _FAMILY_ALIASES = {
     "saint_venant_kirchhoff": SAINT_VENANT_KIRCHHOFF,
     "saintvenantkirchhoff": SAINT_VENANT_KIRCHHOFF,
     "neo-hookean": NEO_HOOKEAN,
+    "nh": NEO_HOOKEAN,
     "neo_hookean": NEO_HOOKEAN,
     "neohookean": NEO_HOOKEAN,
     "compressible-neo-hookean": NEO_HOOKEAN,
@@ -86,13 +99,52 @@ def _dot(A, B):
     return np.einsum("nij,nij->n", A, B)
 
 
+def _T(A):
+    """Per-cell transpose, made contiguous so that `@` takes its fast path."""
+    return np.ascontiguousarray(np.swapaxes(A, -1, -2))
+
+
 def _tAB(A, B):
     """Per-cell A^T B, shapes (n,d,d)."""
-    return np.einsum("nji,njk->nik", A, B)
+    return _T(A) @ B
 
 
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def det_inverse(A):
+    """Closed-form determinants and inverses of stacked 2x2 or 3x3 matrices.
+
+    Returns (det, inv) with shapes (...,) and (..., d, d); inv is the
+    adjugate over the determinant, so a singular matrix gives non-finite
+    entries (no warning, no exception) and callers test np.isfinite.
+    """
+    A = np.asarray(A, dtype=float)
+    adj = np.empty_like(A)
+    if A.shape[-1] == 2:
+        a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        det = a * e - b * c
+        adj[..., 0, 0] = e
+        adj[..., 0, 1] = -b
+        adj[..., 1, 0] = -c
+        adj[..., 1, 1] = a
+    elif A.shape[-1] == 3:
+        m = [[A[..., i, j] for j in range(3)] for i in range(3)]
+        adj[..., 0, 0] = m[1][1] * m[2][2] - m[1][2] * m[2][1]
+        adj[..., 0, 1] = m[0][2] * m[2][1] - m[0][1] * m[2][2]
+        adj[..., 0, 2] = m[0][1] * m[1][2] - m[0][2] * m[1][1]
+        adj[..., 1, 0] = m[1][2] * m[2][0] - m[1][0] * m[2][2]
+        adj[..., 1, 1] = m[0][0] * m[2][2] - m[0][2] * m[2][0]
+        adj[..., 1, 2] = m[0][2] * m[1][0] - m[0][0] * m[1][2]
+        adj[..., 2, 0] = m[1][0] * m[2][1] - m[1][1] * m[2][0]
+        adj[..., 2, 1] = m[0][1] * m[2][0] - m[0][0] * m[2][1]
+        adj[..., 2, 2] = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        det = m[0][0] * adj[..., 0, 0] + m[0][1] * adj[..., 1, 0] + m[0][2] * adj[..., 2, 0]
+    else:
+        raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got {A.shape}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return det, adj / det[..., None, None]
 
 
 def dist_to_rotations(F):
@@ -151,7 +203,7 @@ class EnergyDensity:
     ----------
     family : str
         'saint-venant-kirchhoff' (alias 'svk') or 'neo-hookean'
-        (alias 'compressible-neo-hookean').
+        (aliases 'nh', 'compressible-neo-hookean').
     lame : (float, float)
         Base Lame constants (lam0, mu0), both > 0.
     modulation : float
@@ -264,7 +316,7 @@ class EnergyDensity:
         """Per-cell admissibility of the deformation gradients."""
         Fcells = np.asarray(Fcells, dtype=float)
         if self.family == NEO_HOOKEAN:
-            return np.linalg.det(Fcells) > 0.0
+            return det_inverse(Fcells)[0] > 0.0
         return np.ones(Fcells.shape[0], dtype=bool)
 
     def energy_cells(self, omega, Fcells):
@@ -290,15 +342,30 @@ class EnergyDensity:
         return self.factor(omega)[:, None, None] * self._third_base(Fcells, A, B)
 
     def acoustic_cells(self, omega, Fcells):
-        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d]."""
-        Fcells = np.asarray(Fcells, dtype=float)
-        n, d = Fcells.shape[0], self.dim
-        M = np.empty((n, d, d))
-        for k in range(d):
-            E = np.zeros((d, d))
-            E[k, d - 1] = 1.0
-            M[:, :, k] = self.tangent_apply_cells(omega, Fcells, E)[:, :, d - 1]
-        return M
+        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d].
+
+        Closed form, with f = F e_d for Saint Venant-Kirchhoff and
+        g = F^{-T} e_d, beta = lam ln J - mu for neo-Hookean:
+
+            SVK:  M = m [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2-1)) Id]
+            NH:   M = m [mu Id + (lam - beta) g g^T]
+        """
+        Fc = np.asarray(Fcells, dtype=float)
+        d = self.dim
+        if self.family == SAINT_VENANT_KIRCHHOFF:
+            f = Fc[:, :, d - 1]
+            trE = 0.5 * (_dot(Fc, Fc) - d)
+            diag = (self.lam * trE + self.mu * (np.sum(f * f, axis=1) - 1.0))[:, None]
+            M = ((self.lam + self.mu) * f[:, :, None] * f[:, None, :]
+                 + self.mu * (Fc @ _T(Fc)))
+        else:
+            X, lnJ = self._inv_log(Fc)
+            g = X[:, d - 1, :]
+            beta = self.lam * lnJ - self.mu
+            M = (self.lam - beta)[:, None, None] * g[:, :, None] * g[:, None, :]
+            diag = self.mu
+        M[:, np.arange(d), np.arange(d)] += diag
+        return self.factor(omega)[:, None, None] * M
 
     # -- family-specific base density (unmodulated) ----------------------
 
@@ -308,11 +375,8 @@ class EnergyDensity:
             Et = 0.5 * (_tAB(Fc, Fc) - np.eye(d))
             tr = np.trace(Et, axis1=1, axis2=2)
             return 0.5 * self.lam * tr * tr + self.mu * _dot(Et, Et)
-        J = np.linalg.det(Fc)
-        if np.any(J <= 0.0):
-            raise DomainError("neo-Hookean density needs det F > 0")
-        lnJ = np.log(J)
-        frob2 = np.einsum("nij,nij->n", Fc, Fc)
+        _, lnJ = self._inv_log(Fc)
+        frob2 = _dot(Fc, Fc)
         return 0.5 * self.mu * (frob2 - d) - self.mu * lnJ + 0.5 * self.lam * lnJ * lnJ
 
     def _stress_base(self, Fc):
@@ -320,7 +384,7 @@ class EnergyDensity:
         if self.family == SAINT_VENANT_KIRCHHOFF:
             Et = 0.5 * (_tAB(Fc, Fc) - np.eye(d))
             tr = np.trace(Et, axis1=1, axis2=2)
-            return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * np.einsum("nij,njk->nik", Fc, Et)
+            return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * (Fc @ Et)
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
         return self.mu * Fc + beta[:, None, None] * np.swapaxes(X, 1, 2)
@@ -334,12 +398,12 @@ class EnergyDensity:
             symFA = _sym(_tAB(Fc, A))
             return (self.lam * FA[:, None, None] * Fc
                     + self.lam * tr[:, None, None] * A
-                    + 2.0 * self.mu * np.einsum("nij,njk->nik", Fc, symFA)
-                    + 2.0 * self.mu * np.einsum("nij,njk->nik", A, Et))
+                    + 2.0 * self.mu * (Fc @ symFA)
+                    + 2.0 * self.mu * (A @ Et))
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
         thA = np.einsum("nij,nji->n", X, A)
-        XAX = np.einsum("nij,njk,nkl->nil", X, A, X)
+        XAX = X @ A @ X
         return (self.mu * A
                 + self.lam * thA[:, None, None] * np.swapaxes(X, 1, 2)
                 - beta[:, None, None] * np.swapaxes(XAX, 1, 2))
@@ -372,10 +436,10 @@ class EnergyDensity:
                 + beta[:, None, None] * (np.swapaxes(XAXBX, 1, 2) + np.swapaxes(XBXAX, 1, 2)))
 
     def _inv_log(self, Fc):
-        J = np.linalg.det(Fc)
+        J, X = det_inverse(Fc)
         if np.any(J <= 0.0):
             raise DomainError("neo-Hookean density needs det F > 0")
-        return np.linalg.inv(Fc), np.log(J)
+        return X, np.log(J)
 
     def __repr__(self):
         return (f"EnergyDensity({self.family!r}, lame=({self.lam}, {self.mu}), "

@@ -4,8 +4,10 @@ structural identities, derivative consistency."""
 import numpy as np
 import pytest
 
+import laminhom.cell as cell
 from laminhom.cell import (
     ConvergenceError,
+    SingularityError,
     SolverOptions,
     assemble,
     det_identity_residual,
@@ -15,6 +17,7 @@ from laminhom.cell import (
     solve_corrector,
     solve_linearized,
     solve_second_linearized,
+    _acoustic_inverses,
     _deform,
     _embed,
 )
@@ -236,6 +239,38 @@ class TestDerivativeConsistency:
         assert np.array_equal(first.tangent, again.tangent)
 
 
+    def test_stacked_directions_match_single_calls(self):
+        w = svk2()
+        sample = random_sample(seed=15, n=16)
+        F = shear(2, 0.05)
+        sol = solve_corrector(w, sample, F)
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((3, 2, 2))
+        q, tau = solve_linearized(w, sample, F, sol, G)
+        assert q.shape == (3, 16, 2) and tau.shape == (3, 2)
+        for a in range(3):
+            qa, taua = solve_linearized(w, sample, F, sol, G[a])
+            np.testing.assert_allclose(q[a], qa, rtol=0, atol=1e-15 * np.abs(qa).max())
+            np.testing.assert_allclose(tau[a], taua, rtol=0, atol=1e-15 * np.abs(taua).max())
+
+    def test_one_acoustic_inverse_per_assembly(self, monkeypatch):
+        w = svk2()
+        sample = random_sample(seed=16, n=16)
+        F = shear(2, 0.05)
+        sol = solve_corrector(w, sample, F)
+        calls = []
+        original = cell._acoustic_inverses
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(cell, "_acoustic_inverses", counted)
+        assemble(w, sample, F, base=sol, order=2)
+        assert len(calls) == 1
+        assert len(sol.q) == 4
+
+
 class TestQuadraticExpansion:
     def test_remainder_ratio_scales_linearly(self):
         # needs a generic direction: for pure (1,2) shear the cellwise cubic
@@ -268,6 +303,20 @@ class TestErrors:
         w = svk2()
         with pytest.raises(ValueError):
             assemble(w, two_phase_sample(), shear(2, 0.05), order=5)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_singular_acoustic_tensor(self, monkeypatch, bad):
+        w = svk2()
+        sample = two_phase_sample()
+        F = shear(2, 0.05)
+        sol = solve_corrector(w, sample, F)
+        monkeypatch.setattr(w, "acoustic_cells",
+                            lambda omega, Fc: np.full((len(omega), 2, 2), bad))
+        with pytest.raises(SingularityError):
+            _acoustic_inverses(w, sample.values, _deform(F, sol.p), SolverOptions())
+        # the inner Newton step of a fresh solve needs M^{-1} at once
+        with pytest.raises(SingularityError):
+            solve_corrector(w, sample, F)
 
     def test_inner_budget_exhausted(self):
         w = svk2()

@@ -21,7 +21,7 @@ from laminhom.cli import (
     load_config,
     main,
 )
-from laminhom.energy import rotation_from_angle
+from laminhom.energy import NEO_HOOKEAN, rotation_from_angle
 from laminhom.fields import sample_periodic_field
 from laminhom.stats import cells_for
 
@@ -154,6 +154,25 @@ class TestConfigParsing:
         config = load_config(path)
         assert config.spacing == 0.25
         assert config.F.shape == (2, 2)
+
+    def test_nh_alias_is_neo_hookean(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", family="nh")
+        assert load_config(cfg).material().family == NEO_HOOKEAN
+        assert main(["single", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    @pytest.mark.parametrize("dimension,strain,fragment", [
+        ("3", "0 1 ; 1 0", "3x3"),
+        ("1", "0.5", "dimension"),
+    ])
+    def test_identity_plus_strain_checked_against_dimension(self, tmp_path, dimension,
+                                                            strain, fragment):
+        path = tmp_path / "a.cfg"
+        text = write_config(path, dimension=dimension).read_text().replace(
+            "mode = matrix\nmatrix = 1 0.05 ; 0.05 1",
+            f"mode = identity_plus\nstrain = {strain}\nmagnitude = 0.05")
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=fragment):
+            load_config(path)
 
     def test_defaults_applied(self, tmp_path):
         config = load_config(write_config(tmp_path / "a.cfg"))

@@ -16,6 +16,7 @@ from laminhom.energy import (
     SAINT_VENANT_KIRCHHOFF,
     DomainError,
     EnergyDensity,
+    det_inverse,
     dist_to_rotations,
     random_near_identity,
     random_rotation,
@@ -237,6 +238,23 @@ class TestBatchedKernels:
         np.testing.assert_allclose(M, np.swapaxes(M, 1, 2), atol=1e-13)
         assert np.all(np.linalg.eigvalsh(M) > 0.0)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_acoustic_closed_form_matches_tangent_columns(self, family, dim):
+        """M_jk read off d tangent applications D2W[e_k x e_d] e_d."""
+        w = make(family, dim)
+        rng = np.random.default_rng(9)
+        n = 64
+        om = rng.normal(size=n)
+        Fc = np.stack([random_near_identity(rng, dim, 0.15) for _ in range(n)])
+        columns = np.empty((n, dim, dim))
+        for k in range(dim):
+            E = np.zeros((dim, dim))
+            E[k, dim - 1] = 1.0
+            columns[:, :, k] = w.tangent_apply_cells(om, Fc, E)[:, :, dim - 1]
+        M = w.acoustic_cells(om, Fc)
+        assert np.abs(M - columns).max() <= 1e-13 * np.abs(columns).max()
+
     def test_third_apply_symmetric_in_arguments(self):
         w = make(NEO_HOOKEAN, 3)
         rng = np.random.default_rng(8)
@@ -246,6 +264,33 @@ class TestBatchedKernels:
         B = rng.standard_normal((4, 3, 3))
         np.testing.assert_allclose(w.third_apply_cells(om, Fc, A, B),
                                    w.third_apply_cells(om, Fc, B, A), atol=1e-13)
+
+
+# ===================================================================
+# closed-form small-matrix inverse
+# ===================================================================
+
+
+class TestDetInverse:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_numpy(self, dim):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((50, dim, dim)) + 2.0 * np.eye(dim)
+        det, inv = det_inverse(A)
+        np.testing.assert_allclose(det, np.linalg.det(A), rtol=1e-12)
+        np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_singular_and_non_finite_give_non_finite_inverse(self, dim):
+        A = np.stack([np.eye(dim), np.ones((dim, dim)), np.full((dim, dim), np.nan)])
+        det, inv = det_inverse(A)
+        assert det[1] == 0.0
+        assert np.isfinite(inv[0]).all()
+        assert not np.isfinite(inv[1]).any() and not np.isfinite(inv[2]).any()
+
+    def test_rejects_other_sizes(self):
+        with pytest.raises(ValueError):
+            det_inverse(np.eye(4))
 
 
 # ===================================================================
