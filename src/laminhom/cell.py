@@ -34,9 +34,6 @@ and `assemble` solves all d^2 elementary directions against one M^{-1}.  The
 adjugate over the determinant, as are the acoustic tensors themselves (see
 `energy`).
 
-The second linearization replaces b by the third-derivative flux
-g_i = (D3W_i[G + q_G x e_d, H + q_H x e_d]) e_d.
-
 `assemble` averages the pointwise derivatives along the corrected state to
 produce the effective energy, stress, tangent moduli and (on demand) the
 third-order moduli:
@@ -50,9 +47,10 @@ The two tangent representations (with and without the test-direction
 corrector) coincide because the linearized flux is constant and q has mean
 zero; the symmetric form is used so the declared tensor symmetries hold by
 construction.  The same orthogonality makes the third-order formula
-equivalent to differentiating the tangent representation through the
-second-linearized corrector: `solve_second_linearized` is kept and
-cross-checked against that route in the tests.
+equivalent to differentiating the tangent representation: the terms that
+would involve the derivative of q (the second-linearized corrector) pair a
+mean-zero cell field with a constant linearized flux and vanish, so the
+third-order moduli need only the first-order correctors q.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ __all__ = [
     "HomogenizedQuantities",
     "solve_corrector",
     "solve_linearized",
-    "solve_second_linearized",
     "assemble",
     "det_identity_residual",
     "quadratic_expansion_table",
@@ -122,17 +119,14 @@ class CorrectorSolution:
 
     p has exactly zero mean (recentered after convergence); sigma is the
     constant flux.  q / tau cache linearized correctors and their constant
-    fluxes for elementary directions (j, k); r / theta likewise for the
-    second linearization, keyed by sorted direction pairs.  stats records
-    iteration counts, residuals, and the Lipschitz flag.
+    fluxes for elementary directions (j, k).  stats records iteration
+    counts, residuals, and the Lipschitz flag.
     """
 
     p: np.ndarray
     sigma: np.ndarray
     q: dict = field(default_factory=dict)
     tau: dict = field(default_factory=dict)
-    r: dict = field(default_factory=dict)
-    theta: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
 
@@ -374,26 +368,6 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     b = np.stack([w.tangent_apply_cells(omega, Fc, Ga)[:, :, dd] for Ga in Gs])
     q, tau = _flux_constant_solve(Minv, b)
     return (q[0], tau[0]) if G.ndim == 2 else (q, tau)
-
-
-def solve_second_linearized(w, sample, F, base, G, H, opts=None):
-    """Second linearized corrector for the direction pair (G, H).
-
-    Same first-integral structure as `solve_linearized` with the tangent flux
-    replaced by the third-derivative flux of the two corrected directions;
-    symmetric in (G, H) by construction.  Returns (r, theta).
-    """
-    opts = opts or SolverOptions()
-    _check_sample(sample)
-    F = np.asarray(F, dtype=float)
-    dd = w.dim - 1
-    omega = np.asarray(sample.values, dtype=float)
-    (qG, qH), _ = solve_linearized(w, sample, F, base, np.stack([G, H]), opts)
-    Fc = _deform(F, base.p)
-    g = w.third_apply_cells(omega, Fc, _embed(G, qG), _embed(H, qH))[:, :, dd]
-    _, Minv = _acoustic_inverses(w, omega, Fc, opts)
-    r, theta = _flux_constant_solve(Minv, g[None])
-    return r[0], theta[0]
 
 
 # =====================================================================

@@ -43,7 +43,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,13 @@ from .stats import (
     run_ensemble,
     systematic_estimate,
 )
+
+__all__ = [
+    "EXIT_OK", "EXIT_INVARIANT", "EXIT_SOLVER", "EXIT_CONFIG", "GOLDEN_HEADERS",
+    "ConfigError", "ExperimentConfig", "load_config", "write_csv",
+    "cmd_single", "cmd_rates", "cmd_mc", "cmd_dump_field", "cmd_validate",
+    "build_parser", "main",
+]
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -858,11 +865,8 @@ def _resolve_workers(args, config):
 
 def _prepare(args):
     config = load_config(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("--seed must fit in a u64")
-        config.seed = args.seed
-    config.workers = max(1, _resolve_workers(args, config))
+    seed = config.seed if args.seed is None else args.seed
+    config = replace(config, seed=seed, workers=_resolve_workers(args, config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out

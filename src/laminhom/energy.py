@@ -16,7 +16,7 @@ modulation of the density,
 
 with amplitude a in [0, 1), so W inherits all structural properties of W0
 uniformly in omega.  Derivatives in F up to third order are implemented in
-closed form; `omega_derivative` gives the partial in omega.
+closed form.
 
 The acoustic tensor M_jk = D2W[e_j x e_d, e_k x e_d] of the laminate axis
 e_d is built directly rather than read off d tangent applications:
@@ -29,11 +29,13 @@ e_d is built directly rather than read off d tangent applications:
 Determinants and inverses of the small (2x2 or 3x3) matrices are the
 closed-form adjugate over the determinant (`det_inverse`).
 
-Besides the scalar-point API (`evaluate`, `derivative`, `omega_derivative`)
-the class exposes batched kernels operating on per-cell arrays of deformation
-gradients, shape (n, d, d).  The cell-problem solvers are built entirely on
-those kernels, so a full corrector solve is a handful of vectorized numpy
-calls per Newton iteration rather than a Python loop over cells.
+Each family is one small class (`_SaintVenantKirchhoff`, `_NeoHookean`)
+holding only the unmodulated W0 and its derivatives.  `EnergyDensity` picks
+one and defines the public batched kernels (`*_cells`) once, applying
+m(omega); they operate on per-cell arrays of deformation gradients, shape
+(n, d, d).  The cell-problem solvers are built entirely on those kernels, so
+a full corrector solve is a handful of vectorized numpy calls per Newton
+iteration rather than a Python loop over cells.
 
 Conventions: matrices are numpy arrays of shape (d, d); the colon product
 A:B is sum_ij A_ij B_ij; D2W[A] denotes the matrix (D2W[A])_jk =
@@ -192,214 +194,91 @@ def random_near_identity(rng, dim, dist):
 
 
 # =====================================================================
-# energy density
+# material families (unmodulated base density W0)
 # =====================================================================
 
 
-class EnergyDensity:
-    """Stored-energy density W(omega, F) of one material family.
+class _SaintVenantKirchhoff:
+    """W0(F) = lam/2 tr(E)^2 + mu tr(E^2) and its F-derivatives over cells."""
 
-    Parameters
-    ----------
-    family : str
-        'saint-venant-kirchhoff' (alias 'svk') or 'neo-hookean'
-        (aliases 'nh', 'compressible-neo-hookean').
-    lame : (float, float)
-        Base Lame constants (lam0, mu0), both > 0.
-    modulation : float
-        Amplitude a in [0, 1) of m(omega) = 1 + a*tanh(omega).
-    dim : int
-        Spatial dimension, 2 or 3.
-    alpha : float, optional
-        Declared quadratic-growth constant near SO(d): on the sampled
-        neighborhood (dist(F, SO(d)) <= alpha/2) the density satisfies
-        W(omega, F) >= alpha*dist^2(F, SO(d)).  The default
-        min(1/2, mu0*(1-a)/2) is justified by the expansion
-        W >= (1-a)*mu0*(1 - dist/2)^2 * dist^2 near SO(d), valid for both
-        families (checked by sampled property tests, not proved globally).
-    growth_p : float, optional
-        Declared growth exponent, >= dim.  Saint Venant-Kirchhoff is
-        genuinely quartic from below (default 4).  Compressible neo-Hookean
-        has quadratic coercivity; the default max(2, dim) records the class
-        floor p >= d at dim 3 even though the family only realizes p = 2 at
-        infinity: all solves live in a bounded neighborhood of SO(d) where
-        the distinction is immaterial.
-    """
+    def __init__(self, lam, mu, dim):
+        self.lam, self.mu, self.dim = lam, mu, dim
 
-    def __init__(self, family, lame, modulation=0.0, dim=2, alpha=None,
-                 growth_p=None):
-        key = str(family).strip().lower()
-        if key not in _FAMILY_ALIASES:
-            raise ValueError(f"unknown material family {family!r}")
-        self.family = _FAMILY_ALIASES[key]
-        self.lam, self.mu = float(lame[0]), float(lame[1])
-        if self.lam <= 0.0 or self.mu <= 0.0:
-            raise ValueError(f"Lame constants must be positive, got {lame!r}")
-        self.modulation = float(modulation)
-        if not 0.0 <= self.modulation < 1.0:
-            raise ValueError(f"modulation amplitude must be in [0,1), got {modulation!r}")
-        self.dim = int(dim)
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim!r}")
-        if alpha is None:
-            alpha = min(0.5, 0.5 * self.mu * (1.0 - self.modulation))
-        self.alpha = float(alpha)
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if growth_p is None:
-            growth_p = 4.0 if self.family == SAINT_VENANT_KIRCHHOFF else float(max(2, self.dim))
-        self.growth_p = float(growth_p)
-        if self.growth_p < self.dim:
-            raise ValueError(f"growth exponent {growth_p!r} below dimension {self.dim}")
+    def admissible(self, Fc):
+        return np.ones(Fc.shape[0], dtype=bool)
 
-    # -- modulation ----------------------------------------------------
-
-    def factor(self, omega):
-        """m(omega) = 1 + a*tanh(omega), elementwise."""
-        return 1.0 + self.modulation * np.tanh(np.asarray(omega, dtype=float))
-
-    def factor_derivative(self, omega):
-        """m'(omega) = a*(1 - tanh(omega)^2), elementwise."""
-        t = np.tanh(np.asarray(omega, dtype=float))
-        return self.modulation * (1.0 - t * t)
-
-    # -- scalar-point API ----------------------------------------------
-
-    def evaluate(self, omega, F):
-        """W(omega, F) at a single deformation gradient."""
-        W = self.energy_cells(np.atleast_1d(float(omega)),
-                              np.asarray(F, dtype=float)[None])
-        return float(W[0])
-
-    def derivative(self, omega, F, order=1):
-        """Full derivative tensor of W in F at a single point.
-
-        order 1 -> (d,d); order 2 -> (d,d,d,d); order 3 -> (d,d,d,d,d,d).
-        Entries are D^kW contracted with elementary matrices e_j x e_k, so
-        e.g. derivative(...,2)[j,k,l,m] = D2W[e_j x e_k, e_l x e_m].
-        """
+    def acoustic(self, Fc):
         d = self.dim
-        om = np.atleast_1d(float(omega))
-        Fc = np.asarray(F, dtype=float)[None]
-        if order == 1:
-            return self.stress_cells(om, Fc)[0]
-        if order == 2:
-            T = np.empty((d, d, d, d))
-            for l in range(d):
-                for m in range(d):
-                    E = np.zeros((d, d))
-                    E[l, m] = 1.0
-                    T[:, :, l, m] = self.tangent_apply_cells(om, Fc, E)[0]
-            return T
-        if order == 3:
-            T = np.empty((d, d, d, d, d, d))
-            for l in range(d):
-                for m in range(d):
-                    A = np.zeros((d, d))
-                    A[l, m] = 1.0
-                    for u in range(d):
-                        for v in range(d):
-                            B = np.zeros((d, d))
-                            B[u, v] = 1.0
-                            T[:, :, l, m, u, v] = self.third_apply_cells(om, Fc, A, B)[0]
-            return T
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
-
-    def omega_derivative(self, omega, F):
-        """dW/domega = m'(omega) * W0(F) = (m'/m)(omega) * W(omega, F)."""
-        base = self._energy_base(np.asarray(F, dtype=float)[None])[0]
-        return float(self.factor_derivative(omega) * base)
-
-    # -- batched kernels (per-cell arrays) -------------------------------
-
-    def admissible_cells(self, Fcells):
-        """Per-cell admissibility of the deformation gradients."""
-        Fcells = np.asarray(Fcells, dtype=float)
-        if self.family == NEO_HOOKEAN:
-            return det_inverse(Fcells)[0] > 0.0
-        return np.ones(Fcells.shape[0], dtype=bool)
-
-    def energy_cells(self, omega, Fcells):
-        """W(omega_i, F_i) over cells: (n,), (n,d,d) -> (n,)."""
-        return self.factor(omega) * self._energy_base(np.asarray(Fcells, dtype=float))
-
-    def stress_cells(self, omega, Fcells):
-        """DW(omega_i, F_i) over cells: -> (n,d,d)."""
-        return self.factor(omega)[:, None, None] * self._stress_base(np.asarray(Fcells, dtype=float))
-
-    def tangent_apply_cells(self, omega, Fcells, A):
-        """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d) or (n,d,d)."""
-        Fcells = np.asarray(Fcells, dtype=float)
-        A = _as_cells(A, Fcells.shape[0], self.dim)
-        return self.factor(omega)[:, None, None] * self._tangent_base(Fcells, A)
-
-    def third_apply_cells(self, omega, Fcells, A, B):
-        """Matrix D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B)."""
-        Fcells = np.asarray(Fcells, dtype=float)
-        n = Fcells.shape[0]
-        A = _as_cells(A, n, self.dim)
-        B = _as_cells(B, n, self.dim)
-        return self.factor(omega)[:, None, None] * self._third_base(Fcells, A, B)
-
-    def acoustic_cells(self, omega, Fcells):
-        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d].
-
-        Closed form, with f = F e_d for Saint Venant-Kirchhoff and
-        g = F^{-T} e_d, beta = lam ln J - mu for neo-Hookean:
-
-            SVK:  M = m [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2-1)) Id]
-            NH:   M = m [mu Id + (lam - beta) g g^T]
-        """
-        Fc = np.asarray(Fcells, dtype=float)
-        d = self.dim
-        if self.family == SAINT_VENANT_KIRCHHOFF:
-            f = Fc[:, :, d - 1]
-            trE = 0.5 * (_dot(Fc, Fc) - d)
-            diag = (self.lam * trE + self.mu * (np.sum(f * f, axis=1) - 1.0))[:, None]
-            M = ((self.lam + self.mu) * f[:, :, None] * f[:, None, :]
-                 + self.mu * (Fc @ _T(Fc)))
-        else:
-            X, lnJ = self._inv_log(Fc)
-            g = X[:, d - 1, :]
-            beta = self.lam * lnJ - self.mu
-            M = (self.lam - beta)[:, None, None] * g[:, :, None] * g[:, None, :]
-            diag = self.mu
+        f = Fc[:, :, d - 1]
+        trE = 0.5 * (_dot(Fc, Fc) - d)
+        diag = (self.lam * trE + self.mu * (np.sum(f * f, axis=1) - 1.0))[:, None]
+        M = ((self.lam + self.mu) * f[:, :, None] * f[:, None, :]
+             + self.mu * (Fc @ _T(Fc)))
         M[:, np.arange(d), np.arange(d)] += diag
-        return self.factor(omega)[:, None, None] * M
+        return M
 
-    # -- family-specific base density (unmodulated) ----------------------
+    def energy(self, Fc):
+        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
+        tr = np.trace(Et, axis1=1, axis2=2)
+        return 0.5 * self.lam * tr * tr + self.mu * _dot(Et, Et)
 
-    def _energy_base(self, Fc):
+    def stress(self, Fc):
+        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
+        tr = np.trace(Et, axis1=1, axis2=2)
+        return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * (Fc @ Et)
+
+    def tangent(self, Fc, A):
+        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
+        tr = np.trace(Et, axis1=1, axis2=2)
+        FA = _dot(Fc, A)
+        symFA = _sym(_tAB(Fc, A))
+        return (self.lam * FA[:, None, None] * Fc
+                + self.lam * tr[:, None, None] * A
+                + 2.0 * self.mu * (Fc @ symFA)
+                + 2.0 * self.mu * (A @ Et))
+
+    def third(self, Fc, A, B):
+        FA = _dot(Fc, A)
+        FB = _dot(Fc, B)
+        AB = _dot(A, B)
+        symFA = _sym(_tAB(Fc, A))
+        symFB = _sym(_tAB(Fc, B))
+        symAB = _sym(_tAB(A, B))
+        return (self.lam * (A * FB[:, None, None] + B * FA[:, None, None] + Fc * AB[:, None, None])
+                + 2.0 * self.mu * (np.einsum("nij,njk->nik", A, symFB)
+                                   + np.einsum("nij,njk->nik", B, symFA)
+                                   + np.einsum("nij,njk->nik", Fc, symAB)))
+
+
+class _NeoHookean:
+    """W0(F) = mu/2 (|F|^2 - d) - mu ln J + lam/2 (ln J)^2 and its F-derivatives over cells."""
+
+    def __init__(self, lam, mu, dim):
+        self.lam, self.mu, self.dim = lam, mu, dim
+
+    def admissible(self, Fc):
+        return det_inverse(Fc)[0] > 0.0
+
+    def acoustic(self, Fc):
         d = self.dim
-        if self.family == SAINT_VENANT_KIRCHHOFF:
-            Et = 0.5 * (_tAB(Fc, Fc) - np.eye(d))
-            tr = np.trace(Et, axis1=1, axis2=2)
-            return 0.5 * self.lam * tr * tr + self.mu * _dot(Et, Et)
+        X, lnJ = self._inv_log(Fc)
+        g = X[:, d - 1, :]
+        beta = self.lam * lnJ - self.mu
+        M = (self.lam - beta)[:, None, None] * g[:, :, None] * g[:, None, :]
+        M[:, np.arange(d), np.arange(d)] += self.mu
+        return M
+
+    def energy(self, Fc):
         _, lnJ = self._inv_log(Fc)
         frob2 = _dot(Fc, Fc)
-        return 0.5 * self.mu * (frob2 - d) - self.mu * lnJ + 0.5 * self.lam * lnJ * lnJ
+        return 0.5 * self.mu * (frob2 - self.dim) - self.mu * lnJ + 0.5 * self.lam * lnJ * lnJ
 
-    def _stress_base(self, Fc):
-        d = self.dim
-        if self.family == SAINT_VENANT_KIRCHHOFF:
-            Et = 0.5 * (_tAB(Fc, Fc) - np.eye(d))
-            tr = np.trace(Et, axis1=1, axis2=2)
-            return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * (Fc @ Et)
+    def stress(self, Fc):
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
         return self.mu * Fc + beta[:, None, None] * np.swapaxes(X, 1, 2)
 
-    def _tangent_base(self, Fc, A):
-        if self.family == SAINT_VENANT_KIRCHHOFF:
-            d = self.dim
-            Et = 0.5 * (_tAB(Fc, Fc) - np.eye(d))
-            tr = np.trace(Et, axis1=1, axis2=2)
-            FA = _dot(Fc, A)
-            symFA = _sym(_tAB(Fc, A))
-            return (self.lam * FA[:, None, None] * Fc
-                    + self.lam * tr[:, None, None] * A
-                    + 2.0 * self.mu * (Fc @ symFA)
-                    + 2.0 * self.mu * (A @ Et))
+    def tangent(self, Fc, A):
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
         thA = np.einsum("nij,nji->n", X, A)
@@ -408,18 +287,7 @@ class EnergyDensity:
                 + self.lam * thA[:, None, None] * np.swapaxes(X, 1, 2)
                 - beta[:, None, None] * np.swapaxes(XAX, 1, 2))
 
-    def _third_base(self, Fc, A, B):
-        if self.family == SAINT_VENANT_KIRCHHOFF:
-            FA = _dot(Fc, A)
-            FB = _dot(Fc, B)
-            AB = _dot(A, B)
-            symFA = _sym(_tAB(Fc, A))
-            symFB = _sym(_tAB(Fc, B))
-            symAB = _sym(_tAB(A, B))
-            return (self.lam * (A * FB[:, None, None] + B * FA[:, None, None] + Fc * AB[:, None, None])
-                    + 2.0 * self.mu * (np.einsum("nij,njk->nik", A, symFB)
-                                       + np.einsum("nij,njk->nik", B, symFA)
-                                       + np.einsum("nij,njk->nik", Fc, symAB)))
+    def third(self, Fc, A, B):
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
         XT = np.swapaxes(X, 1, 2)
@@ -440,6 +308,88 @@ class EnergyDensity:
         if np.any(J <= 0.0):
             raise DomainError("neo-Hookean density needs det F > 0")
         return X, np.log(J)
+
+
+# =====================================================================
+# energy density
+# =====================================================================
+
+
+class EnergyDensity:
+    """Stored-energy density W(omega, F) = m(omega) W0(F) of one material family.
+
+    Parameters
+    ----------
+    family : str
+        'saint-venant-kirchhoff' (alias 'svk') or 'neo-hookean'
+        (aliases 'nh', 'compressible-neo-hookean').
+    lame : (float, float)
+        Base Lame constants (lam0, mu0), both > 0.
+    modulation : float
+        Amplitude a in [0, 1) of m(omega) = 1 + a*tanh(omega).
+    dim : int
+        Spatial dimension, 2 or 3.
+    """
+
+    def __init__(self, family, lame, modulation=0.0, dim=2):
+        key = str(family).strip().lower()
+        if key not in _FAMILY_ALIASES:
+            raise ValueError(f"unknown material family {family!r}")
+        self.family = family = _FAMILY_ALIASES[key]
+        self.lam, self.mu = float(lame[0]), float(lame[1])
+        if self.lam <= 0.0 or self.mu <= 0.0:
+            raise ValueError(f"Lame constants must be positive, got {lame!r}")
+        self.modulation = float(modulation)
+        if not 0.0 <= self.modulation < 1.0:
+            raise ValueError(f"modulation amplitude must be in [0,1), got {modulation!r}")
+        self.dim = int(dim)
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+        law = _NeoHookean if family == NEO_HOOKEAN else _SaintVenantKirchhoff
+        self._law = law(self.lam, self.mu, self.dim)
+
+    def factor(self, omega):
+        """m(omega) = 1 + a*tanh(omega), elementwise."""
+        return 1.0 + self.modulation * np.tanh(np.asarray(omega, dtype=float))
+
+    # -- batched kernels (per-cell arrays) -------------------------------
+
+    def admissible_cells(self, Fcells):
+        """Per-cell admissibility of the deformation gradients."""
+        return self._law.admissible(np.asarray(Fcells, dtype=float))
+
+    def energy_cells(self, omega, Fcells):
+        """W(omega_i, F_i) over cells: (n,), (n,d,d) -> (n,)."""
+        return self.factor(omega) * self._law.energy(np.asarray(Fcells, dtype=float))
+
+    def stress_cells(self, omega, Fcells):
+        """DW(omega_i, F_i) over cells: -> (n,d,d)."""
+        return self.factor(omega)[:, None, None] * self._law.stress(np.asarray(Fcells, dtype=float))
+
+    def tangent_apply_cells(self, omega, Fcells, A):
+        """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d) or (n,d,d)."""
+        Fcells = np.asarray(Fcells, dtype=float)
+        A = _as_cells(A, Fcells.shape[0], self.dim)
+        return self.factor(omega)[:, None, None] * self._law.tangent(Fcells, A)
+
+    def third_apply_cells(self, omega, Fcells, A, B):
+        """Matrix D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B)."""
+        Fcells = np.asarray(Fcells, dtype=float)
+        n = Fcells.shape[0]
+        A = _as_cells(A, n, self.dim)
+        B = _as_cells(B, n, self.dim)
+        return self.factor(omega)[:, None, None] * self._law.third(Fcells, A, B)
+
+    def acoustic_cells(self, omega, Fcells):
+        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d].
+
+        Closed form, with f = F e_d for Saint Venant-Kirchhoff and
+        g = F^{-T} e_d, beta = lam ln J - mu for neo-Hookean:
+
+            SVK:  M = m [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2-1)) Id]
+            NH:   M = m [mu Id + (lam - beta) g g^T]
+        """
+        return self.factor(omega)[:, None, None] * self._law.acoustic(np.asarray(Fcells, dtype=float))
 
     def __repr__(self):
         return (f"EnergyDensity({self.family!r}, lame=({self.lam}, {self.mu}), "

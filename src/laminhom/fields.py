@@ -41,7 +41,6 @@ __all__ = [
     "MaterialSample",
     "periodize_covariance",
     "sample_periodic_field",
-    "sample_window_restriction",
     "PRNG_NAME",
 ]
 
@@ -224,38 +223,3 @@ def sample_periodic_field(cov, period, n, seed, index):
     noise = z[: per.n] + 1j * z[per.n:]
     values = np.sqrt(per.n) * np.fft.ifft(np.sqrt(per.spectrum) * noise).real
     return MaterialSample(values=values, period=per.period, seed=int(seed), index=int(index))
-
-
-def sample_window_restriction(cov, length, n, seed, index):
-    """Draw the unperiodized field restricted to a window of given length.
-
-    Dense-covariance route (Toeplitz matrix + symmetric eigenfactorization),
-    deliberately independent of the circulant path; used for systematic-error
-    diagnostics.  Tiny negative eigenvalues from the dense factorization are
-    clamped like the spectral clamp (scaled by n for dense-eig roundoff).
-    """
-    length = float(length)
-    n = int(n)
-    h = length / n
-    if h > 0.5 * cov.correlation_length:
-        raise PeriodizationError(
-            f"spacing {h} too coarse: need at least two cells per correlation length "
-            f"{cov.correlation_length}")
-    grid = np.arange(n) * h
-    K = cov(np.abs(grid[:, None] - grid[None, :]))
-    evals, evecs = np.linalg.eigh(K)
-    floor = -SPECTRUM_CLAMP * cov.variance * max(1, n)
-    if float(evals.min()) < floor:
-        raise SpectrumError(
-            f"window covariance eigenvalue {evals.min():.3e} below {floor:.3e}")
-    evals = np.where(evals < 0.0, 0.0, evals)
-    rng = _stream(seed, _length_key(length), index, 1)
-    values = evecs @ (np.sqrt(evals) * rng.standard_normal(n))
-    return MaterialSample(values=values, period=length, seed=int(seed),
-                          index=int(index), periodic=False)
-
-
-def constant_sample(value, period, n):
-    """Degenerate deterministic sample (used for sigma^2 = 0 style configs)."""
-    return MaterialSample(values=np.full(int(n), float(value)), period=float(period),
-                          seed=0, index=0, prng="constant")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import ConvergenceError, SolverOptions, _deform, _gram_deviation
+from .cell import ConvergenceError, SolverOptions, _check_sample, _deform, _gram_deviation
 from .energy import DomainError, dist_to_rotations
 
 __all__ = [
@@ -45,8 +45,7 @@ class DiscreteEnergyProblem:
     """
 
     def __init__(self, w, sample, F):
-        if not getattr(sample, "periodic", True):
-            raise ValueError("cell problems need a periodic sample")
+        _check_sample(sample)
         self.w = w
         self.omega = np.asarray(sample.values, dtype=float)
         self.F = np.asarray(F, dtype=float)
@@ -81,20 +80,21 @@ class DiscreteEnergyProblem:
         return g[1:].ravel()
 
     def hessian(self, u):
+        return self._stiffness(self.w.acoustic_cells(self.omega, self.deformations(u)))
+
+    def _stiffness(self, M):
+        """Block-tridiagonal nodal matrix of per-cell acoustic tensors M, node 0 removed."""
         n, d = self.n, self.d
-        M = self.w.acoustic_cells(self.omega, self.deformations(u))
         scale = 1.0 / (n * self.h * self.h)
         K = np.zeros((n, d, n, d))
-        idx = np.arange(n)
-        nxt = (idx + 1) % n
+        nxt = (np.arange(n) + 1) % n
         for i in range(n):
             Mi = scale * M[i]
             K[i, :, i, :] += Mi
             K[nxt[i], :, nxt[i], :] += Mi
             K[i, :, nxt[i], :] -= Mi
             K[nxt[i], :, i, :] -= Mi
-        K = K.reshape(n * d, n * d)
-        return K[d:, d:]
+        return K.reshape(n * d, n * d)[d:, d:]
 
     def admissible(self, u):
         Fc = self.deformations(u)
@@ -171,22 +171,9 @@ def linear_solve_direct(w, sample, F, p, G):
     dd = prob.d - 1
     p = np.asarray(p, dtype=float)
     Fc = _deform(prob.F, p)
-    M = w.acoustic_cells(prob.omega, Fc)
-    scale = 1.0 / (prob.n * prob.h * prob.h)
-    n, d = prob.n, prob.d
-    K = np.zeros((n, d, n, d))
-    nxt = (np.arange(n) + 1) % n
-    for i in range(n):
-        Mi = scale * M[i]
-        K[i, :, i, :] += Mi
-        K[nxt[i], :, nxt[i], :] += Mi
-        K[i, :, nxt[i], :] -= Mi
-        K[nxt[i], :, i, :] -= Mi
-    K = K.reshape(n * d, n * d)[d:, d:]
+    K = prob._stiffness(w.acoustic_cells(prob.omega, Fc))
     b = w.tangent_apply_cells(prob.omega, Fc, np.asarray(G, dtype=float))[:, :, dd]
     g = (np.roll(b, 1, axis=0) - b) / (prob.n * prob.h)
-    psi_tail = np.linalg.solve(K, -g[1:].ravel())
-    psi = np.zeros((n, d))
-    psi[1:] = psi_tail.reshape(n - 1, d)
+    psi = prob.phi_from(np.linalg.solve(K, -g[1:].ravel()))
     q = prob.cell_gradients(psi)
     return q - q.mean(axis=0)

@@ -45,7 +45,6 @@ __all__ = [
     "balanced_count",
     "fit_rate",
     "decompose_error",
-    "tail_fraction",
     "cells_for",
 ]
 
@@ -432,16 +431,6 @@ def fit_envelope_scale(rows):
     if denom == 0.0:
         raise StatisticsError("degenerate envelope")
     return float(t @ e) / denom
-
-
-def tail_fraction(values, z=3.0):
-    """Fraction of standardized scalar samples beyond z SDs (tail proxy)."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    sd = values.std(ddof=1)
-    if sd == 0.0:
-        return 0.0
-    score = np.abs(values - values.mean()) / sd
-    return float((score > z).mean())
 
 
 def fit_rate(xs, ys, resamples=BOOTSTRAP_RESAMPLES, seed=0):

@@ -327,6 +327,21 @@ class TestExitCodes:
 
 
 class TestSeedAndWorkers:
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--workers", "0"], None, "workers must be >= 1"),
+        (["--workers", "-5"], None, "workers must be >= 1"),
+        ([], "0", "workers must be >= 1"),
+        (["--seed", "-1"], None, "seed must fit in a u64"),
+    ])
+    def test_bad_override_exits_three(self, tmp_path, monkeypatch, capsys, flags, env, message):
+        if env is not None:
+            monkeypatch.setenv("LAMINHOM_WORKERS", env)
+        cfg = write_config(tmp_path / "a.cfg")
+        out = tmp_path / "o"
+        assert main(["single", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "quantities.csv").exists()
+
     def test_seed_override_changes_data_and_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

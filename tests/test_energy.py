@@ -22,6 +22,7 @@ from laminhom.energy import (
     random_rotation,
     rotation_from_angle,
 )
+from pointwise import derivative, evaluate
 
 LAME = (1.2, 0.8)
 FAMILIES = [SAINT_VENANT_KIRCHHOFF, NEO_HOOKEAN]
@@ -43,21 +44,15 @@ class TestFrozenValues:
         w = make(SAINT_VENANT_KIRCHHOFF, 2)
         F = np.eye(2)
         F[0, 1] = 0.01
-        assert w.evaluate(0.3, F) == pytest.approx(4.5830262046103608400e-05, abs=1e-12, rel=1e-12)
+        assert evaluate(w, 0.3, F) == pytest.approx(4.5830262046103608400e-05, abs=1e-12, rel=1e-12)
         # unmodulated exact rational
         w0 = EnergyDensity(SAINT_VENANT_KIRCHHOFF, LAME, modulation=0.0, dim=2)
-        assert w0.evaluate(0.0, F) == pytest.approx(80007 / 2000000000, abs=0, rel=1e-15)
-
-    def test_svk_omega_derivative(self):
-        w = make(SAINT_VENANT_KIRCHHOFF, 2)
-        F = np.eye(2)
-        F[0, 1] = 0.01
-        assert w.omega_derivative(0.3, F) == pytest.approx(1.8304340726215780664e-05, rel=1e-12)
+        assert evaluate(w0, 0.0, F) == pytest.approx(80007 / 2000000000, abs=0, rel=1e-15)
 
     def test_neo_hookean_point_value(self):
         w = make(NEO_HOOKEAN, 2)
         F = np.array([[1.03, 0.02], [-0.01, 0.98]])
-        assert w.evaluate(-0.7, F) == pytest.approx(7.8950883135701965301e-04, rel=1e-12)
+        assert evaluate(w, -0.7, F) == pytest.approx(7.8950883135701965301e-04, rel=1e-12)
 
 
 # ===================================================================
@@ -75,8 +70,8 @@ class TestStructure:
         for _ in range(25):
             R = random_rotation(rng, dim)
             om = rng.normal()
-            assert abs(w.evaluate(om, R)) <= 1e-12
-            assert np.max(np.abs(w.derivative(om, R, 1))) <= 1e-12
+            assert abs(evaluate(w, om, R)) <= 1e-12
+            assert np.max(np.abs(derivative(w, om, R, 1))) <= 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("dim", DIMS)
@@ -88,7 +83,7 @@ class TestStructure:
             F = random_near_identity(rng, dim, 0.15)
             R = random_rotation(rng, dim)
             om = rng.normal()
-            a, b = w.evaluate(om, R @ F), w.evaluate(om, F)
+            a, b = evaluate(w, om, R @ F), evaluate(w, om, F)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -98,42 +93,42 @@ class TestStructure:
         w = make(family, dim)
         rng = np.random.default_rng(43)
         F = random_near_identity(rng, dim, 0.1)
-        T2 = w.derivative(0.2, F, 2)
+        T2 = derivative(w, 0.2, F, 2)
         assert np.max(np.abs(T2 - np.transpose(T2, (2, 3, 0, 1)))) <= 1e-12
-        T3 = w.derivative(0.2, F, 3)
+        T3 = derivative(w, 0.2, F, 3)
         for perm in [(2, 3, 0, 1, 4, 5), (4, 5, 2, 3, 0, 1), (0, 1, 4, 5, 2, 3)]:
             assert np.max(np.abs(T3 - np.transpose(T3, perm))) <= 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("dim", DIMS)
     def test_quadratic_lower_bound_near_rotations(self, family, dim):
-        """W(omega,F) >= alpha*dist^2(F,SO(d)) sampled on dist <= alpha/2."""
+        """W(omega,F) >= alpha*dist^2(F,SO(d)) sampled on dist <= alpha/2.
+
+        alpha = min(1/2, mu0*(1-a)/2) follows from the expansion
+        W >= (1-a)*mu0*(1 - dist/2)^2 * dist^2 near SO(d), valid for both
+        families; checked here by sampling, not proved globally.
+        """
         w = make(family, dim)
+        alpha = min(0.5, 0.5 * LAME[1] * (1.0 - w.modulation))
         rng = np.random.default_rng(44)
         for _ in range(100):
-            F = random_near_identity(rng, dim, rng.uniform(0.0, 0.5 * w.alpha))
+            F = random_near_identity(rng, dim, rng.uniform(0.0, 0.5 * alpha))
             om = rng.normal()
             dist = dist_to_rotations(F)
-            assert w.evaluate(om, F) >= w.alpha * dist**2 - 1e-15
+            assert evaluate(w, om, F) >= alpha * dist**2 - 1e-15
 
     def test_modulation_bounds_and_identity(self):
         w = make(SAINT_VENANT_KIRCHHOFF, 2, modulation=0.9)
         om = np.linspace(-5, 5, 11)
         m = w.factor(om)
         assert np.all(m > 0.1 - 1e-12) and np.all(m < 1.9 + 1e-12)
-        # omega-derivative identity dW/domega = (m'/m) W
-        F = np.eye(2) + 0.05 * np.array([[0.3, 1.0], [-0.2, 0.1]])
-        for o in (-1.3, 0.0, 0.8):
-            lhs = w.omega_derivative(o, F)
-            rhs = w.factor_derivative(o) / w.factor(o) * w.evaluate(o, F)
-            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-18)
 
     def test_neo_hookean_domain_error(self):
         w = make(NEO_HOOKEAN, 2)
         with pytest.raises(DomainError):
-            w.evaluate(0.0, np.diag([1.0, -1.0]))
+            evaluate(w, 0.0, np.diag([1.0, -1.0]))
         with pytest.raises(DomainError):
-            w.derivative(0.0, np.diag([0.0, 1.0]), 1)
+            derivative(w, 0.0, np.diag([0.0, 1.0]), 1)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -144,8 +139,6 @@ class TestStructure:
             EnergyDensity(SAINT_VENANT_KIRCHHOFF, LAME, modulation=1.0)
         with pytest.raises(ValueError):
             EnergyDensity(SAINT_VENANT_KIRCHHOFF, LAME, dim=4)
-        with pytest.raises(ValueError):
-            EnergyDensity(SAINT_VENANT_KIRCHHOFF, LAME, dim=3, growth_p=2.0)
 
 
 # ===================================================================
@@ -181,22 +174,13 @@ class TestFiniteDifferenceConsistency:
             F = random_near_identity(rng, dim, 0.12)
             om = rng.normal()
             if order == 1:
-                fd = fd_tensor(lambda G: w.evaluate(om, G), F, self.STEP)
+                fd = fd_tensor(lambda G: evaluate(w, om, G), F, self.STEP)
             else:
-                fd = fd_tensor(lambda G: w.derivative(om, G, order - 1), F, self.STEP)
+                fd = fd_tensor(lambda G: derivative(w, om, G, order - 1), F, self.STEP)
                 fd = np.moveaxis(fd, (-2, -1), (0, 1))
-            exact = w.derivative(om, F, order)
+            exact = derivative(w, om, F, order)
             scale = max(np.max(np.abs(exact)), 1e-8)
             assert np.max(np.abs(fd - exact)) / scale <= self.RTOL
-
-    def test_omega_derivative_fd(self):
-        w = make(SAINT_VENANT_KIRCHHOFF, 3)
-        rng = np.random.default_rng(9)
-        F = random_near_identity(rng, 3, 0.1)
-        h = 1e-6
-        for om in (-0.4, 0.9):
-            fd = (w.evaluate(om + h, F) - w.evaluate(om - h, F)) / (2 * h)
-            assert w.omega_derivative(om, F) == pytest.approx(fd, rel=1e-7)
 
 
 # ===================================================================
@@ -219,11 +203,11 @@ class TestBatchedKernels:
         Tv = w.tangent_apply_cells(om, Fc, A)
         Uv = w.third_apply_cells(om, Fc, A, B)
         for i in range(n):
-            assert Wv[i] == pytest.approx(w.evaluate(om[i], Fc[i]), rel=1e-14, abs=1e-16)
-            np.testing.assert_allclose(Sv[i], w.derivative(om[i], Fc[i], 1), rtol=1e-13, atol=1e-16)
-            np.testing.assert_allclose(Tv[i], np.einsum("jklm,lm->jk", w.derivative(om[i], Fc[i], 2), A),
+            assert Wv[i] == pytest.approx(evaluate(w, om[i], Fc[i]), rel=1e-14, abs=1e-16)
+            np.testing.assert_allclose(Sv[i], derivative(w, om[i], Fc[i], 1), rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(Tv[i], np.einsum("jklm,lm->jk", derivative(w, om[i], Fc[i], 2), A),
                                        rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(Uv[i], np.einsum("jklmuv,lm,uv->jk", w.derivative(om[i], Fc[i], 3), A, B),
+            np.testing.assert_allclose(Uv[i], np.einsum("jklmuv,lm,uv->jk", derivative(w, om[i], Fc[i], 3), A, B),
                                        rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("family", FAMILIES)

@@ -16,10 +16,8 @@ from laminhom.fields import (
     MaterialSample,
     PeriodizationError,
     SpectrumError,
-    constant_sample,
     periodize_covariance,
     sample_periodic_field,
-    sample_window_restriction,
 )
 
 
@@ -170,36 +168,6 @@ class TestSampling:
             est = acc[:, c].mean()
             se = acc[:, c].std(ddof=1) / np.sqrt(M)
             assert abs(est - cov(j * h)) <= 3.0 * se + 1e-12, (j, est, cov(j * h), se)
-
-    def test_empirical_covariance_window(self):
-        """The unperiodized window sampler reproduces C as well (dual route)."""
-        cov = CovarianceSpec("cosine-bump", 1.0, 1.0)
-        length, n, M = 4.0, 16, 20_000
-        h = length / n
-        acc0 = np.empty(M)
-        acc1 = np.empty(M)
-        for k in range(M):
-            v = sample_window_restriction(cov, length, n, seed=55, index=k).values
-            acc0[k] = np.mean(v * v)
-            acc1[k] = np.mean(v[:-2] * v[2:])
-        for acc, target in ((acc0, cov(0.0)), (acc1, cov(2 * h))):
-            est, se = acc.mean(), acc.std(ddof=1) / np.sqrt(M)
-            assert abs(est - target) <= 3.0 * se
-
-    def test_window_flags_and_determinism(self):
-        cov = CovarianceSpec("triangle", 1.0, 1.0)
-        a = sample_window_restriction(cov, 4.0, 32, seed=9, index=3)
-        b = sample_window_restriction(cov, 4.0, 32, seed=9, index=3)
-        assert not a.periodic
-        np.testing.assert_array_equal(a.values, b.values)
-        # window stream differs from the periodic stream at equal keys
-        p = sample_periodic_field(cov, 4.0, 32, seed=9, index=3)
-        assert not np.array_equal(a.values, p.values)
-
-    def test_constant_sample(self):
-        s = constant_sample(0.4, 8.0, 16)
-        assert np.all(s.values == 0.4)
-        assert s.spacing == 0.5
 
     def test_material_sample_grid(self):
         s = MaterialSample(values=np.zeros(4), period=2.0, seed=0, index=0)

@@ -29,7 +29,6 @@ from laminhom.stats import (
     mc_total_error,
     run_ensemble,
     systematic_estimate,
-    tail_fraction,
     McRow,
 )
 
@@ -257,19 +256,6 @@ class TestDecomposeError:
         ref = rng.standard_normal(5)
         mse, var, bias_sq = decompose_error(values, ref)
         assert mse == pytest.approx(var + bias_sq, rel=1e-12)
-
-
-class TestTailFraction:
-    def test_gaussian_sub_one_percent(self):
-        rng = np.random.default_rng(16)
-        assert tail_fraction(rng.standard_normal(1024)) <= 0.01
-
-    def test_constant_zero(self):
-        assert tail_fraction(np.ones(32)) == 0.0
-
-    def test_heavy_tail_detected(self):
-        rng = np.random.default_rng(17)
-        assert tail_fraction(rng.standard_t(df=1, size=1024)) > 0.01
 
 
 class TestFitRate:
