@@ -20,6 +20,22 @@ Jacobian, Armijo backtracking with admissibility guards), the outer solver
 drives the mean R(sigma) = (1/n) sum_i p_i(sigma) to zero with Jacobian
 (1/n) sum_i M_i^{-1}.  Starting guess sigma_0 = (1/n) sum_i DW(omega_i,F)e_d.
 
+Only the last column f_i = F e_d + p_i of a cell varies, so both Newton
+levels work on the column form of `energy` (`FixedColumns`, `flux_cells`)
+with component-major (d, n) arrays.  The flux and the acoustic tensor are
+elementwise expressions in f: with C = F[:, :d-1],
+
+    SVK:  DW e_d = m [s f + mu C C^T f],   s = lam tr E + mu (|f|^2 - 1),
+    NH:   DW e_d = m [mu f + beta g],      g = n_C / J,  J = n_C . f,
+
+and the step is the closed-form M^{-1} r.  Each line-search candidate is
+evaluated once, flux and acoustic tensor together.  The residual and the
+tensor of an accepted candidate serve the next convergence test and step,
+and at the inner solution the outer Jacobian, so no point is evaluated
+twice.  A candidate outside the domain (J <= 0, or a Gram deviation
+|F^T F - Id|_F above the cap) has a NaN flux or fails the cap, and the
+line search masks it.
+
 Linearizing in a deformation direction G keeps the same structure with the
 flux map replaced by its tangent: M_i q_i + b_{G,i} = tau_G with b_{G,i} =
 D2W_i[G] e_d, solved in closed form,
@@ -59,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DomainError, _tAB, det_inverse, dist_to_rotations
+from .energy import DomainError, FixedColumns, adjugate, det_inverse, dist_to_rotations
 
 __all__ = [
     "ConvergenceError",
@@ -130,11 +146,12 @@ class CorrectorSolution:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class HomogenizedQuantities:
     """Effective quantities of one sample: energy W_L, stress DW_L, tangent
     D2W_L (pair-major symmetric by construction), optional third-order
-    moduli (fully symmetric in the three directions)."""
+    moduli (fully symmetric in the three directions).  F is read-only; the
+    samples of one ensemble share a single array."""
 
     energy: float
     stress: np.ndarray            # (d, d)
@@ -164,11 +181,11 @@ def _embed(G, q):
     return _deform(np.asarray(G, dtype=float), q)
 
 
-def _gram_deviation(Fc):
-    """|F^T F - Id|_F per cell: cheap upper bound proxy for dist(F, SO(d))."""
-    d = Fc.shape[-1]
-    G = _tAB(Fc, Fc) - np.eye(d)
-    return np.sqrt(np.einsum("nij,nij->n", G, G))
+def _read_only(A):
+    """A read-only copy of A."""
+    A = np.array(A, dtype=float)
+    A.flags.writeable = False
+    return A
 
 
 def _check_sample(sample):
@@ -188,14 +205,36 @@ def _checked_inverse(M):
     return Minv
 
 
-def _acoustic_inverses(w, omega, Fc, opts):
-    M = w.acoustic_cells(omega, Fc)
+def _capped_inverse(M, opts):
+    """_checked_inverse plus the condition-number cap opts.cond_cap."""
     Minv = _checked_inverse(M)
     worst = float(np.max(_frob_cond(M, Minv)))
     if worst > opts.cond_cap:
         raise SingularityError(
             f"acoustic tensor condition {worst:.3e} above cap {opts.cond_cap:.1e}")
-    return M, Minv
+    return Minv
+
+
+def _acoustic_inverses(w, omega, Fc, opts):
+    return _capped_inverse(w.acoustic_cells(omega, Fc), opts)
+
+
+def _newton_step(M, r):
+    """-M_i^{-1} r_i in closed form, component-major: M (d, d, n), r (d, n).
+
+    SingularityError when any M_i is singular or not finite.
+    """
+    det, adj = adjugate(M)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = np.array([sum(a * x for a, x in zip(row, r)) for row in adj]) / -det
+    if not np.isfinite(step).all():
+        raise SingularityError("acoustic tensor singular or not finite")
+    return step
+
+
+def _norms(x):
+    """Per-cell Euclidean norms of component-major vectors (d, n) -> (n,)."""
+    return np.sqrt((x * x).sum(axis=0))
 
 
 # =====================================================================
@@ -203,41 +242,50 @@ def _acoustic_inverses(w, omega, Fc, opts):
 # =====================================================================
 
 
-def _inner_flux_solve(w, omega, F, sigma, p_start, opts):
-    """Vectorized per-cell Newton for DW(omega_i, F + p_i x e_d)e_d = sigma."""
-    d = w.dim
-    dd = d - 1
+def _inner_flux_solve(w, omega, cols, f0, sigma, state, opts):
+    """Vectorized per-cell Newton for DW(omega_i, F + p_i x e_d) e_d = sigma.
+
+    Component-major throughout: f0 = F e_d is (d, 1) and sigma (d, 1);
+    state = (p, flux, M) holds the start (d, n), its fluxes (d, n) and
+    acoustic tensors (d, d, n).  The same triple at the solution is returned
+    with the iteration and backtrack counts.  Every line-search candidate is
+    evaluated once, flux and acoustic tensor together, and an accepted
+    candidate's values are kept, so no cell is evaluated twice at one point.
+    """
+    p, flux, M = state
     n = len(omega)
-    p = p_start.copy()
     tol = opts.tol_inner * (1.0 + float(np.linalg.norm(sigma)))
-    gram_cap = opts.admissible_dist * (2.0 + opts.admissible_dist)
+    gram_cap2 = (opts.admissible_dist * (2.0 + opts.admissible_dist)) ** 2
+    res = flux - sigma
+    rnorm = _norms(res)
     iters = 0
     backtracks = 0
-    for _ in range(opts.max_inner):
-        Fc = _deform(F, p)
-        res = w.stress_cells(omega, Fc)[:, :, dd] - sigma
-        rnorm = np.linalg.norm(res, axis=1)
-        settled = rnorm <= tol
-        if settled.all():
-            return p, iters, backtracks
+    while not (settled := rnorm <= tol).all():
+        if iters == opts.max_inner:
+            raise ConvergenceError(
+                f"inner Newton not converged after {opts.max_inner} iterations "
+                f"(residual {float(np.max(rnorm)):.3e}, tol {tol:.1e})")
         iters += 1
-        Minv = _checked_inverse(w.acoustic_cells(omega, Fc))
-        dp = -(Minv @ res[..., None])[..., 0]
-        dp[settled] = 0.0
+        dp = _newton_step(M, res)
+        dp[:, settled] = 0.0
+        rnorm0 = rnorm
         t = np.ones(n)
         accepted = settled.copy()
-        for _bt in range(opts.max_backtracks + 1):
-            cand = p + t[:, None] * dp
-            Fcand = _deform(F, cand)
-            ok = w.admissible_cells(Fcand) & (_gram_deviation(Fcand) <= gram_cap)
-            rc = np.full(n, np.inf)
-            if ok.any():
-                rc[ok] = np.linalg.norm(
-                    w.stress_cells(omega[ok], Fcand[ok])[:, :, dd] - sigma, axis=1)
-            good = (ok & (rc <= (1.0 - 1e-4 * t) * rnorm)) | settled
+        for trial in range(opts.max_backtracks + 1):
+            cand = p + t * dp
+            fc, Mc = w.flux_cells(omega, cols, f0 + cand, acoustic=True)
+            rc = fc - sigma
+            rcn = _norms(rc)
+            # a candidate outside the domain has a NaN flux and fails the Armijo test
+            good = ((cols.gram_squared(f0 + cand) <= gram_cap2)
+                    & (rcn <= (1.0 - 1e-4 * t) * rnorm0)) | settled
             take = good & ~accepted
             if take.any():
-                p = np.where(take[:, None], cand, p)
+                p = np.where(take, cand, p)
+                flux = np.where(take, fc, flux)
+                res = np.where(take, rc, res)
+                rnorm = np.where(take, rcn, rnorm)
+                M = np.where(take, Mc, M)
                 accepted |= good
             if accepted.all():
                 break
@@ -246,14 +294,8 @@ def _inner_flux_solve(w, omega, F, sigma, p_start, opts):
         else:
             raise ConvergenceError(
                 f"inner line search exhausted {opts.max_backtracks} halvings "
-                f"(worst residual {float(np.max(rnorm)):.3e})")
-    Fc = _deform(F, p)
-    res = w.stress_cells(omega, Fc)[:, :, dd] - sigma
-    if np.max(np.linalg.norm(res, axis=1)) <= tol:
-        return p, iters, backtracks
-    raise ConvergenceError(
-        f"inner Newton not converged after {opts.max_inner} iterations "
-        f"(residual {float(np.max(np.linalg.norm(res, axis=1))):.3e}, tol {tol:.1e})")
+                f"(worst residual {float(np.max(rnorm0)):.3e})")
+    return (p, flux, M), iters, backtracks
 
 
 def solve_corrector(w, sample, F, opts=None):
@@ -276,29 +318,34 @@ def solve_corrector(w, sample, F, opts=None):
             f"dist(F, SO(d)) = {dist_F:.4f} not below delta_bar = {opts.delta_bar}")
     omega = np.asarray(sample.values, dtype=float)
     n = len(omega)
+    cols = FixedColumns.of(F)
+    f0 = F[:, dd:].copy()
 
-    sigma = w.stress_cells(omega, _deform(F, np.zeros((n, d))))[:, :, dd].mean(axis=0)
-    p = np.zeros((n, d))
+    # component-major (d, n) state, see _inner_flux_solve
+    p = np.zeros((d, n))
+    state = (p, *w.flux_cells(omega, cols, f0 + p, acoustic=True))
+    sigma = state[1].mean(axis=1, keepdims=True)
     inner_total = 0
     backtracks = 0
     best = np.inf
     outer = 0
     while True:
-        p, it, bt = _inner_flux_solve(w, omega, F, sigma, p, opts)
+        state, it, bt = _inner_flux_solve(w, omega, cols, f0, sigma, state, opts)
         inner_total += it
         backtracks += bt
-        R = p.mean(axis=0)
+        R = state[0].mean(axis=1, keepdims=True)
         rn = float(np.linalg.norm(R))
         improved = rn < 0.25 * best
         best = min(best, rn)
         outer += 1
         # run to the stagnation floor so the exact recentering below is a
         # no-op at working precision
-        if rn <= 1e-14 * (1.0 + float(np.abs(p).max())):
+        if rn <= 1e-14 * (1.0 + float(np.abs(state[0]).max())):
             break
         if outer >= opts.max_outer or (not improved and rn <= opts.tol_outer):
             break
-        _, Minv = _acoustic_inverses(w, omega, _deform(F, p), opts)
+        # the inner solve returns the acoustic tensors at its solution
+        Minv = _capped_inverse(np.moveaxis(state[2], -1, 0), opts)
         try:
             sigma = sigma - np.linalg.solve(Minv.mean(axis=0), R)
         except np.linalg.LinAlgError as exc:
@@ -307,8 +354,9 @@ def solve_corrector(w, sample, F, opts=None):
         raise ConvergenceError(
             f"outer Newton stalled at |mean p| = {best:.3e} > tol_outer = {opts.tol_outer:.1e}")
 
+    p = state[0].T.copy()
     p = p - p.mean(axis=0)
-    flux = w.stress_cells(omega, _deform(F, p))[:, :, dd]
+    flux = w.flux_cells(omega, cols, f0 + p.T)[0].T
     sigma = flux.mean(axis=0)
     flux_residual = float(np.max(np.linalg.norm(flux - sigma, axis=1)))
     pmax = float(np.max(np.linalg.norm(p, axis=1))) if n else 0.0
@@ -338,13 +386,25 @@ def _flux_constant_solve(Minv, b):
     Returns q (k,n,d) with exactly zero mean and tau (k,d).
     """
     A = Minv.mean(axis=0)
-    rhs = np.einsum("nij,anj->ani", Minv, b).mean(axis=1)
+    rhs = _apply_cells(Minv, b).mean(axis=1)
     try:
         tau = np.linalg.solve(A, rhs.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"harmonic-mean matrix singular: {exc}") from exc
-    q = np.einsum("nij,anj->ani", Minv, tau[:, None, :] - b)
+    q = _apply_cells(Minv, tau[:, None, :] - b)
     return q - q.mean(axis=1, keepdims=True), tau
+
+
+def _apply_cells(Minv, b):
+    """Minv_i b_{a,i} for every cell i and direction a: (n,d,d), (k,n,d) -> (k,n,d).
+
+    Summed over j as (k,n,d) products: numpy runs these several times
+    faster than the einsum "nij,anj->ani" on d = 2 or 3 matrices.
+    """
+    out = Minv[:, :, 0] * b[..., None, 0]
+    for j in range(1, Minv.shape[-1]):
+        out += Minv[:, :, j] * b[..., None, j]
+    return out
 
 
 def solve_linearized(w, sample, F, base, G, opts=None):
@@ -364,8 +424,9 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     dd = w.dim - 1
     omega = np.asarray(sample.values, dtype=float)
     Fc = _deform(F, base.p)
-    _, Minv = _acoustic_inverses(w, omega, Fc, opts)
-    b = np.stack([w.tangent_apply_cells(omega, Fc, Ga)[:, :, dd] for Ga in Gs])
+    Minv = _acoustic_inverses(w, omega, Fc, opts)
+    n, d = base.p.shape
+    b = w.tangent_apply_cells(omega, Fc, np.broadcast_to(Gs[:, None], (len(Gs), n, d, d)))[..., dd]
     q, tau = _flux_constant_solve(Minv, b)
     return (q[0], tau[0]) if G.ndim == 2 else (q, tau)
 
@@ -394,6 +455,8 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
     if base is None:
         base = solve_corrector(w, sample, F, opts)
     F = np.asarray(F, dtype=float)
+    if F.flags.writeable:
+        F = _read_only(F)
     d = w.dim
     omega = np.asarray(sample.values, dtype=float)
     n = len(omega)
@@ -414,9 +477,7 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
         A_all = np.empty((d * d, n, d, d))
         for a, (j, k) in enumerate(pairs):
             A_all[a] = _embed(_elementary(d, j, k), base.q[(j, k)])
-        T_all = np.empty_like(A_all)
-        for a in range(d * d):
-            T_all[a] = w.tangent_apply_cells(omega, Fc, A_all[a])
+        T_all = w.tangent_apply_cells(omega, Fc, A_all)
         mat = np.einsum("anjk,bnjk->ab", T_all, A_all) / n
         mat = 0.5 * (mat + mat.T)
         tangent = mat.reshape(d, d, d, d)
@@ -445,7 +506,7 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
         "tol_outer": opts.tol_outer,
     }
     return HomogenizedQuantities(energy=energy, stress=stress, tangent=tangent,
-                                 third=third, F=F.copy(), period=sample.period,
+                                 third=third, F=F, period=sample.period,
                                  n=n, metadata=meta)
 
 

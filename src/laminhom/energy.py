@@ -27,15 +27,38 @@ e_d is built directly rather than read off d tangent applications:
   M = m(omega) [mu Id + (lam - beta) g g^T].
 
 Determinants and inverses of the small (2x2 or 3x3) matrices are the
-closed-form adjugate over the determinant (`det_inverse`).
+closed-form adjugate over the determinant (`adjugate`, `det_inverse`).
+
+Column form.  In a laminate cell F_i = F + p_i x e_d: the first d-1 columns
+C = F[:, :d-1] are the same in every cell and only the last column
+f_i = F e_d + p_i varies.  `FixedColumns` forms the invariants of C once
+(C C^T, |C|^2, |C^T C - Id|^2 and the cofactor normal n_C, for which
+det[C | f] = n_C . f), and `EnergyDensity.flux_cells` maps the columns f to
+the flux DW e_d and, when asked, the acoustic tensor.  Its arrays are
+component-major, f and the flux (d, n) and M (d, d, n), so that each
+formula below is a handful of elementwise operations on contiguous
+length-n component arrays:
+
+* Saint Venant-Kirchhoff, tr E = (|C|^2 + |f|^2 - d)/2 and
+  s = lam tr E + mu(|f|^2 - 1):
+  DW e_d = m [s f + mu C C^T f],  M = m [(lam+2mu) f f^T + mu C C^T + s Id];
+* neo-Hookean, J = n_C . f, g = n_C / J, beta = lam ln J - mu:
+  DW e_d = m [mu f + beta g],  M = m [mu Id + (lam - beta) g g^T].
+
+A column with J <= 0 (outside the neo-Hookean domain) gets a NaN flux and
+tensor, without a warning or DomainError, so a line search can mask it.
+In the same terms the Gram deviation of a cell is |F^T F - Id|^2 =
+|C^T C - Id|^2 + 2|C^T f|^2 + (|f|^2 - 1)^2 (`FixedColumns.gram_squared`).
 
 Each family is one small class (`_SaintVenantKirchhoff`, `_NeoHookean`)
 holding only the unmodulated W0 and its derivatives.  `EnergyDensity` picks
 one and defines the public batched kernels (`*_cells`) once, applying
 m(omega); they operate on per-cell arrays of deformation gradients, shape
-(n, d, d).  The cell-problem solvers are built entirely on those kernels, so
-a full corrector solve is a handful of vectorized numpy calls per Newton
-iteration rather than a Python loop over cells.
+(n, d, d), and the tangent also takes a stack of directions (k, n, d, d)
+so that E (or F^{-1} and ln J) is formed once for all of them.  The
+cell-problem solvers are built entirely on those kernels, so a full
+corrector solve is a handful of vectorized numpy calls per Newton iteration
+rather than a Python loop over cells.
 
 Conventions: matrices are numpy arrays of shape (d, d); the colon product
 A:B is sum_ij A_ij B_ij; D2W[A] denotes the matrix (D2W[A])_jk =
@@ -45,18 +68,20 @@ coordinate e_d.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "DomainError",
     "EnergyDensity",
+    "FixedColumns",
     "SAINT_VENANT_KIRCHHOFF",
     "NEO_HOOKEAN",
+    "adjugate",
     "det_inverse",
     "dist_to_rotations",
     "rotation_from_angle",
-    "random_rotation",
-    "random_near_identity",
 ]
 
 SAINT_VENANT_KIRCHHOFF = "saint-venant-kirchhoff"
@@ -97,8 +122,8 @@ def _as_cells(A, n, d):
 
 
 def _dot(A, B):
-    """Per-cell colon product A:B, shapes (n,d,d) -> (n,)."""
-    return np.einsum("nij,nij->n", A, B)
+    """Per-cell colon product A:B, shapes (...,n,d,d) -> (...,n)."""
+    return np.einsum("...ij,...ij->...", A, B)
 
 
 def _T(A):
@@ -111,8 +136,35 @@ def _tAB(A, B):
     return _T(A) @ B
 
 
+def _diagonal(M):
+    """The diagonal entries of component-major matrices M (d, d, n), as a writable (d, n) view."""
+    d = M.shape[0]
+    return M.reshape(d * d, -1)[::d + 1]
+
+
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def adjugate(m):
+    """Determinant and adjugate of a 2x2 or 3x3 matrix given by its entries.
+
+    m[i][j] are arrays of one shape (any indexable works: a nested list, or
+    a component-major array (d, d, n)); returns det and the adjugate as a
+    nested list of arrays of that shape.
+    """
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0], [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+    adj = [[m[1][1] * m[2][2] - m[1][2] * m[2][1],
+            m[0][2] * m[2][1] - m[0][1] * m[2][2],
+            m[0][1] * m[1][2] - m[0][2] * m[1][1]],
+           [m[1][2] * m[2][0] - m[1][0] * m[2][2],
+            m[0][0] * m[2][2] - m[0][2] * m[2][0],
+            m[0][2] * m[1][0] - m[0][0] * m[1][2]],
+           [m[1][0] * m[2][1] - m[1][1] * m[2][0],
+            m[0][1] * m[2][0] - m[0][0] * m[2][1],
+            m[0][0] * m[1][1] - m[0][1] * m[1][0]]]
+    return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0], adj
 
 
 def det_inverse(A):
@@ -123,30 +175,16 @@ def det_inverse(A):
     entries (no warning, no exception) and callers test np.isfinite.
     """
     A = np.asarray(A, dtype=float)
-    adj = np.empty_like(A)
-    if A.shape[-1] == 2:
-        a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-        det = a * e - b * c
-        adj[..., 0, 0] = e
-        adj[..., 0, 1] = -b
-        adj[..., 1, 0] = -c
-        adj[..., 1, 1] = a
-    elif A.shape[-1] == 3:
-        m = [[A[..., i, j] for j in range(3)] for i in range(3)]
-        adj[..., 0, 0] = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-        adj[..., 0, 1] = m[0][2] * m[2][1] - m[0][1] * m[2][2]
-        adj[..., 0, 2] = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-        adj[..., 1, 0] = m[1][2] * m[2][0] - m[1][0] * m[2][2]
-        adj[..., 1, 1] = m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        adj[..., 1, 2] = m[0][2] * m[1][0] - m[0][0] * m[1][2]
-        adj[..., 2, 0] = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-        adj[..., 2, 1] = m[0][1] * m[2][0] - m[0][0] * m[2][1]
-        adj[..., 2, 2] = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        det = m[0][0] * adj[..., 0, 0] + m[0][1] * adj[..., 1, 0] + m[0][2] * adj[..., 2, 0]
-    else:
+    d = A.shape[-1]
+    if d not in (2, 3):
         raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got {A.shape}")
+    det, adj = adjugate([[A[..., i, j] for j in range(d)] for i in range(d)])
+    inv = np.empty_like(A)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return det, adj / det[..., None, None]
+        for i in range(d):
+            for j in range(d):
+                inv[..., i, j] = adj[i][j] / det
+    return det, inv
 
 
 def dist_to_rotations(F):
@@ -175,22 +213,35 @@ def rotation_from_angle(angle, dim):
     return R
 
 
-def random_rotation(rng, dim):
-    """Haar-ish random rotation via QR with sign fix (det = +1)."""
-    A = rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0.0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
+class FixedColumns(NamedTuple):
+    """Invariants of the columns C = F[:, :d-1] that every laminate cell shares.
 
+    A cell deformation F + p_i x e_d differs from F only in its last column
+    f_i = F e_d + p_i, so the column-form kernels take these invariants,
+    formed once per solve, together with the columns f, component-major
+    (d, n).
+    """
 
-def random_near_identity(rng, dim, dist):
-    """Random F = R(Id + dist*S), |S|_F = 1 symmetric: dist(F,SO(d)) ~ dist."""
-    S = rng.standard_normal((dim, dim))
-    S = _sym(S[None])[0]
-    S /= np.linalg.norm(S)
-    return random_rotation(rng, dim) @ (np.eye(dim) + dist * S)
+    C: np.ndarray        # (d, d-1)
+    CCt: np.ndarray      # (d, d), C C^T
+    C2: float            # |C|^2
+    gram2: float         # |C^T C - Id|^2
+    normal: np.ndarray   # (d,), cofactor normal n_C: det[C | f] = n_C . f
+
+    @classmethod
+    def of(cls, F):
+        F = np.asarray(F, dtype=float)
+        d = F.shape[-1]
+        C = F[:, :d - 1].copy()
+        G = C.T @ C - np.eye(d - 1)
+        normal = np.array([-C[1, 0], C[0, 0]]) if d == 2 else np.cross(C[:, 0], C[:, 1])
+        return cls(C, C @ C.T, float(np.sum(C * C)), float(np.sum(G * G)), normal)
+
+    def gram_squared(self, f):
+        """|F^T F - Id|_F^2 of the cells with last columns f: (d, n) -> (n,)."""
+        ff = (f * f).sum(axis=0) - 1.0
+        Cf = self.C.T @ f
+        return self.gram2 + 2.0 * (Cf * Cf).sum(axis=0) + ff * ff
 
 
 # =====================================================================
@@ -217,6 +268,17 @@ class _SaintVenantKirchhoff:
         M[:, np.arange(d), np.arange(d)] += diag
         return M
 
+    def column(self, cols, f, acoustic):
+        ff = (f * f).sum(axis=0)
+        # s = lam tr E + mu(|f|^2 - 1), tr E = (|C|^2 + |f|^2 - d)/2
+        s = (0.5 * self.lam + self.mu) * ff + (0.5 * self.lam * (cols.C2 - self.dim) - self.mu)
+        flux = s * f + (self.mu * cols.CCt) @ f
+        if not acoustic:
+            return flux, None
+        M = (self.lam + 2.0 * self.mu) * (f[:, None] * f[None]) + (self.mu * cols.CCt)[:, :, None]
+        _diagonal(M)[...] += s
+        return flux, M
+
     def energy(self, Fc):
         Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
         tr = np.trace(Et, axis1=1, axis2=2)
@@ -232,7 +294,7 @@ class _SaintVenantKirchhoff:
         tr = np.trace(Et, axis1=1, axis2=2)
         FA = _dot(Fc, A)
         symFA = _sym(_tAB(Fc, A))
-        return (self.lam * FA[:, None, None] * Fc
+        return (self.lam * FA[..., None, None] * Fc
                 + self.lam * tr[:, None, None] * A
                 + 2.0 * self.mu * (Fc @ symFA)
                 + 2.0 * self.mu * (A @ Et))
@@ -268,6 +330,18 @@ class _NeoHookean:
         M[:, np.arange(d), np.arange(d)] += self.mu
         return M
 
+    def column(self, cols, f, acoustic):
+        J = cols.normal @ f
+        J = np.where(J > 0.0, J, np.nan)   # outside the domain: NaN flux, no warning
+        g = cols.normal[:, None] / J
+        beta = self.lam * np.log(J) - self.mu
+        flux = self.mu * f + beta * g
+        if not acoustic:
+            return flux, None
+        M = (self.lam - beta) * (g[:, None] * g[None])
+        _diagonal(M)[...] += self.mu
+        return flux, M
+
     def energy(self, Fc):
         _, lnJ = self._inv_log(Fc)
         frob2 = _dot(Fc, Fc)
@@ -281,11 +355,11 @@ class _NeoHookean:
     def tangent(self, Fc, A):
         X, lnJ = self._inv_log(Fc)
         beta = self.lam * lnJ - self.mu
-        thA = np.einsum("nij,nji->n", X, A)
+        thA = np.einsum("...ij,...ji->...", X, A)
         XAX = X @ A @ X
         return (self.mu * A
-                + self.lam * thA[:, None, None] * np.swapaxes(X, 1, 2)
-                - beta[:, None, None] * np.swapaxes(XAX, 1, 2))
+                + self.lam * thA[..., None, None] * np.swapaxes(X, 1, 2)
+                - beta[:, None, None] * np.swapaxes(XAX, -1, -2))
 
     def third(self, Fc, A, B):
         X, lnJ = self._inv_log(Fc)
@@ -367,9 +441,13 @@ class EnergyDensity:
         return self.factor(omega)[:, None, None] * self._law.stress(np.asarray(Fcells, dtype=float))
 
     def tangent_apply_cells(self, omega, Fcells, A):
-        """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d) or (n,d,d)."""
+        """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d), (n,d,d) or a
+        stack (k,n,d,d) of k directions, which shares one E (SVK) or one
+        F^{-1} and ln J (neo-Hookean) over the stack."""
         Fcells = np.asarray(Fcells, dtype=float)
-        A = _as_cells(A, Fcells.shape[0], self.dim)
+        A = np.asarray(A, dtype=float)
+        if not (A.ndim == 4 and A.shape[1:] == Fcells.shape):
+            A = _as_cells(A, Fcells.shape[0], self.dim)
         return self.factor(omega)[:, None, None] * self._law.tangent(Fcells, A)
 
     def third_apply_cells(self, omega, Fcells, A, B):
@@ -379,6 +457,20 @@ class EnergyDensity:
         A = _as_cells(A, n, self.dim)
         B = _as_cells(B, n, self.dim)
         return self.factor(omega)[:, None, None] * self._law.third(Fcells, A, B)
+
+    def flux_cells(self, omega, cols, f, acoustic=False):
+        """Flux DW(omega_i, F_i) e_d of the cells F_i = [C | f_i], in column form.
+
+        cols are the `FixedColumns` of C and f the last columns,
+        component-major (d, n).  Returns (flux, M): the fluxes (d, n) and,
+        when `acoustic` is set, the acoustic tensors (d, d, n) (None
+        otherwise); see the module docstring for the formulas.  A
+        neo-Hookean cell with J <= 0 gets NaN in both, with no warning and
+        no DomainError.
+        """
+        m = self.factor(omega)
+        flux, M = self._law.column(cols, np.asarray(f, dtype=float), acoustic)
+        return m * flux, (None if M is None else m * M)
 
     def acoustic_cells(self, omega, Fcells):
         """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d].

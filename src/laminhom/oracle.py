@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import ConvergenceError, SolverOptions, _check_sample, _deform, _gram_deviation
-from .energy import DomainError, dist_to_rotations
+from .cell import ConvergenceError, SolverOptions, _check_sample, _deform
+from .energy import DomainError, _tAB, dist_to_rotations
 
 __all__ = [
     "DiscreteEnergyProblem",
@@ -24,6 +24,12 @@ __all__ = [
     "minimize_direct",
     "linear_solve_direct",
 ]
+
+
+def _gram_deviation(Fc):
+    """|F^T F - Id|_F per cell: cheap upper bound proxy for dist(F, SO(d))."""
+    G = _tAB(Fc, Fc) - np.eye(Fc.shape[-1])
+    return np.sqrt(np.einsum("nij,nij->n", G, G))
 
 
 @dataclass

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import ConvergenceError, SingularityError, SolverOptions, assemble
+from .cell import ConvergenceError, SingularityError, SolverOptions, _read_only, assemble
 from .fields import periodize_covariance, sample_periodic_field
 
 __all__ = [
@@ -190,7 +190,6 @@ def _solve_batch(args):
             out.append((idx, f"{type(exc).__name__}: {exc}", None))
         else:
             q.metadata["index"] = idx
-            q.metadata["seed"] = plan.seed
             out.append((idx, None, q))
     return L, out
 
@@ -207,6 +206,8 @@ def run_ensemble(plan):
     downstream reductions are ordered by sample index, so the output is
     independent of the worker count.
     """
+    # one read-only F, shared by every sample's result
+    plan = replace(plan, F=_read_only(plan.F))
     lengths = tuple(plan.lengths)
     counts = {L: int(plan.counts[L]) for L in lengths}
     grids = {}
@@ -239,6 +240,7 @@ def run_ensemble(plan):
         nonlocal n_failed
         for idx, err, q in results:
             if err is None:
+                q.F = plan.F  # a pooled result arrives with its own copy
                 samples[L].append((idx, q))
             else:
                 failures[L].append((idx, err))
@@ -269,7 +271,7 @@ def run_ensemble(plan):
         raise EnsembleError(
             f"{n_failed}/{total_planned} samples failed (budget {FAILURE_BUDGET:.0%}); "
             f"first failure: {first}")
-    return EnsembleRun(lengths=lengths, counts=counts, F=np.asarray(plan.F, float),
+    return EnsembleRun(lengths=lengths, counts=counts, F=plan.F,
                        order=plan.order, seed=plan.seed, samples=samples,
                        failures=failures, timing=timing)
 
@@ -287,16 +289,24 @@ def _sd(values):
 
 
 def _bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
+    """SDs of `resamples` bootstrap resamples of the rows of values (N, k).
+
+    The index draws come in blocks of up to 2e6 elements; the arithmetic
+    runs over row sub-blocks of at most 2e5 elements, which bounds the
+    temporaries without changing a bit of the result.
+    """
     N = len(values)
     out = np.empty(resamples)
     block = max(1, min(resamples, int(2e6 // max(1, values.size))))
+    rows = max(1, int(2e5 // max(1, values.size)))
     done = 0
     while done < resamples:
         b = min(block, resamples - done)
         idx = rng.integers(0, N, size=(b, N))
-        x = values[idx]
-        dev = x - x.mean(axis=1, keepdims=True)
-        out[done:done + b] = np.sqrt((dev * dev).sum(axis=(1, 2)) / (N - 1))
+        for lo in range(0, b, rows):
+            x = values[idx[lo:lo + rows]]
+            dev = x - x.mean(axis=1, keepdims=True)
+            out[done + lo:done + lo + len(x)] = np.sqrt((dev * dev).sum(axis=(1, 2)) / (N - 1))
         done += b
     return out
 

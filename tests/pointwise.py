@@ -1,4 +1,5 @@
-"""Single-point evaluation of an EnergyDensity through its batched kernels.
+"""Single-point evaluation of an EnergyDensity through its batched kernels,
+and random deformation gradients near SO(d).
 
 Test helper: the frozen symbolic values and the finite-difference checks
 compare W and its full derivative tensors at one deformation gradient.
@@ -46,3 +47,21 @@ def derivative(w, omega, F, order=1):
                         T[:, :, l, m, u, v] = w.third_apply_cells(om, Fc, A, B)[0]
         return T
     raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
+
+
+def random_rotation(rng, dim):
+    """Haar-ish random rotation via QR with sign fix (det = +1)."""
+    A = rng.standard_normal((dim, dim))
+    Q, R = np.linalg.qr(A)
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0.0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def random_near_identity(rng, dim, dist):
+    """Random F = R(Id + dist*S), |S|_F = 1 symmetric: dist(F,SO(d)) ~ dist."""
+    S = rng.standard_normal((dim, dim))
+    S = 0.5 * (S + S.T)
+    S /= np.linalg.norm(S)
+    return random_rotation(rng, dim) @ (np.eye(dim) + dist * S)

@@ -1,6 +1,8 @@
 """Cell-problem solver tests: frozen two-phase values, oracle equivalence,
 structural identities, derivative consistency."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,10 @@ from laminhom.cell import (
     _acoustic_inverses,
     _deform,
     _embed,
+    _inner_flux_solve,
+    _newton_step,
 )
-from laminhom.energy import DomainError, EnergyDensity, rotation_from_angle
+from laminhom.energy import DomainError, EnergyDensity, FixedColumns, rotation_from_angle
 from laminhom.fields import CovarianceSpec, MaterialSample, sample_periodic_field
 from laminhom.oracle import linear_solve_direct, minimize_direct
 from pointwise import derivative, evaluate
@@ -254,6 +258,46 @@ class TestDerivativeConsistency:
         assert calls["stress_cells"] > 0 and calls["acoustic_cells"] > 0
 
 
+class TestColumnNewton:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_newton_step_is_minus_solve(self, dim):
+        rng = np.random.default_rng(18)
+        M = rng.standard_normal((10, dim, dim)) + 3.0 * np.eye(dim)
+        r = rng.standard_normal((10, dim))
+        step = _newton_step(np.moveaxis(M, 0, -1), r.T)
+        np.testing.assert_allclose(step.T, -np.linalg.solve(M, r[..., None])[..., 0],
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_neo_hookean_candidates_outside_domain_are_masked(self):
+        # a strong compressive flux: the full Newton step from p = 0 takes
+        # J = det(F + p x e_2) below zero, where the density is undefined
+        w = nh2()
+        F = np.eye(2)
+        cols = FixedColumns.of(F)
+        f0 = F[:, 1:].copy()
+        omega = np.array([-1.0, 0.0, 1.0])
+        p = np.zeros((2, 3))
+        flux, M = w.flux_cells(omega, cols, f0 + p, acoustic=True)
+        sigma = np.array([[0.0], [-4.0]])
+        assert (cols.normal @ (f0 + _newton_step(M, flux - sigma)) <= 0.0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (p, flux, _), _, backtracks = _inner_flux_solve(
+                w, omega, cols, f0, sigma, (p, flux, M), SolverOptions())
+        assert backtracks > 0
+        assert (cols.normal @ (f0 + p) > 0.0).all()
+        assert np.abs(flux - sigma).max() <= 1e-12 * (1.0 + 4.0)
+
+
+class TestAssembledRecord:
+    def test_assembled_record_is_slotted(self):
+        q = assemble(svk2(), two_phase_sample(), shear(2, 0.05), order=0)
+        assert not hasattr(q, "__dict__") and not q.F.flags.writeable
+        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations", "inner_iterations",
+                                   "flux_residual", "mean_residual", "lipschitz_ok",
+                                   "tol_inner", "tol_outer"}
+
+
 class TestQuadraticExpansion:
     def test_remainder_ratio_scales_linearly(self):
         # needs a generic direction: for pure (1,2) shear the cellwise cubic
@@ -296,7 +340,15 @@ class TestErrors:
                             lambda omega, Fc: np.full((len(omega), 2, 2), bad))
         with pytest.raises(SingularityError):
             _acoustic_inverses(w, sample.values, _deform(F, sol.p), SolverOptions())
-        # the inner Newton step of a fresh solve needs M^{-1} at once
+        # the inner Newton step of a fresh solve needs M^{-1} at once; its
+        # acoustic tensors come from the column-form kernel
+        column = w.flux_cells
+
+        def broken(omega, cols, f, acoustic=False):
+            flux, M = column(omega, cols, f, acoustic)
+            return flux, (None if M is None else np.full_like(M, bad))
+
+        monkeypatch.setattr(w, "flux_cells", broken)
         with pytest.raises(SingularityError):
             solve_corrector(w, sample, F)
 

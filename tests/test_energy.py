@@ -8,6 +8,8 @@ symbolically differentiating W and substituting the quoted points.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,13 @@ from laminhom.energy import (
     SAINT_VENANT_KIRCHHOFF,
     DomainError,
     EnergyDensity,
+    FixedColumns,
+    adjugate,
     det_inverse,
     dist_to_rotations,
-    random_near_identity,
-    random_rotation,
     rotation_from_angle,
 )
-from pointwise import derivative, evaluate
+from pointwise import derivative, evaluate, random_near_identity, random_rotation
 
 LAME = (1.2, 0.8)
 FAMILIES = [SAINT_VENANT_KIRCHHOFF, NEO_HOOKEAN]
@@ -251,6 +253,92 @@ class TestBatchedKernels:
 
 
 # ===================================================================
+# column form: cells that differ only in their last column
+# ===================================================================
+
+
+def laminate_cells(rng, dim, n, shift=0.15):
+    """A deformation F near SO(d) and the cells F + p_i x e_d, plus their last columns (d, n)."""
+    F = random_near_identity(rng, dim, 0.1)
+    p = shift * rng.standard_normal((n, dim))
+    Fc = np.broadcast_to(F, (n, dim, dim)).copy()
+    Fc[:, :, dim - 1] += p
+    return F, Fc, np.ascontiguousarray(Fc[:, :, dim - 1].T)
+
+
+class TestColumnForm:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_general_kernels(self, family, dim):
+        w = make(family, dim)
+        rng = np.random.default_rng(21)
+        n = 64
+        om = rng.normal(size=n)
+        F, Fc, f = laminate_cells(rng, dim, n)
+        cols = FixedColumns.of(F)
+        flux, M = w.flux_cells(om, cols, f, acoustic=True)
+        stress = w.stress_cells(om, Fc)[:, :, dim - 1]
+        acoustic = w.acoustic_cells(om, Fc)
+        assert np.linalg.norm(flux.T - stress) <= 1e-13 * np.linalg.norm(stress)
+        assert np.linalg.norm(np.moveaxis(M, -1, 0) - acoustic) <= 1e-13 * np.linalg.norm(acoustic)
+        only, none = w.flux_cells(om, cols, f)
+        assert none is None and np.array_equal(only, flux)
+        gram = np.einsum("nji,njk->nik", Fc, Fc) - np.eye(dim)
+        np.testing.assert_allclose(cols.gram_squared(f), np.einsum("nij,nij->n", gram, gram),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_cofactor_normal_gives_det(self, dim):
+        rng = np.random.default_rng(22)
+        F, Fc, f = laminate_cells(rng, dim, 16)
+        np.testing.assert_allclose(FixedColumns.of(F).normal @ f, np.linalg.det(Fc), rtol=1e-13)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_neo_hookean_outside_domain_is_nan_without_warning(self, dim):
+        w = make(NEO_HOOKEAN, dim)
+        rng = np.random.default_rng(23)
+        F, _, f = laminate_cells(rng, dim, 6)
+        cols = FixedColumns.of(F)
+        # flip the last column of cells 1 and 4 (J < 0) and zero that of cell 2 (J = 0)
+        f[:, [1, 4]] *= -1.0
+        f[:, 2] = 0.0
+        om = rng.normal(size=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flux, M = w.flux_cells(om, cols, f, acoustic=True)
+        outside = np.array([False, True, True, False, True, False])
+        assert np.isnan(flux[:, outside]).all() and np.isnan(M[..., outside]).all()
+        assert np.isfinite(flux[:, ~outside]).all() and np.isfinite(M[..., ~outside]).all()
+
+
+class TestStackedTangent:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_per_direction_loop(self, family, dim):
+        w = make(family, dim)
+        rng = np.random.default_rng(24)
+        n = 32
+        om = rng.normal(size=n)
+        Fc = np.stack([random_near_identity(rng, dim, 0.1) for _ in range(n)])
+        A = rng.standard_normal((dim * dim, n, dim, dim))
+        stacked = w.tangent_apply_cells(om, Fc, A)
+        looped = np.stack([w.tangent_apply_cells(om, Fc, Aa) for Aa in A])
+        assert stacked.shape == A.shape
+        assert np.abs(stacked - looped).max() <= 1e-14 * np.abs(looped).max()
+        # a stack of constant directions, broadcast over the cells
+        G = rng.standard_normal((3, dim, dim))
+        stacked = w.tangent_apply_cells(om, Fc, np.broadcast_to(G[:, None], (3, n, dim, dim)))
+        looped = np.stack([w.tangent_apply_cells(om, Fc, Ga) for Ga in G])
+        assert np.abs(stacked - looped).max() <= 1e-14 * np.abs(looped).max()
+
+    def test_rejects_misshaped_directions(self):
+        w = make(SAINT_VENANT_KIRCHHOFF, 2)
+        Fc = np.broadcast_to(np.eye(2), (4, 2, 2))
+        with pytest.raises(ValueError):
+            w.tangent_apply_cells(np.zeros(4), Fc, np.zeros((3, 2, 2)))
+
+
+# ===================================================================
 # closed-form small-matrix inverse
 # ===================================================================
 
@@ -275,6 +363,15 @@ class TestDetInverse:
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
             det_inverse(np.eye(4))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_adjugate_of_component_major_stack(self, dim):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((20, dim, dim)) + 2.0 * np.eye(dim)
+        det, adj = adjugate(np.moveaxis(A, 0, -1))
+        ref_det, ref_inv = det_inverse(A)
+        np.testing.assert_array_equal(det, ref_det)
+        np.testing.assert_array_equal(np.moveaxis(np.array(adj), -1, 0) / det[:, None, None], ref_inv)
 
 
 # ===================================================================

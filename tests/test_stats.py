@@ -14,6 +14,7 @@ from laminhom.cell import SolverOptions, assemble
 from laminhom.energy import EnergyDensity
 from laminhom.fields import CovarianceSpec, sample_periodic_field
 from laminhom.stats import (
+    BOOTSTRAP_RESAMPLES,
     DegenerateFitError,
     EnsembleError,
     EnsemblePlan,
@@ -30,6 +31,7 @@ from laminhom.stats import (
     run_ensemble,
     systematic_estimate,
     McRow,
+    _bootstrap_sds,
 )
 
 
@@ -107,10 +109,44 @@ class TestRunEnsemble:
         assert redo.energy == run.samples[8][1].energy
         assert run.samples[8][1].metadata["index"] == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_samples_share_one_read_only_F(self, workers):
+        plan = make_plan([8, 16], count=3, order=0, workers=workers)
+        run = run_ensemble(plan)
+        qs = run.samples[8] + run.samples[16]
+        assert all(q.F is run.F for q in qs) and not run.F.flags.writeable
+        assert np.array_equal(run.F, plan.F) and plan.F.flags.writeable
+        assert all("seed" not in q.metadata for q in qs)
+
     def test_spacing_must_divide_period(self):
         with pytest.raises(ValueError):
             cells_for(10.0, 0.3)
         assert cells_for(8.0, 0.25) == 32
+
+
+def one_block_bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
+    """Each draw block's arithmetic in one piece: the reference for _bootstrap_sds."""
+    N = len(values)
+    out = np.empty(resamples)
+    block = max(1, min(resamples, int(2e6 // max(1, values.size))))
+    done = 0
+    while done < resamples:
+        b = min(block, resamples - done)
+        x = values[rng.integers(0, N, size=(b, N))]
+        dev = x - x.mean(axis=1, keepdims=True)
+        out[done:done + b] = np.sqrt((dev * dev).sum(axis=(1, 2)) / (N - 1))
+        done += b
+    return out
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("N,k", [(9, 1), (63, 16), (1001, 3), (5001, 1)])
+    def test_row_blocks_are_bit_identical(self, N, k):
+        # (1001, 3) and (5001, 1) draw the 1000 resamples in two and three blocks
+        values = np.random.default_rng(N).standard_normal((N, k))
+        got = _bootstrap_sds(values, np.random.default_rng(5))
+        ref = one_block_bootstrap_sds(values, np.random.default_rng(5))
+        assert np.array_equal(got, ref)
 
 
 class TestFluctuationEstimate:
