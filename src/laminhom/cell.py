@@ -14,11 +14,24 @@ only through sigma and the mean-zero constraint:
     DW(omega_i, F + p_i x e_d) e_d = sigma   for every cell i,
     (1/n) sum_i p_i = 0.
 
-`solve_corrector` runs a nested Newton on exactly this structure: the inner
-solver inverts the per-cell flux map (monotone near SO(d), acoustic-tensor
-Jacobian, Armijo backtracking with admissibility guards), the outer solver
-drives the mean R(sigma) = (1/n) sum_i p_i(sigma) to zero with Jacobian
+A nested Newton runs on exactly this structure: the inner solver inverts
+the per-cell flux map (monotone near SO(d), acoustic-tensor Jacobian,
+Armijo backtracking with admissibility guards), the outer solver drives the
+mean R(sigma) = (1/n) sum_i p_i(sigma) to zero with Jacobian
 (1/n) sum_i M_i^{-1}.  Starting guess sigma_0 = (1/n) sum_i DW(omega_i,F)e_d.
+
+Blocks.  Samples with the same F and cell count n are solved together
+(`assemble_block`): their N = S n cells form one component-major (d, N)
+column array, sample after sample.  The inner Newton iterates every cell of
+the block at once against its sample's sigma; the outer Newton steps each
+sample's sigma on its own, and a sample leaves the block when it converges
+or fails.  A block costs about as many numpy calls as one sample.  Each
+cell's arithmetic is elementwise, the outer step is a closed-form 2x2 / 3x3
+solve, and every per-sample reduction runs along that sample's own cells
+(a pairwise mean of one contiguous row, or for the stress a sum in cell
+order), so a sample's bits, iteration and backtrack counts, and any error it
+raises do not depend on the block it is in.  `solve_corrector` and
+`assemble` are the block of one sample.
 
 Only the last column f_i = F e_d + p_i of a cell varies, so both Newton
 levels work on the column form of `energy` (`FixedColumns`, `flux_cells`)
@@ -72,10 +85,11 @@ third-order moduli need only the first-order correctors q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import DomainError, FixedColumns, adjugate, det_inverse, dist_to_rotations
+from .energy import DomainError, FixedColumns, _matvec, adjugate, dist_to_rotations
 
 __all__ = [
     "ConvergenceError",
@@ -86,6 +100,7 @@ __all__ = [
     "solve_corrector",
     "solve_linearized",
     "assemble",
+    "assemble_block",
     "det_identity_residual",
     "quadratic_expansion_table",
     "fd_derivative_errors",
@@ -193,48 +208,85 @@ def _check_sample(sample):
         raise ValueError("cell problems need a periodic sample")
 
 
-def _frob_cond(M, Minv):
-    return np.sqrt(np.einsum("nij,nij->n", M, M) * np.einsum("nij,nij->n", Minv, Minv))
+def _per_sample(x, S):
+    """View the cell axis (last, N = S n cells, sample-major) of x as (S, n)."""
+    return x.reshape(*x.shape[:-1], S, -1)
 
 
-def _checked_inverse(M):
-    """Closed-form M_i^{-1}; SingularityError when any M_i is singular or not finite."""
-    Minv = det_inverse(M)[1]
-    if not np.isfinite(Minv).all():
-        raise SingularityError("acoustic tensor singular or not finite")
-    return Minv
+def _cell_mean(x, S):
+    """Per-sample means over the last (cell) axis: (..., S n) -> (..., S).
+
+    Each sample is one contiguous row summed pairwise, so its bits do not
+    depend on the other samples of its block.
+    """
+    return _per_sample(np.ascontiguousarray(x), S).mean(axis=-1)
 
 
-def _capped_inverse(M, opts):
-    """_checked_inverse plus the condition-number cap opts.cond_cap."""
-    Minv = _checked_inverse(M)
-    worst = float(np.max(_frob_cond(M, Minv)))
-    if worst > opts.cond_cap:
-        raise SingularityError(
-            f"acoustic tensor condition {worst:.3e} above cap {opts.cond_cap:.1e}")
-    return Minv
+def _by_cell(x, n):
+    """Per-sample values (..., S) repeated over each sample's n cells: (..., S n)."""
+    return np.repeat(x, n, axis=-1)
 
 
-def _acoustic_inverses(w, omega, Fc, opts):
-    return _capped_inverse(w.acoustic_cells(omega, Fc), opts)
+def _component_major(x, axis=0):
+    """Move the cell axis of x to the end, contiguously."""
+    return np.ascontiguousarray(np.moveaxis(x, axis, -1))
 
 
-def _newton_step(M, r):
-    """-M_i^{-1} r_i in closed form, component-major: M (d, d, n), r (d, n).
+def _solve_small(A, r):
+    """A_c^{-1} r_c for every column c by the adjugate: A (d, d, N), r (..., d, N).
 
-    SingularityError when any M_i is singular or not finite.
+    A singular or non-finite A_c gives a non-finite result, with no warning.
+    """
+    det, adj = adjugate(A)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _matvec(adj, r) / det
+
+
+def _capped_inverses(M, S, opts):
+    """Closed-form inverses of component-major tensors M (d, d, S n) and one error per sample.
+
+    A sample's error is a SingularityError when one of its tensors is
+    singular or not finite, or when its worst Frobenius condition number
+    exceeds opts.cond_cap; None otherwise.
     """
     det, adj = adjugate(M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = np.array([sum(a * x for a, x in zip(row, r)) for row in adj]) / -det
-    if not np.isfinite(step).all():
-        raise SingularityError("acoustic tensor singular or not finite")
-    return step
+        Minv = np.array(adj) / det
+        cond = np.sqrt((M * M).sum(axis=(0, 1)) * (Minv * Minv).sum(axis=(0, 1)))
+    finite = _per_sample(np.isfinite(Minv).all(axis=(0, 1)), S).all(axis=1)
+    worst = _per_sample(cond, S).max(axis=1)
+    errors = []
+    for ok, c in zip(finite, worst):
+        if not ok:
+            errors.append(SingularityError("acoustic tensor singular or not finite"))
+        elif c > opts.cond_cap:
+            errors.append(SingularityError(
+                f"acoustic tensor condition {c:.3e} above cap {opts.cond_cap:.1e}"))
+        else:
+            errors.append(None)
+    return Minv, errors
+
+
+def _acoustic_inverses(w, omega, Fc, S, opts):
+    """M_c^{-1} of the cells (N, d, d) of S samples, component-major (d, d, N), and
+    the per-sample errors of `_capped_inverses`."""
+    return _capped_inverses(_component_major(w.acoustic_cells(omega, Fc)), S, opts)
+
+
+def _newton_step(M, r):
+    """-M_c^{-1} r_c, component-major: M (d, d, N), r (d, N); see `_solve_small`."""
+    return -_solve_small(M, r)
 
 
 def _norms(x):
-    """Per-cell Euclidean norms of component-major vectors (d, n) -> (n,)."""
+    """Euclidean norms of component-major vectors (d, ...) -> (...)."""
     return np.sqrt((x * x).sum(axis=0))
+
+
+def _flag(errors, mask, make):
+    """errors[j] = make(j) for every j set in mask."""
+    for j in np.flatnonzero(mask):
+        errors[j] = make(j)
 
 
 # =====================================================================
@@ -242,42 +294,88 @@ def _norms(x):
 # =====================================================================
 
 
-def _inner_flux_solve(w, omega, cols, f0, sigma, state, opts):
-    """Vectorized per-cell Newton for DW(omega_i, F + p_i x e_d) e_d = sigma.
+class _Block(NamedTuple):
+    """Correctors of a block of S samples with n cells each.
 
-    Component-major throughout: f0 = F e_d is (d, 1) and sigma (d, 1);
-    state = (p, flux, M) holds the start (d, n), its fluxes (d, n) and
-    acoustic tensors (d, d, n).  The same triple at the solution is returned
-    with the iteration and backtrack counts.  Every line-search candidate is
-    evaluated once, flux and acoustic tensor together, and an accepted
-    candidate's values are kept, so no cell is evaluated twice at one point.
+    p (d, S, n) has exactly mean zero per sample and sigma (d, S) is the
+    constant flux; stats maps each statistic to an (S,) array; errors[s]
+    is the exception sample s raised, or None.  A failed sample's p, sigma
+    and stats are not defined.
+    """
+
+    p: np.ndarray
+    sigma: np.ndarray
+    stats: dict
+    errors: list
+
+
+def _inner_flux_solve(w, omega, cols, f0, sigma, state, opts):
+    """Vectorized per-cell Newton for DW(omega_c, F + p_c x e_d) e_d = sigma_s.
+
+    A block of S samples, N = S n cells in sample-major order, component-major
+    throughout: omega is (N,), f0 = F e_d is (d, 1) and sigma (d, S); state =
+    (p, flux, M) holds the start (d, N), its fluxes (d, N) and acoustic
+    tensors (d, d, N).  Each cell iterates on its own; a sample counts the
+    iterations and backtracks in which any of its cells took part, and it
+    fails alone, with the error it raises when solved by itself.  Every
+    line-search candidate is evaluated once, flux and acoustic tensor
+    together, and an accepted candidate's values are kept, so no cell is
+    evaluated twice at one point.
+
+    Returns (state, iterations (S,), backtracks (S,), errors); the cells of
+    a sample with an error are left as they were when it failed.
     """
     p, flux, M = state
-    n = len(omega)
-    tol = opts.tol_inner * (1.0 + float(np.linalg.norm(sigma)))
+    S = sigma.shape[1]
+    n = len(omega) // S
+    tol = opts.tol_inner * (1.0 + _norms(sigma))
+    tol_cells = _by_cell(tol, n)
+    sigma_cells = _by_cell(sigma, n)
     gram_cap2 = (opts.admissible_dist * (2.0 + opts.admissible_dist)) ** 2
-    res = flux - sigma
+    res = flux - sigma_cells
     rnorm = _norms(res)
-    iters = 0
-    backtracks = 0
-    while not (settled := rnorm <= tol).all():
-        if iters == opts.max_inner:
-            raise ConvergenceError(
+    iters = np.zeros(S, dtype=int)
+    backtracks = np.zeros(S, dtype=int)
+    errors = [None] * S
+    frozen = np.zeros(S, dtype=bool)    # failed samples: their cells count as settled
+
+    def fail(mask, make):
+        _flag(errors, mask, make)
+        frozen[mask] = True
+        return _by_cell(frozen, n)
+
+    frozen_cells = _by_cell(frozen, n)
+    while True:
+        settled = (rnorm <= tol_cells) | frozen_cells
+        busy = ~_per_sample(settled, S).all(axis=1)
+        if not busy.any():
+            break
+        spent = busy & (iters == opts.max_inner)
+        if spent.any():
+            worst = _per_sample(rnorm, S).max(axis=1)
+            frozen_cells = fail(spent, lambda s: ConvergenceError(
                 f"inner Newton not converged after {opts.max_inner} iterations "
-                f"(residual {float(np.max(rnorm)):.3e}, tol {tol:.1e})")
-        iters += 1
+                f"(residual {worst[s]:.3e}, tol {tol[s]:.1e})"))
+            continue
+        iters += busy
         dp = _newton_step(M, res)
+        singular = busy & ~_per_sample(np.isfinite(dp).all(axis=0), S).all(axis=1)
+        if singular.any():
+            frozen_cells = fail(singular, lambda s: SingularityError(
+                "acoustic tensor singular or not finite"))
+            settled |= frozen_cells
         dp[:, settled] = 0.0
         rnorm0 = rnorm
-        t = np.ones(n)
+        t = np.ones(len(omega))
         accepted = settled.copy()
         for trial in range(opts.max_backtracks + 1):
             cand = p + t * dp
-            fc, Mc = w.flux_cells(omega, cols, f0 + cand, acoustic=True)
-            rc = fc - sigma
+            fc_cols = f0 + cand
+            fc, Mc = w.flux_cells(omega, cols, fc_cols, acoustic=True)
+            rc = fc - sigma_cells
             rcn = _norms(rc)
             # a candidate outside the domain has a NaN flux and fails the Armijo test
-            good = ((cols.gram_squared(f0 + cand) <= gram_cap2)
+            good = ((cols.gram_squared(fc_cols) <= gram_cap2)
                     & (rcn <= (1.0 - 1e-4 * t) * rnorm0)) | settled
             take = good & ~accepted
             if take.any():
@@ -287,91 +385,134 @@ def _inner_flux_solve(w, omega, cols, f0, sigma, state, opts):
                 rnorm = np.where(take, rcn, rnorm)
                 M = np.where(take, Mc, M)
                 accepted |= good
-            if accepted.all():
+            waiting = ~_per_sample(accepted, S).all(axis=1)
+            if not waiting.any():
                 break
             t = np.where(accepted, t, t * opts.backtrack_factor)
-            backtracks += 1
+            backtracks += waiting
         else:
-            raise ConvergenceError(
+            worst = _per_sample(rnorm0, S).max(axis=1)
+            frozen_cells = fail(waiting, lambda s: ConvergenceError(
                 f"inner line search exhausted {opts.max_backtracks} halvings "
-                f"(worst residual {float(np.max(rnorm0)):.3e})")
-    return (p, flux, M), iters, backtracks
+                f"(worst residual {worst[s]:.3e})"))
+    return (p, flux, M), iters, backtracks, errors
 
 
-def solve_corrector(w, sample, F, opts=None):
-    """Solve the nonlinear cell problem of one sample at deformation F.
+def _solve_block(w, omega, F, opts):
+    """Nested Newton for a block of samples omega (S, n) that share F; returns a _Block.
 
-    Returns a CorrectorSolution with exactly mean-zero p and the constant
-    flux sigma.  Raises DomainError when dist(F, SO(d)) >= delta_bar,
-    ConvergenceError when either Newton level fails.
+    The inner Newton runs on all cells of the samples still unsolved at
+    once; the outer Newton steps each sample's sigma on its own, by the
+    closed-form solve against the per-sample mean of M^{-1}, and a sample
+    leaves the block when it converges or fails.  Raises DomainError when
+    dist(F, SO(d)) >= delta_bar.
     """
-    opts = opts or SolverOptions()
-    _check_sample(sample)
     F = np.asarray(F, dtype=float)
     d = w.dim
-    dd = d - 1
     if F.shape != (d, d):
         raise ValueError(f"F must be {d}x{d}, got {F.shape}")
     dist_F = dist_to_rotations(F)
     if not dist_F < opts.delta_bar:
         raise DomainError(
             f"dist(F, SO(d)) = {dist_F:.4f} not below delta_bar = {opts.delta_bar}")
-    omega = np.asarray(sample.values, dtype=float)
-    n = len(omega)
+    omega = np.asarray(omega, dtype=float)
+    S, n = omega.shape
     cols = FixedColumns.of(F)
-    f0 = F[:, dd:].copy()
+    f0 = F[:, d - 1:].copy()
+    errors = [None] * S
+    outer = np.zeros(S, dtype=int)
+    inner = np.zeros(S, dtype=int)
+    backtracks = np.zeros(S, dtype=int)
+    best = np.full(S, np.inf)
+    solved = np.zeros((d, S, n))     # a failed sample keeps p = 0
 
-    # component-major (d, n) state, see _inner_flux_solve
-    p = np.zeros((d, n))
-    state = (p, *w.flux_cells(omega, cols, f0 + p, acoustic=True))
-    sigma = state[1].mean(axis=1, keepdims=True)
-    inner_total = 0
-    backtracks = 0
-    best = np.inf
-    outer = 0
-    while True:
-        state, it, bt = _inner_flux_solve(w, omega, cols, f0, sigma, state, opts)
-        inner_total += it
-        backtracks += bt
-        R = state[0].mean(axis=1, keepdims=True)
-        rn = float(np.linalg.norm(R))
-        improved = rn < 0.25 * best
-        best = min(best, rn)
-        outer += 1
+    # component-major (d, N) state of the samples in `live`, see _inner_flux_solve
+    live = np.arange(S)
+    om = omega.reshape(-1)
+    p = np.zeros((d, S * n))
+    flux, M = w.flux_cells(om, cols, f0 + p, acoustic=True)
+    sigma = _cell_mean(flux, S)
+    while live.size:
+        k = live.size
+        (p, flux, M), it, bt, errs = _inner_flux_solve(w, om, cols, f0, sigma, (p, flux, M), opts)
+        inner[live] += it
+        backtracks[live] += bt
+        R = _cell_mean(p, k)
+        rn = _norms(R)
+        improved = rn < 0.25 * best[live]
+        best[live] = np.minimum(best[live], rn)
+        outer[live] += 1
+        ok = np.array([e is None for e in errs])
         # run to the stagnation floor so the exact recentering below is a
         # no-op at working precision
-        if rn <= 1e-14 * (1.0 + float(np.abs(state[0]).max())):
-            break
-        if outer >= opts.max_outer or (not improved and rn <= opts.tol_outer):
-            break
-        # the inner solve returns the acoustic tensors at its solution
-        Minv = _capped_inverse(np.moveaxis(state[2], -1, 0), opts)
-        try:
-            sigma = sigma - np.linalg.solve(Minv.mean(axis=0), R)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(f"outer Jacobian singular: {exc}") from exc
-    if best > opts.tol_outer:
-        raise ConvergenceError(
-            f"outer Newton stalled at |mean p| = {best:.3e} > tol_outer = {opts.tol_outer:.1e}")
+        floor = rn <= 1e-14 * (1.0 + _per_sample(np.abs(p).max(axis=0), k).max(axis=1))
+        stop = ok & (floor | (outer[live] >= opts.max_outer)
+                     | (~improved & (rn <= opts.tol_outer)))
+        _flag(errs, stop & (best[live] > opts.tol_outer), lambda j: ConvergenceError(
+            f"outer Newton stalled at |mean p| = {best[live[j]]:.3e} "
+            f"> tol_outer = {opts.tol_outer:.1e}"))
+        step = ok & ~stop
+        if step.any():
+            # the inner solve returns the acoustic tensors at its solution;
+            # non-finite values belong to samples that fail here
+            with np.errstate(invalid="ignore", over="ignore"):
+                Minv, bad = _capped_inverses(M, k, opts)
+                new = sigma - _solve_small(_cell_mean(Minv, k), R)
+            for j in np.flatnonzero(step):
+                if bad[j] is not None:
+                    errs[j] = bad[j]
+                elif not np.isfinite(new[:, j]).all():
+                    errs[j] = SingularityError("outer Jacobian singular")
+            sigma = new
+        for j, e in enumerate(errs):
+            errors[live[j]] = e
+        failed = np.array([e is not None for e in errs])
+        done = stop & ~failed
+        solved[:, live[done]] = _per_sample(p, k)[:, done]
+        keep = ~(stop | failed)
+        if not keep.all():
+            cells = _by_cell(keep, n)
+            p, flux, M, om = p[:, cells], flux[:, cells], M[:, :, cells], om[cells]
+            sigma = sigma[:, keep]
+            live = live[keep]
 
-    p = state[0].T.copy()
-    p = p - p.mean(axis=0)
-    flux = w.flux_cells(omega, cols, f0 + p.T)[0].T
-    sigma = flux.mean(axis=0)
-    flux_residual = float(np.max(np.linalg.norm(flux - sigma, axis=1)))
-    pmax = float(np.max(np.linalg.norm(p, axis=1))) if n else 0.0
-    ratio = pmax / dist_F if dist_F > 0.0 else (0.0 if pmax <= 1e-12 else np.inf)
+    p = solved - solved.mean(axis=-1, keepdims=True)
+    flux = _per_sample(w.flux_cells(omega.reshape(-1), cols, f0 + p.reshape(d, -1))[0], S)
+    sigma = flux.mean(axis=-1)
+    pmax = _norms(p).max(axis=-1)
+    if dist_F > 0.0:
+        ratio = pmax / dist_F
+    else:
+        ratio = np.where(pmax <= 1e-12, 0.0, np.inf)
     stats = {
         "outer_iterations": outer,
-        "inner_iterations": inner_total,
+        "inner_iterations": inner,
         "backtracks": backtracks,
-        "mean_residual": float(np.linalg.norm(p.mean(axis=0))),
-        "flux_residual": flux_residual,
-        "dist_F": dist_F,
+        "mean_residual": _norms(p.mean(axis=-1)),
+        "flux_residual": _norms(flux - sigma[..., None]).max(axis=-1),
+        "dist_F": np.full(S, dist_F),
         "lipschitz_ratio": ratio,
-        "lipschitz_ok": bool(pmax <= opts.lipschitz_factor * dist_F + 1e-12),
+        "lipschitz_ok": pmax <= opts.lipschitz_factor * dist_F + 1e-12,
     }
-    return CorrectorSolution(p=p, sigma=sigma, stats=stats)
+    return _Block(p, sigma, stats, errors)
+
+
+def solve_corrector(w, sample, F, opts=None):
+    """Solve the nonlinear cell problem of one sample at deformation F.
+
+    The block of one sample of `_solve_block`.  Returns a CorrectorSolution
+    with exactly mean-zero p and the constant flux sigma.  Raises
+    DomainError when dist(F, SO(d)) >= delta_bar, ConvergenceError when
+    either Newton level fails, SingularityError on a singular acoustic
+    tensor or outer Jacobian.
+    """
+    opts = opts or SolverOptions()
+    _check_sample(sample)
+    block = _solve_block(w, np.asarray(sample.values, dtype=float)[None], F, opts)
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return CorrectorSolution(p=block.p[:, 0].T.copy(), sigma=block.sigma[:, 0].copy(),
+                             stats={k: v[0].item() for k, v in block.stats.items()})
 
 
 # =====================================================================
@@ -379,32 +520,27 @@ def solve_corrector(w, sample, F, opts=None):
 # =====================================================================
 
 
-def _flux_constant_solve(Minv, b):
-    """Stacked closed-form solve of M_i q_i + b_i = tau with mean-zero q.
+def _linearized_block(w, omega, Fc, Minv, G, S):
+    """Linearized correctors of S samples in k directions, all closed form.
 
-    Minv: (n,d,d) acoustic inverses; b: (k,n,d) per-direction fluxes.
-    Returns q (k,n,d) with exactly zero mean and tau (k,d).
+    omega (N,) and Fc (N, d, d) are the solved cells, Minv (d, d, N) their
+    acoustic inverses and G (k, d, d) the directions.  Per sample s, with
+    b_c = D2W_c[G] e_d:
+
+        tau = (sum_c M_c^{-1})^{-1} sum_c M_c^{-1} b_c,   q_c = M_c^{-1} (tau - b_c),
+
+    recentered to exactly mean zero.  Returns q (k, d, N), tau (k, d, S) and
+    one error per sample (SingularityError for a singular harmonic mean).
     """
-    A = Minv.mean(axis=0)
-    rhs = _apply_cells(Minv, b).mean(axis=1)
-    try:
-        tau = np.linalg.solve(A, rhs.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"harmonic-mean matrix singular: {exc}") from exc
-    q = _apply_cells(Minv, tau[:, None, :] - b)
-    return q - q.mean(axis=1, keepdims=True), tau
-
-
-def _apply_cells(Minv, b):
-    """Minv_i b_{a,i} for every cell i and direction a: (n,d,d), (k,n,d) -> (k,n,d).
-
-    Summed over j as (k,n,d) products: numpy runs these several times
-    faster than the einsum "nij,anj->ani" on d = 2 or 3 matrices.
-    """
-    out = Minv[:, :, 0] * b[..., None, 0]
-    for j in range(1, Minv.shape[-1]):
-        out += Minv[:, :, j] * b[..., None, j]
-    return out
+    N, d, _ = Fc.shape
+    n = N // S
+    b = w.tangent_apply_cells(omega, Fc, np.broadcast_to(G[:, None], (len(G), N, d, d)))
+    b = _component_major(b[..., d - 1], axis=1)
+    tau = _solve_small(_cell_mean(Minv, S), _cell_mean(_matvec(Minv, b), S))
+    errors = [None if ok else SingularityError("harmonic-mean matrix singular")
+              for ok in np.isfinite(tau).all(axis=(0, 1))]
+    q = _matvec(Minv, _by_cell(tau, n) - b)
+    return q - _by_cell(_cell_mean(q, S), n), tau, errors
 
 
 def solve_linearized(w, sample, F, base, G, opts=None):
@@ -420,14 +556,14 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     _check_sample(sample)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    Gs = G[None] if G.ndim == 2 else G
-    dd = w.dim - 1
     omega = np.asarray(sample.values, dtype=float)
     Fc = _deform(F, base.p)
-    Minv = _acoustic_inverses(w, omega, Fc, opts)
-    n, d = base.p.shape
-    b = w.tangent_apply_cells(omega, Fc, np.broadcast_to(Gs[:, None], (len(Gs), n, d, d)))[..., dd]
-    q, tau = _flux_constant_solve(Minv, b)
+    Minv, errors = _acoustic_inverses(w, omega, Fc, 1, opts)
+    if errors[0] is None:
+        q, tau, errors = _linearized_block(w, omega, Fc, Minv, G.reshape(-1, *F.shape), 1)
+    if errors[0] is not None:
+        raise errors[0]
+    q, tau = np.moveaxis(q, 1, -1), tau[..., 0]
     return (q[0], tau[0]) if G.ndim == 2 else (q, tau)
 
 
@@ -442,12 +578,105 @@ def _elementary(d, j, k):
     return E
 
 
+def _assemble_block(w, omega, F, p, order, opts, linear=None):
+    """Effective quantities of solved samples omega (S, n) with correctors p (d, S, n).
+
+    Returns (quantities, linear, errors): quantities maps energy, stress,
+    tangent and third to per-sample arrays (S,), (S,d,d), ... (None above
+    `order`); linear = (q, tau) are the linearized correctors of the d^2
+    elementary directions, (d^2, d, S n) and (d^2, d, S), which may also be
+    passed in; errors[s] is the error of sample s in the linearized solve.
+    A failed sample's quantities are not defined.  Every per-sample
+    reduction is a mean along the cell axis (`_cell_mean`).
+    """
+    d = w.dim
+    S, n = omega.shape
+    om = omega.reshape(-1)
+    Fc = _deform(F, p.reshape(d, -1).T)
+    out = {"energy": _cell_mean(w.energy_cells(om, Fc), S),
+           "stress": None, "tangent": None, "third": None}
+    errors = [None] * S
+    if order >= 1:
+        # each sample's cells summed in cell order, as numpy sums an (n, d, d)
+        # stack over its first axis
+        out["stress"] = w.stress_cells(om, Fc).reshape(S, n, d, d).mean(axis=1)
+    if order < 2:
+        return out, linear, errors
+    k = d * d
+    E = np.stack([_elementary(d, j, l) for j in range(d) for l in range(d)])
+    if linear is None:
+        Minv, errors = _acoustic_inverses(w, om, Fc, S, opts)
+        # non-finite inverses belong to samples that fail here
+        with np.errstate(**({"all": "ignore"} if any(errors) else {})):
+            q, tau, errs = _linearized_block(w, om, Fc, Minv, E, S)
+        errors = [a or b for a, b in zip(errors, errs)]
+        linear = (q, tau)
+    A_all = np.stack([_embed(E[a], linear[0][a].T) for a in range(k)])
+    T_all = w.tangent_apply_cells(om, Fc, A_all)
+    # per-cell contractions T_a : A_b, summed over the d^2 components in a fixed order
+    Tc = T_all.reshape(k, -1, k)
+    Ac = A_all.reshape(k, -1, k)
+    X = sum(Tc[:, None, :, c] * Ac[None, :, :, c] for c in range(k))
+    mat = _cell_mean(X, S)
+    mat = 0.5 * (mat + mat.transpose(1, 0, 2))
+    out["tangent"] = np.moveaxis(mat, -1, 0).reshape(S, d, d, d, d)
+    if order >= 3:
+        cube = np.empty((k, k, k, S))
+        for a in range(k):
+            for b in range(a, k):
+                U = w.third_apply_cells(om, Fc, A_all[a], A_all[b]).reshape(-1, k)
+                row = _cell_mean(sum(U[:, c] * Ac[:, :, c] for c in range(k)), S)
+                cube[a, b] = row
+                cube[b, a] = row
+        cube = (cube + np.transpose(cube, (0, 2, 1, 3)) + np.transpose(cube, (1, 0, 2, 3))
+                + np.transpose(cube, (1, 2, 0, 3)) + np.transpose(cube, (2, 0, 1, 3))
+                + np.transpose(cube, (2, 1, 0, 3))) / 6.0
+        out["third"] = np.moveaxis(cube, -1, 0).reshape(S, *(d,) * 6)
+    return out, linear, errors
+
+
+def _metadata(sigma, stats, tol_inner, tol_outer):
+    """The metadata record of assembled quantities: the corrector's flux and
+    iteration and residual statistics, and the solver tolerances."""
+    keys = ("dist_F", "outer_iterations", "inner_iterations", "flux_residual",
+            "mean_residual", "lipschitz_ok")
+    return {"sigma": sigma, **{k: stats.get(k) for k in keys},
+            "tol_inner": tol_inner, "tol_outer": tol_outer}
+
+
+def assemble_block(w, omega, F, order=2, opts=None):
+    """Solve and assemble a block of samples omega (S, n) at F, up to derivative `order`.
+
+    Returns (quantities, metadata, errors): quantities as `_assemble_block`
+    and metadata as the record of `assemble`, both with one row per solved
+    sample (the samples s with errors[s] None, in block order); errors[s] is
+    the ConvergenceError or SingularityError sample s raised, alone or in
+    any block.
+    """
+    opts = opts or SolverOptions()
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0..3, got {order!r}")
+    omega = np.asarray(omega, dtype=float)
+    block = _solve_block(w, omega, F, opts)
+    # a failed sample's p is zero: assembling it is harmless, and its
+    # corrector error stands
+    quantities, _, errs = _assemble_block(w, omega, np.asarray(F, dtype=float), block.p,
+                                          order, opts)
+    errors = [a or b for a, b in zip(block.errors, errs)]
+    solved = np.flatnonzero([e is None for e in errors])
+    quantities = {k: (None if v is None else v[solved]) for k, v in quantities.items()}
+    meta = _metadata(block.sigma[:, solved].T.copy(),
+                     {k: v[solved] for k, v in block.stats.items()},
+                     np.full(len(solved), opts.tol_inner), np.full(len(solved), opts.tol_outer))
+    return quantities, meta, errors
+
+
 def assemble(w, sample, F, base=None, order=2, opts=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
     order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
     directions in one stacked solve, cached on the base solution); 3: +
-    third-order moduli.
+    third-order moduli.  The block of one of `_assemble_block`.
     """
     opts = opts or SolverOptions()
     if order not in (0, 1, 2, 3):
@@ -459,55 +688,24 @@ def assemble(w, sample, F, base=None, order=2, opts=None):
         F = _read_only(F)
     d = w.dim
     omega = np.asarray(sample.values, dtype=float)
-    n = len(omega)
-    Fc = _deform(F, base.p)
-
-    energy = float(w.energy_cells(omega, Fc).mean())
-    stress = w.stress_cells(omega, Fc).mean(axis=0) if order >= 1 else None
-    tangent = None
-    third = None
+    pairs = [(j, k) for j in range(d) for k in range(d)]
+    linear = None
+    if order >= 2 and all(pair in base.q for pair in pairs):
+        linear = (np.stack([base.q[pair].T for pair in pairs]),
+                  np.stack([base.tau[pair] for pair in pairs])[..., None])
+    quantities, linear, errors = _assemble_block(w, omega[None], F, base.p.T[:, None], order,
+                                                 opts, linear)
+    if errors[0] is not None:
+        raise errors[0]
     if order >= 2:
-        pairs = [(j, k) for j in range(d) for k in range(d)]
-        missing = [pair for pair in pairs if pair not in base.q]
-        if missing:
-            q, tau = solve_linearized(
-                w, sample, F, base, np.stack([_elementary(d, *pair) for pair in missing]), opts)
-            for a, pair in enumerate(missing):
-                base.q[pair], base.tau[pair] = q[a], tau[a]
-        A_all = np.empty((d * d, n, d, d))
-        for a, (j, k) in enumerate(pairs):
-            A_all[a] = _embed(_elementary(d, j, k), base.q[(j, k)])
-        T_all = w.tangent_apply_cells(omega, Fc, A_all)
-        mat = np.einsum("anjk,bnjk->ab", T_all, A_all) / n
-        mat = 0.5 * (mat + mat.T)
-        tangent = mat.reshape(d, d, d, d)
-        if order >= 3:
-            cube = np.empty((d * d, d * d, d * d))
-            for a in range(d * d):
-                for b in range(a, d * d):
-                    U = w.third_apply_cells(omega, Fc, A_all[a], A_all[b])
-                    row = np.einsum("njk,cnjk->c", U, A_all) / n
-                    cube[a, b] = row
-                    cube[b, a] = row
-            cube = (cube + np.transpose(cube, (0, 2, 1)) + np.transpose(cube, (1, 0, 2))
-                    + np.transpose(cube, (1, 2, 0)) + np.transpose(cube, (2, 0, 1))
-                    + np.transpose(cube, (2, 1, 0))) / 6.0
-            third = cube.reshape(d, d, d, d, d, d)
-
-    meta = {
-        "sigma": base.sigma.copy(),
-        "dist_F": base.stats.get("dist_F"),
-        "outer_iterations": base.stats.get("outer_iterations"),
-        "inner_iterations": base.stats.get("inner_iterations"),
-        "flux_residual": base.stats.get("flux_residual"),
-        "mean_residual": base.stats.get("mean_residual"),
-        "lipschitz_ok": base.stats.get("lipschitz_ok"),
-        "tol_inner": opts.tol_inner,
-        "tol_outer": opts.tol_outer,
-    }
-    return HomogenizedQuantities(energy=energy, stress=stress, tangent=tangent,
-                                 third=third, F=F, period=sample.period,
-                                 n=n, metadata=meta)
+        for a, pair in enumerate(pairs):
+            base.q[pair], base.tau[pair] = linear[0][a].T, linear[1][a, :, 0]
+    row = {k: (None if v is None else v[0]) for k, v in quantities.items()}
+    return HomogenizedQuantities(energy=float(row["energy"]), stress=row["stress"],
+                                 tangent=row["tangent"], third=row["third"], F=F,
+                                 period=sample.period, n=len(omega),
+                                 metadata=_metadata(base.sigma.copy(), base.stats,
+                                                    opts.tol_inner, opts.tol_outer))
 
 
 # =====================================================================

@@ -54,6 +54,7 @@ from .cell import (
     SingularityError,
     SolverOptions,
     assemble,
+    assemble_block,
     det_identity_residual,
     fd_derivative_errors,
     rank_one_minimum,
@@ -63,8 +64,10 @@ from .energy import DomainError, EnergyDensity, dist_to_rotations, rotation_from
 from .fields import (
     PRNG_NAME,
     CovarianceSpec,
+    MaterialSample,
     PeriodizationError,
     SpectrumError,
+    draw_fields,
     periodize_covariance,
     sample_periodic_field,
 )
@@ -574,6 +577,9 @@ def _run_lengths_incrementally(config, lengths, counts, order):
         for L in lengths:
             part = run_ensemble(config.plan(lengths=(L,), counts={L: counts[L]},
                                             order=order))
+            for index, reason in part.failures[L]:
+                print(f"warning: sample failed seed={config.seed} L={fmt(L)} index={index}: "
+                      f"{reason}", file=sys.stderr)
             done.append(L)
             if merged is None:
                 merged = part
@@ -780,8 +786,23 @@ def _check_determinism():
     w = config.material()
     qa = assemble(w, a, config.F, order=1)
     qb = assemble(w, b, config.F, order=1)
-    ok = qa.energy == qb.energy and np.array_equal(qa.stress, qb.stress)
-    return ok, "bitwise reproducible"
+    if not (qa.energy == qb.energy and np.array_equal(qa.stress, qb.stress)):
+        return False, "solve not reproducible"
+    # the sample needing the fewest iterations, solved alone and inside a
+    # block of samples that need more
+    w = _builtin_config(modulation=0.85).material()
+    omega = draw_fields(periodize_covariance(CovarianceSpec("triangle", 6.0, 4.0), 16.0, 32),
+                        7, range(8))
+    block, meta, errors = assemble_block(w, omega, config.F, order=1)
+    if any(e is not None for e in errors):
+        return False, "a block sample failed"
+    iters = meta["inner_iterations"]
+    s = int(np.argmin(iters))
+    if not (iters > iters[s]).any():
+        return False, "no sample in the block needs more iterations"
+    alone = assemble(w, MaterialSample(omega[s], 16.0, 7, s), config.F, order=1)
+    ok = alone.energy == block["energy"][s] and np.array_equal(alone.stress, block["stress"][s])
+    return ok, "bitwise reproducible, alone and in a block"
 
 
 def _check_negative_control():

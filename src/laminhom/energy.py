@@ -142,6 +142,21 @@ def _diagonal(M):
     return M.reshape(d * d, -1)[::d + 1]
 
 
+def _matvec(A, x):
+    """A x per column, as elementwise products summed in a fixed order.
+
+    A is r x d: a matrix, or nested rows of per-column arrays; x is
+    (..., d, N); returns (..., r, N).  A column's bits do not depend on N,
+    which BLAS does not promise for A @ x.
+    """
+    out = np.empty((*x.shape[:-2], len(A), x.shape[-1]))
+    for i, row in enumerate(A):
+        np.multiply(row[0], x[..., 0, :], out=out[..., i, :])
+        for j in range(1, len(row)):
+            out[..., i, :] += row[j] * x[..., j, :]
+    return out
+
+
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
@@ -240,7 +255,7 @@ class FixedColumns(NamedTuple):
     def gram_squared(self, f):
         """|F^T F - Id|_F^2 of the cells with last columns f: (d, n) -> (n,)."""
         ff = (f * f).sum(axis=0) - 1.0
-        Cf = self.C.T @ f
+        Cf = _matvec(self.C.T, f)
         return self.gram2 + 2.0 * (Cf * Cf).sum(axis=0) + ff * ff
 
 
@@ -272,7 +287,7 @@ class _SaintVenantKirchhoff:
         ff = (f * f).sum(axis=0)
         # s = lam tr E + mu(|f|^2 - 1), tr E = (|C|^2 + |f|^2 - d)/2
         s = (0.5 * self.lam + self.mu) * ff + (0.5 * self.lam * (cols.C2 - self.dim) - self.mu)
-        flux = s * f + (self.mu * cols.CCt) @ f
+        flux = s * f + _matvec(self.mu * cols.CCt, f)
         if not acoustic:
             return flux, None
         M = (self.lam + 2.0 * self.mu) * (f[:, None] * f[None]) + (self.mu * cols.CCt)[:, :, None]
@@ -331,7 +346,7 @@ class _NeoHookean:
         return M
 
     def column(self, cols, f, acoustic):
-        J = cols.normal @ f
+        J = _matvec(cols.normal[None], f)[0]
         J = np.where(J > 0.0, J, np.nan)   # outside the domain: NaN flux, no warning
         g = cols.normal[:, None] / J
         beta = self.lam * np.log(J) - self.mu

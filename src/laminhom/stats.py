@@ -11,21 +11,28 @@ Carlo error of an N-sample average, whose natural envelope is
 `run_ensemble` is the orchestration entry point: embarrassingly parallel
 over (L, sample index), deterministic regardless of worker count because
 every sample is a pure function of (seed, L, index) and reductions run in
-fixed index order.  The estimators (`fluctuation_estimate`,
+fixed index order.  The samples of one L are drawn and solved in blocks of
+at most BLOCK_CELLS cells (`fields.draw_fields`, `cell.assemble_block`),
+which are also the jobs of the process pool; a sample's bits do not depend
+on its block.  The results of one L are kept as columns (`SampleColumns`:
+one array per quantity and per metadata key), which read as a sequence of
+light per-sample records.  The estimators (`fluctuation_estimate`,
 `systematic_estimate`, `mc_total_error`, `fit_rate`) are plain
 deterministic reductions with seeded bootstrap confidence intervals.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from collections.abc import MutableMapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import ConvergenceError, SingularityError, SolverOptions, _read_only, assemble
-from .fields import periodize_covariance, sample_periodic_field
+from .cell import SolverOptions, _read_only, assemble, assemble_block  # noqa: F401
+from .fields import draw_fields, periodize_covariance, sample_periodic_field  # noqa: F401
 
 __all__ = [
     "EnsembleError",
@@ -33,6 +40,8 @@ __all__ = [
     "DegenerateFitError",
     "EnsemblePlan",
     "EnsembleRun",
+    "SampleColumns",
+    "SampleRecord",
     "FluctuationEstimate",
     "SystematicEstimate",
     "McRow",
@@ -49,6 +58,8 @@ __all__ = [
 ]
 
 FAILURE_BUDGET = 0.01
+# cells per block of samples solved together (see _blocks)
+BLOCK_CELLS = 8192
 BOOTSTRAP_RESAMPLES = 1000
 
 
@@ -80,14 +91,123 @@ class EnsemblePlan:
     workers: int = 1
 
 
+class SampleRecord:
+    """One solved sample of a `SampleColumns`, read from the columns.
+
+    It has the fields of `HomogenizedQuantities`; metadata is a mapping onto
+    the metadata columns, so a write to it changes the columns.
+    """
+
+    __slots__ = ("_columns", "_row")
+
+    def __init__(self, columns, row):
+        self._columns = columns
+        self._row = row
+
+    def _get(self, name):
+        column = getattr(self._columns, name)
+        return None if column is None else column[self._row]
+
+    energy = property(lambda self: float(self._columns.energy[self._row]))
+    stress = property(lambda self: self._get("stress"))
+    tangent = property(lambda self: self._get("tangent"))
+    third = property(lambda self: self._get("third"))
+    F = property(lambda self: self._columns.F)
+    period = property(lambda self: self._columns.period)
+    n = property(lambda self: self._columns.n)
+    metadata = property(lambda self: _MetadataRow(self._columns.metadata, self._row))
+
+
+class _MetadataRow(MutableMapping):
+    """Row `row` of metadata columns {key: array}: scalars read as Python
+    numbers, vectors as views; writes go to the columns."""
+
+    __slots__ = ("_columns", "_row")
+
+    def __init__(self, columns, row):
+        self._columns = columns
+        self._row = row
+
+    def __getitem__(self, key):
+        value = self._columns[key][self._row]
+        return value.item() if np.ndim(value) == 0 else value
+
+    def __setitem__(self, key, value):
+        if key not in self._columns:
+            raise KeyError(f"no metadata column {key!r}")
+        self._columns[key][self._row] = value
+
+    def __delitem__(self, key):
+        raise TypeError("metadata columns cannot be deleted from one sample")
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self):
+        return len(self._columns)
+
+
+@dataclass(eq=False)
+class SampleColumns(Sequence):
+    """The solved samples of one period L, in sample-index order, as columns.
+
+    energy (N,), stress (N, d, d), tangent (N, d, d, d, d) and third
+    (N, d, d, d, d, d, d) are read-only, None above the run's order;
+    metadata holds one array per key of the `assemble` record plus "index".
+    It reads as a sequence of `SampleRecord`s, built on access.
+    """
+
+    energy: np.ndarray
+    stress: np.ndarray | None
+    tangent: np.ndarray | None
+    third: np.ndarray | None
+    metadata: dict
+    F: np.ndarray
+    period: float
+    n: int
+
+    def __len__(self):
+        return len(self.energy)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"sample {i} out of range for {len(self)} samples")
+        return SampleRecord(self, i % len(self))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    @classmethod
+    def join(cls, parts, F):
+        """Rows of several SampleColumns of one period, in order; F is shared."""
+        first = parts[0]
+
+        def stacked(arrays):
+            out = np.concatenate(arrays)
+            out.flags.writeable = False
+            return out
+
+        quantities = {name: (None if getattr(first, name) is None
+                             else stacked([getattr(c, name) for c in parts]))
+                      for name in ("energy", "stress", "tangent", "third")}
+        metadata = {k: np.concatenate([c.metadata[k] for c in parts]) for k in first.metadata}
+        return cls(**quantities, metadata=metadata, F=F, period=first.period, n=first.n)
+
+
 @dataclass
 class EnsembleRun:
     """Solved ensemble: per-sample effective quantities keyed by period L.
 
-    samples[L] lists HomogenizedQuantities in sample-index order (the index
-    is recorded in each metadata dict), so any sample is reproducible from
-    (seed, L, index) alone.  timing[L] is wall seconds from run start until
-    that L completed; it never enters data files.
+    samples[L] is a `SampleColumns`: the solved samples in sample-index
+    order (the index is a metadata column), read as a sequence of records.
+    Any sample is reproducible from (seed, L, index) alone, by
+    `sample_periodic_field` and `assemble` (both importable from here).
+    failures[L] lists (index, reason) of the samples that failed.  timing[L]
+    is wall seconds from run start until that L completed; it never enters
+    data files.
     """
 
     lengths: tuple
@@ -103,18 +223,18 @@ class EnsembleRun:
         return len(self.samples[L])
 
     def values(self, L, order):
-        """Per-sample quantities of one derivative order, flattened: (N, k)."""
+        """Per-sample quantities of one derivative order, flattened: a
+        read-only (N, k) view of the columns."""
         if order > self.order:
             raise StatisticsError(
                 f"run holds derivatives up to order {self.order}, asked for {order}")
-        qs = self.samples[L]
-        if not qs:
+        columns = self.samples[L]
+        N = len(columns)
+        if not N:
             raise StatisticsError(f"no successful samples at L = {L}")
         if order == 0:
-            return np.array([[q.energy] for q in qs])
-        if order == 1:
-            return np.stack([q.stress.reshape(-1) for q in qs])
-        return np.stack([q.tangent.reshape(-1) for q in qs])
+            return columns.energy.reshape(N, 1)
+        return (columns.stress if order == 1 else columns.tangent).reshape(N, -1)
 
     def mean(self, L, order):
         return self.values(L, order).mean(axis=0)
@@ -179,32 +299,42 @@ def cells_for(length, spacing):
 
 
 def _solve_batch(args):
+    """Solve one block of samples of one period: (L, SampleColumns, failures)."""
     plan, L, n, indices = args
-    out = []
-    for idx in indices:
-        sample = sample_periodic_field(plan.covariance, L, n, plan.seed, idx)
-        try:
-            q = assemble(plan.material, sample, plan.F, order=plan.order,
-                         opts=plan.options)
-        except (ConvergenceError, SingularityError) as exc:
-            out.append((idx, f"{type(exc).__name__}: {exc}", None))
-        else:
-            q.metadata["index"] = idx
-            out.append((idx, None, q))
-    return L, out
+    omega = draw_fields(periodize_covariance(plan.covariance, L, n), plan.seed, indices)
+    quantities, metadata, errors = assemble_block(plan.material, omega, plan.F,
+                                                  order=plan.order, opts=plan.options)
+    metadata["index"] = np.array([idx for idx, e in zip(indices, errors) if e is None],
+                                 dtype=int)
+    failures = [(idx, f"{type(e).__name__}: {e}") for idx, e in zip(indices, errors)
+                if e is not None]
+    columns = SampleColumns(**quantities, metadata=metadata, F=plan.F, period=float(L), n=n)
+    return L, columns, failures
 
 
-def _chunks(seq, size):
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
+def _blocks(count, n, workers):
+    """Consecutive sample-index ranges of one period, one per block.
+
+    A block holds at most BLOCK_CELLS cells (at least one sample); in a
+    pool it also holds at most count // (2 workers) + 1 samples, so that
+    every worker gets about two blocks or more.
+    """
+    size = max(1, BLOCK_CELLS // n)
+    if workers > 1:
+        size = min(size, count // (2 * workers) + 1)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def run_ensemble(plan):
     """Solve counts[L] independent samples per L; returns an EnsembleRun.
 
-    Per-sample convergence failures are recorded and tolerated up to a 1%
-    rate; beyond that the run aborts with EnsembleError.  Results and all
-    downstream reductions are ordered by sample index, so the output is
-    independent of the worker count.
+    The samples of each L are solved in blocks (`_blocks`, `assemble_block`).
+    Per-sample solver failures are recorded and tolerated while they stay
+    below 1% of the planned samples; at 1% the run stops after the block
+    that reached it and raises EnsembleError.  Results and all downstream
+    reductions are ordered by sample index, and a sample's bits do not
+    depend on its block, so the output is independent of the block size
+    and the worker count.
     """
     # one read-only F, shared by every sample's result
     plan = replace(plan, F=_read_only(plan.F))
@@ -219,58 +349,51 @@ def run_ensemble(plan):
         grids[L] = n
 
     total_planned = sum(counts.values())
-    budget = FAILURE_BUDGET * total_planned
-    samples = {L: [] for L in lengths}
+    parts = {L: [] for L in lengths}
     failures = {L: [] for L in lengths}
+    done = {L: 0 for L in lengths}
     timing = {}
-    n_failed = 0
-
-    jobs = []
-    for L in lengths:
-        indices = list(range(counts[L]))
-        if plan.workers > 1:
-            for chunk in _chunks(indices, max(1, len(indices) // (4 * plan.workers) + 1)):
-                jobs.append((plan, L, grids[L], chunk))
-        else:
-            jobs.append((plan, L, grids[L], indices))
-
+    jobs = [(plan, L, grids[L], indices) for L in lengths
+            for indices in _blocks(counts[L], grids[L], plan.workers)]
     started = time.perf_counter()
 
-    def absorb(L, results):
-        nonlocal n_failed
-        for idx, err, q in results:
-            if err is None:
-                q.F = plan.F  # a pooled result arrives with its own copy
-                samples[L].append((idx, q))
-            else:
-                failures[L].append((idx, err))
-                n_failed += 1
-        if len(samples[L]) + len(failures[L]) == counts[L]:
+    def absorb(L, columns, failed):
+        parts[L].append(columns)
+        failures[L].extend(failed)
+        done[L] += len(columns) + len(failed)
+        if done[L] == counts[L]:
             timing[L] = time.perf_counter() - started
+
+    def over_budget():
+        n_failed = sum(len(f) for f in failures.values())
+        return n_failed > 0 and n_failed >= FAILURE_BUDGET * total_planned
 
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            for L, results in pool.map(_solve_batch, jobs):
-                absorb(L, results)
-                if n_failed > budget:
-                    break
+            futures = [pool.submit(_solve_batch, job) for job in jobs]
+            try:
+                for future in futures:
+                    absorb(*future.result())
+                    if over_budget():
+                        break
+            finally:
+                for future in futures:
+                    future.cancel()
     else:
         for job in jobs:
-            L, results = _solve_batch(job)
-            absorb(L, results)
-            if n_failed > budget:
+            absorb(*_solve_batch(job))
+            if over_budget():
                 break
-    for L in lengths:
-        samples[L].sort(key=lambda pair: pair[0])
-        samples[L] = [q for _, q in samples[L]]
-        failures[L].sort(key=lambda pair: pair[0])
-        timing.setdefault(L, time.perf_counter() - started)
 
-    if n_failed > 0 and n_failed >= FAILURE_BUDGET * total_planned:
-        first = next(msg for L in lengths for _, msg in failures[L])
+    if over_budget():
+        n_failed = sum(len(f) for f in failures.values())
+        first = next(msg for L in lengths for _, msg in sorted(failures[L]))
         raise EnsembleError(
             f"{n_failed}/{total_planned} samples failed (budget {FAILURE_BUDGET:.0%}); "
             f"first failure: {first}")
+    samples = {L: SampleColumns.join(parts[L], plan.F) for L in lengths}
+    for L in lengths:
+        failures[L].sort(key=lambda pair: pair[0])
     return EnsembleRun(lengths=lengths, counts=counts, F=plan.F,
                        order=plan.order, seed=plan.seed, samples=samples,
                        failures=failures, timing=timing)

@@ -12,20 +12,27 @@ from laminhom.cell import (
     SingularityError,
     SolverOptions,
     assemble,
+    assemble_block,
     det_identity_residual,
     fd_derivative_errors,
     quadratic_expansion_table,
     rank_one_minimum,
     solve_corrector,
     solve_linearized,
-    _acoustic_inverses,
     _deform,
     _embed,
     _inner_flux_solve,
     _newton_step,
+    _solve_block,
 )
 from laminhom.energy import DomainError, EnergyDensity, FixedColumns, rotation_from_angle
-from laminhom.fields import CovarianceSpec, MaterialSample, sample_periodic_field
+from laminhom.fields import (
+    CovarianceSpec,
+    MaterialSample,
+    draw_fields,
+    periodize_covariance,
+    sample_periodic_field,
+)
 from laminhom.oracle import linear_solve_direct, minimize_direct
 from pointwise import derivative, evaluate
 
@@ -282,9 +289,10 @@ class TestColumnNewton:
         assert (cols.normal @ (f0 + _newton_step(M, flux - sigma)) <= 0.0).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (p, flux, _), _, backtracks = _inner_flux_solve(
+            (p, flux, _), _, backtracks, errors = _inner_flux_solve(
                 w, omega, cols, f0, sigma, (p, flux, M), SolverOptions())
-        assert backtracks > 0
+        assert errors == [None]
+        assert backtracks[0] > 0
         assert (cols.normal @ (f0 + p) > 0.0).all()
         assert np.abs(flux - sigma).max() <= 1e-12 * (1.0 + 4.0)
 
@@ -339,7 +347,7 @@ class TestErrors:
         monkeypatch.setattr(w, "acoustic_cells",
                             lambda omega, Fc: np.full((len(omega), 2, 2), bad))
         with pytest.raises(SingularityError):
-            _acoustic_inverses(w, sample.values, _deform(F, sol.p), SolverOptions())
+            solve_linearized(w, sample, F, sol, np.eye(2))
         # the inner Newton step of a fresh solve needs M^{-1} at once; its
         # acoustic tensors come from the column-form kernel
         column = w.flux_cells
@@ -357,3 +365,103 @@ class TestErrors:
         opts = SolverOptions(max_inner=1)
         with pytest.raises(ConvergenceError):
             solve_corrector(w, two_phase_sample(), shear(2, 0.05), opts)
+
+
+def contrast_block(family, dim, count=16):
+    """High-contrast samples (modulation 0.85, variance 6): 16 periods of 32 cells."""
+    w = EnergyDensity(family, lame=LAME, modulation=0.85, dim=dim)
+    per = periodize_covariance(CovarianceSpec("triangle", 6.0, 4.0), 16.0, 32)
+    return w, draw_fields(per, 7, range(count))
+
+
+def stretch(d, shear_, normal):
+    F = np.eye(d)
+    F[0, d - 1] += shear_
+    F[d - 1, 0] += shear_
+    F[d - 1, d - 1] += normal
+    return F
+
+
+# deformations at which every sample of contrast_block converges after backtracking
+BACKTRACKING = {"saint-venant-kirchhoff": (0.08, 0.0), "neo-hookean": (0.0, -0.12)}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
+    def test_block_size_does_not_change_bits(self, family, dim):
+        w, omega = contrast_block(family, dim)
+        F = stretch(dim, *BACKTRACKING[family])
+        opts = SolverOptions()
+        whole = _solve_block(w, omega, F, opts)
+        assert whole.errors == [None] * len(omega)
+        assert whole.stats["backtracks"].sum() > 0
+        assert len(set(whole.stats["inner_iterations"])) > 1
+        q_whole, meta_whole, _ = assemble_block(w, omega, F, order=2)
+        for size in (1, 7):
+            for lo in range(0, len(omega), size):
+                part = slice(lo, lo + size)
+                block = _solve_block(w, omega[part], F, opts)
+                assert np.array_equal(block.p, whole.p[:, part])
+                for key, column in block.stats.items():
+                    assert np.array_equal(column, whole.stats[key][part]), key
+                q, meta, errors = assemble_block(w, omega[part], F, order=2)
+                assert errors == [None] * len(omega[part])
+                for key in ("energy", "stress", "tangent"):
+                    assert np.array_equal(q[key], q_whole[key][part]), key
+                for key, column in meta.items():
+                    assert np.array_equal(column, meta_whole[key][part]), key
+
+    def test_block_of_one_is_the_sample_solve(self):
+        w, omega = contrast_block("saint-venant-kirchhoff", 2, count=3)
+        F = stretch(2, *BACKTRACKING["saint-venant-kirchhoff"])
+        q_block, meta, _ = assemble_block(w, omega, F, order=2)
+        for s in range(3):
+            q = assemble(w, MaterialSample(omega[s], 16.0, 7, s), F, order=2)
+            assert q.energy == q_block["energy"][s]
+            assert np.array_equal(q.stress, q_block["stress"][s])
+            assert np.array_equal(q.tangent, q_block["tangent"][s])
+            assert q.metadata["inner_iterations"] == meta["inner_iterations"][s]
+            assert np.array_equal(q.metadata["sigma"], meta["sigma"][s])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_failing_samples_leave_the_others_as_solved_alone(self, dim):
+        w, omega = contrast_block("neo-hookean", dim)
+        F = stretch(dim, 0.1, -0.1)
+        quantities, _, errors = assemble_block(w, omega, F, order=1)
+        failed = [s for s, e in enumerate(errors) if e is not None]
+        assert 0 < len(failed) < len(omega)
+        assert len(quantities["energy"]) == len(omega) - len(failed)
+        solved = iter(range(len(omega)))
+        for s, error in enumerate(errors):
+            sample = MaterialSample(omega[s], 16.0, 7, s)
+            if error is not None:
+                with pytest.raises(type(error)) as alone:
+                    assemble(w, sample, F, order=1)
+                assert str(alone.value) == str(error)
+                continue
+            row = next(solved)
+            q = assemble(w, sample, F, order=1)
+            assert q.energy == quantities["energy"][row]
+            assert np.array_equal(q.stress, quantities["stress"][row])
+
+    def test_forced_failure_stays_in_its_sample(self, monkeypatch):
+        w, omega = contrast_block("saint-venant-kirchhoff", 2, count=6)
+        F = stretch(2, *BACKTRACKING["saint-venant-kirchhoff"])
+        expected, _, _ = assemble_block(w, omega, F, order=2)
+        column = w.flux_cells
+        target = omega[4]
+
+        def broken(om, cols, f, acoustic=False):
+            # the acoustic tensors of sample 4's cells are NaN
+            flux, M = column(om, cols, f, acoustic)
+            return flux, (None if M is None else np.where(np.isin(om, target), np.nan, M))
+
+        monkeypatch.setattr(w, "flux_cells", broken)
+        quantities, _, errors = assemble_block(w, omega, F, order=2)
+        with pytest.raises(SingularityError) as alone:
+            assemble(w, MaterialSample(target, 16.0, 7, 4), F, order=2)
+        assert isinstance(errors[4], SingularityError) and str(errors[4]) == str(alone.value)
+        assert errors[:4] + errors[5:] == [None] * 5
+        for key in ("energy", "stress", "tangent"):
+            assert np.array_equal(quantities[key], np.delete(expected[key], 4, axis=0)), key

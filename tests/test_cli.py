@@ -405,6 +405,37 @@ class TestRates:
         _, _, rows_r = read_table(out / "rates.csv")
         assert rows_r == []
 
+    def test_tolerated_failure_is_warned_on_stderr(self, tmp_path, monkeypatch, capsys):
+        import laminhom.stats as stats
+        # every period is its own ensemble, with its own 1% budget
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 12", samples="200", order="0")
+        healthy = tmp_path / "healthy"
+        assert main(["rates", "--config", str(cfg), "--out", str(healthy)]) == EXIT_OK
+        assert "sample failed" not in capsys.readouterr().err
+        draw = stats.draw_fields
+
+        def one_nan_field(per, seed, indices):
+            # sample 3 at L = 8 fails: 1 of 200 samples, below the budget
+            omega = draw(per, seed, indices)
+            if per.period == 8.0 and 3 in indices:
+                omega[list(indices).index(3)] = np.nan
+            return omega
+
+        monkeypatch.setattr(stats, "draw_fields", one_nan_field)
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "sample failed" in line] == [
+            "warning: sample failed seed=7 L=8 index=3: "
+            "SingularityError: acoustic tensor singular or not finite"]
+        for name in ("fluctuations.csv", "systematic.csv", "rates.csv"):
+            _, header, rows = read_table(out / name)
+            _, header0, rows0 = read_table(healthy / name)
+            assert header == header0
+            assert [r[:2] for r in rows] == [r[:2] for r in rows0]
+        _, _, rows = read_table(out / "fluctuations.csv")
+        assert [r[2] for r in rows] == ["199", "200"]
+
     def test_interrupt_writes_partial_tables(self, tmp_path, monkeypatch):
         import laminhom.cli as cli
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12 16", samples="8",

@@ -5,11 +5,17 @@ degenerate cases; hand-built runs with synthetic sample values cover the
 estimator algebra where solver output would only add noise.
 """
 
-from types import SimpleNamespace
+import dataclasses
+import gc
+import multiprocessing
+import pickle
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import laminhom.stats as stats
 from laminhom.cell import SolverOptions, assemble
 from laminhom.energy import EnergyDensity
 from laminhom.fields import CovarianceSpec, sample_periodic_field
@@ -19,6 +25,7 @@ from laminhom.stats import (
     EnsembleError,
     EnsemblePlan,
     EnsembleRun,
+    SampleColumns,
     StatisticsError,
     balanced_count,
     cells_for,
@@ -53,7 +60,8 @@ def make_plan(lengths, count, seed=7, order=0, workers=1, variance=1.0,
 
 def fake_run(values_by_L, seed=0):
     """EnsembleRun around plain scalar sample values (order-0 estimators)."""
-    samples = {L: [SimpleNamespace(energy=float(v)) for v in vals]
+    samples = {L: SampleColumns(energy=np.array(vals, dtype=float), stress=None, tangent=None,
+                                third=None, metadata={}, F=np.eye(2), period=float(L), n=1)
                for L, vals in values_by_L.items()}
     lengths = tuple(values_by_L)
     return EnsembleRun(lengths=lengths,
@@ -117,6 +125,86 @@ class TestRunEnsemble:
         assert all(q.F is run.F for q in qs) and not run.F.flags.writeable
         assert np.array_equal(run.F, plan.F) and plan.F.flags.writeable
         assert all("seed" not in q.metadata for q in qs)
+
+    @pytest.mark.parametrize("samples_per_block", [1, 7, None])
+    def test_block_size_does_not_change_results(self, monkeypatch, samples_per_block):
+        plan = make_plan([8, 16], count=9, order=2, variance=4.0)
+        reference = run_ensemble(plan)
+        if samples_per_block is not None:
+            # blocks of at most samples_per_block samples at L = 8 (32 cells)
+            monkeypatch.setattr(stats, "BLOCK_CELLS", 32 * samples_per_block)
+        run = run_ensemble(plan)
+        for L in (8, 16):
+            a, b = run.samples[L], reference.samples[L]
+            for name in ("energy", "stress", "tangent"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            for key in b.metadata:
+                assert np.array_equal(a.metadata[key], b.metadata[key]), key
+
+    def test_record_contract(self):
+        run = run_ensemble(make_plan([8], count=5, order=2))
+        columns = run.samples[8]
+        q = columns[2]
+        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations", "inner_iterations",
+                                   "flux_residual", "mean_residual", "lipschitz_ok",
+                                   "tol_inner", "tol_outer", "index"}
+        assert q.metadata["index"] == 2 and q.F is run.F and q.n == 32 and q.period == 8.0
+        assert q.energy == run.values(8, 0)[2, 0]
+        assert np.array_equal(q.tangent.reshape(-1), run.values(8, 2)[2])
+        assert q.stress.shape == (2, 2) and q.third is None
+        assert not run.values(8, 1).flags.writeable
+        assert [r.metadata["index"] for r in columns[1:4]] == [1, 2, 3]
+        q.metadata["flux_residual"] = 1e-6
+        assert run.samples[8][2].metadata["flux_residual"] == 1e-6
+        assert columns.metadata["flux_residual"][2] == 1e-6
+        with pytest.raises(KeyError):
+            q.metadata["unknown"] = 1.0
+        copy = dataclasses.replace(run, counts=dict(run.counts), samples=dict(run.samples),
+                                   failures=dict(run.failures), timing=dict(run.timing))
+        assert copy.samples[8][2].metadata["flux_residual"] == 1e-6
+        assert copy.samples[8][0].F is run.F
+        assert np.array_equal(copy.values(8, 2), run.values(8, 2))
+        thawed = pickle.loads(pickle.dumps(run))
+        assert np.array_equal(thawed.values(8, 1), run.values(8, 1))
+
+    def test_retained_bytes_per_order0_sample(self):
+        plan = make_plan([8], count=512, order=0)
+        run_ensemble(plan)          # first-call allocations do not count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = run_ensemble(plan)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert run.count(8) == 512
+        assert retained / 512 <= 200
+
+    def test_one_percent_of_failures_stops_the_pool_early(self, monkeypatch, tmp_path):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched field draw reaches pool workers only by fork")
+        draw = stats.draw_fields
+
+        def marked(per, seed, indices):
+            # sample 0 gets a NaN field and fails at once; the other blocks are slow
+            (tmp_path / f"block{indices[0]}").touch()
+            omega = draw(per, seed, indices)
+            if 0 in indices:
+                omega[list(indices).index(0)] = np.nan
+            else:
+                time.sleep(0.2)
+            return omega
+
+        monkeypatch.setattr(stats, "draw_fields", marked)
+        # blocks of 5 samples (32 cells each at L = 8)
+        monkeypatch.setattr(stats, "BLOCK_CELLS", 5 * 32)
+        with pytest.raises(EnsembleError, match="1/100 samples failed"):
+            run_ensemble(make_plan([8], count=100, workers=2))
+        blocks = len(stats._blocks(100, 32, 2))
+        assert blocks == 20
+        assert len(list(tmp_path.iterdir())) < blocks
 
     def test_spacing_must_divide_period(self):
         with pytest.raises(ValueError):
