@@ -21,7 +21,7 @@ mean R(sigma) = (1/n) sum_i p_i(sigma) to zero with Jacobian
 (1/n) sum_i M_i^{-1}.  Starting guess sigma_0 = (1/n) sum_i DW(omega_i,F)e_d.
 
 Blocks.  Samples with the same F and cell count n are solved together
-(`assemble_block`): their N = S n cells form one component-major (d, N)
+(`SampleBlock`): their N = S n cells form one component-major (d, N)
 column array, sample after sample.  The inner Newton iterates every cell of
 the block at once against its sample's sigma; the outer Newton steps each
 sample's sigma on its own, and a sample leaves the block when it converges
@@ -31,7 +31,9 @@ solve, and every per-sample reduction runs along that sample's own cells
 (a pairwise mean of one contiguous row, or for the stress a sum in cell
 order), so a sample's bits, iteration and backtrack counts, and any error it
 raises do not depend on the block it is in.  `solve_corrector` and
-`assemble` are the block of one sample.
+`assemble` stay per sample: given a block, the first call that needs the
+block's results computes them for every sample, and each call returns its
+own sample's row; without one, a sample is the block of one.
 
 Only the last column f_i = F e_d + p_i of a cell varies, so both Newton
 levels work on the column form of `energy` (`FixedColumns`, `flux_cells`)
@@ -100,7 +102,7 @@ __all__ = [
     "solve_corrector",
     "solve_linearized",
     "assemble",
-    "assemble_block",
+    "SampleBlock",
     "det_identity_residual",
     "quadratic_expansion_table",
     "fd_derivative_errors",
@@ -497,22 +499,21 @@ def _solve_block(w, omega, F, opts):
     return _Block(p, sigma, stats, errors)
 
 
-def solve_corrector(w, sample, F, opts=None):
+def solve_corrector(w, sample, F, opts=None, block=None):
     """Solve the nonlinear cell problem of one sample at deformation F.
 
-    The block of one sample of `_solve_block`.  Returns a CorrectorSolution
-    with exactly mean-zero p and the constant flux sigma.  Raises
-    DomainError when dist(F, SO(d)) >= delta_bar, ConvergenceError when
-    either Newton level fails, SingularityError on a singular acoustic
-    tensor or outer Jacobian.
+    `block` is a SampleBlock holding the sample, built with the same w, F
+    and opts; without one the sample is solved as the block of one.
+    Returns a CorrectorSolution with exactly mean-zero p and the constant
+    flux sigma.  Raises DomainError when dist(F, SO(d)) >= delta_bar,
+    ConvergenceError when either Newton level fails, SingularityError on a
+    singular acoustic tensor or outer Jacobian.
     """
     opts = opts or SolverOptions()
     _check_sample(sample)
-    block = _solve_block(w, np.asarray(sample.values, dtype=float)[None], F, opts)
-    if block.errors[0] is not None:
-        raise block.errors[0]
-    return CorrectorSolution(p=block.p[:, 0].T.copy(), sigma=block.sigma[:, 0].copy(),
-                             stats={k: v[0].item() for k, v in block.stats.items()})
+    if block is None:
+        return SampleBlock(w, [sample], F, opts).corrector(0)
+    return block.corrector(block.row(w, sample, F, opts))
 
 
 # =====================================================================
@@ -644,66 +645,99 @@ def _metadata(sigma, stats, tol_inner, tol_outer):
             "tol_inner": tol_inner, "tol_outer": tol_outer}
 
 
-def assemble_block(w, omega, F, order=2, opts=None):
-    """Solve and assemble a block of samples omega (S, n) at F, up to derivative `order`.
+class SampleBlock:
+    """Samples with one cell count, solved and assembled together at one F.
 
-    Returns (quantities, metadata, errors): quantities as `_assemble_block`
-    and metadata as the record of `assemble`, both with one row per solved
-    sample (the samples s with errors[s] None, in block order); errors[s] is
-    the ConvergenceError or SingularityError sample s raised, alone or in
-    any block.
+    Pass it as `block` to `solve_corrector` or `assemble` for each of its
+    samples.  The first call that needs the correctors solves every sample
+    of the block at once (`_solve_block`), the first `assemble` at an order
+    assembles every sample at once (`_assemble_block`), and each call
+    returns its own sample's results, or raises the error that sample
+    raises when solved alone.
     """
-    opts = opts or SolverOptions()
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
-    omega = np.asarray(omega, dtype=float)
-    block = _solve_block(w, omega, F, opts)
-    # a failed sample's p is zero: assembling it is harmless, and its
-    # corrector error stands
-    quantities, _, errs = _assemble_block(w, omega, np.asarray(F, dtype=float), block.p,
-                                          order, opts)
-    errors = [a or b for a, b in zip(block.errors, errs)]
-    solved = np.flatnonzero([e is None for e in errors])
-    quantities = {k: (None if v is None else v[solved]) for k, v in quantities.items()}
-    meta = _metadata(block.sigma[:, solved].T.copy(),
-                     {k: v[solved] for k, v in block.stats.items()},
-                     np.full(len(solved), opts.tol_inner), np.full(len(solved), opts.tol_outer))
-    return quantities, meta, errors
+
+    def __init__(self, w, samples, F, opts=None):
+        self.w = w
+        self.samples = list(samples)
+        self.F = np.asarray(F, dtype=float)
+        self.opts = opts or SolverOptions()
+        self.omega = np.stack([np.asarray(s.values, dtype=float) for s in self.samples])
+        self._rows = {id(s): r for r, s in enumerate(self.samples)}
+        self._solved = None
+        self._assembled = {}
+
+    def row(self, w, sample, F, opts):
+        """The row of `sample`; ValueError unless the block holds it and was
+        built with the same w, F and opts."""
+        row = self._rows.get(id(sample))
+        if (row is None or w is not self.w or opts != self.opts
+                or (F is not self.F and not np.array_equal(F, self.F))):
+            raise ValueError("the sample block does not hold this sample, or was built "
+                             "with another material, F or solver options")
+        return row
+
+    def corrector(self, row):
+        """CorrectorSolution of sample `row`; raises the error of its solve."""
+        if self._solved is None:
+            self._solved = _solve_block(self.w, self.omega, self.F, self.opts)
+        solved = self._solved
+        if solved.errors[row] is not None:
+            raise solved.errors[row]
+        return CorrectorSolution(p=solved.p[:, row].T.copy(), sigma=solved.sigma[:, row].copy(),
+                                 stats={k: v[row].item() for k, v in solved.stats.items()})
+
+    def quantities(self, row, order):
+        """{energy, stress, tangent, third} of the solved sample `row` (None
+        above `order`); raises the error of its linearized solve."""
+        if order not in self._assembled:
+            # a failed sample's p is zero: assembling it is harmless
+            quantities, _, errors = _assemble_block(self.w, self.omega, self.F,
+                                                    self._solved.p, order, self.opts)
+            self._assembled[order] = quantities, errors
+        quantities, errors = self._assembled[order]
+        if errors[row] is not None:
+            raise errors[row]
+        return {k: (None if v is None else v[row]) for k, v in quantities.items()}
 
 
-def assemble(w, sample, F, base=None, order=2, opts=None):
+def assemble(w, sample, F, base=None, order=2, opts=None, block=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
     order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
-    directions in one stacked solve, cached on the base solution); 3: +
-    third-order moduli.  The block of one of `_assemble_block`.
+    directions in one stacked solve); 3: + third-order moduli.  Without a
+    base solution the sample is solved and assembled inside `block` (see
+    `solve_corrector`), or as the block of one; a given base solution
+    caches its linearized correctors.
     """
     opts = opts or SolverOptions()
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order!r}")
-    if base is None:
-        base = solve_corrector(w, sample, F, opts)
     F = np.asarray(F, dtype=float)
     if F.flags.writeable:
         F = _read_only(F)
-    d = w.dim
-    omega = np.asarray(sample.values, dtype=float)
-    pairs = [(j, k) for j in range(d) for k in range(d)]
-    linear = None
-    if order >= 2 and all(pair in base.q for pair in pairs):
-        linear = (np.stack([base.q[pair].T for pair in pairs]),
-                  np.stack([base.tau[pair] for pair in pairs])[..., None])
-    quantities, linear, errors = _assemble_block(w, omega[None], F, base.p.T[:, None], order,
-                                                 opts, linear)
-    if errors[0] is not None:
-        raise errors[0]
-    if order >= 2:
-        for a, pair in enumerate(pairs):
-            base.q[pair], base.tau[pair] = linear[0][a].T, linear[1][a, :, 0]
-    row = {k: (None if v is None else v[0]) for k, v in quantities.items()}
+    if base is None:
+        block = block or SampleBlock(w, [sample], F, opts)
+        base = solve_corrector(w, sample, F, opts, block=block)
+        row = block.quantities(block.row(w, sample, F, opts), order)
+    else:
+        d = w.dim
+        pairs = [(j, k) for j in range(d) for k in range(d)]
+        linear = None
+        if order >= 2 and all(pair in base.q for pair in pairs):
+            linear = (np.stack([base.q[pair].T for pair in pairs]),
+                      np.stack([base.tau[pair] for pair in pairs])[..., None])
+        omega = np.asarray(sample.values, dtype=float)[None]
+        quantities, linear, errors = _assemble_block(w, omega, F, base.p.T[:, None], order,
+                                                     opts, linear)
+        if errors[0] is not None:
+            raise errors[0]
+        if order >= 2:
+            for a, pair in enumerate(pairs):
+                base.q[pair], base.tau[pair] = linear[0][a].T, linear[1][a, :, 0]
+        row = {k: (None if v is None else v[0]) for k, v in quantities.items()}
     return HomogenizedQuantities(energy=float(row["energy"]), stress=row["stress"],
                                  tangent=row["tangent"], third=row["third"], F=F,
-                                 period=sample.period, n=len(omega),
+                                 period=sample.period, n=len(sample.values),
                                  metadata=_metadata(base.sigma.copy(), base.stats,
                                                     opts.tol_inner, opts.tol_outer))
 

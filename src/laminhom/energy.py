@@ -145,15 +145,15 @@ def _diagonal(M):
 def _matvec(A, x):
     """A x per column, as elementwise products summed in a fixed order.
 
-    A is r x d: a matrix, or nested rows of per-column arrays; x is
-    (..., d, N); returns (..., r, N).  A column's bits do not depend on N,
-    which BLAS does not promise for A @ x.
+    A is r x d: a matrix, or per-column matrices (r, d, N) (also as nested
+    rows of arrays); x is (..., d, N); returns (..., r, N).  A column's bits
+    do not depend on N, which BLAS does not promise for A @ x.
     """
-    out = np.empty((*x.shape[:-2], len(A), x.shape[-1]))
-    for i, row in enumerate(A):
-        np.multiply(row[0], x[..., 0, :], out=out[..., i, :])
-        for j in range(1, len(row)):
-            out[..., i, :] += row[j] * x[..., j, :]
+    A = np.asarray(A)
+    products = (A if A.ndim == 3 else A[..., None]) * x[..., None, :, :]
+    out = products[..., 0, :]
+    for j in range(1, products.shape[-2]):
+        out = out + products[..., j, :]
     return out
 
 

@@ -25,9 +25,6 @@ and shaping complex white noise with its square root yields an exact sample.
 Streams are counter-based (numpy Philox keyed through SeedSequence by
 (seed, fixed-point L, index)), so every sample is a pure function of
 (seed, L, index): bit-reproducible, order-independent, parallel-safe.
-`draw_fields` draws a block of samples of one grid from one periodized
-covariance with one batched inverse FFT; each row equals the single draw of
-`sample_periodic_field` bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ __all__ = [
     "MaterialSample",
     "periodize_covariance",
     "sample_periodic_field",
-    "draw_fields",
     "PRNG_NAME",
 ]
 
@@ -222,18 +218,8 @@ def sample_periodic_field(cov, period, n, seed, index):
     circulant(entries) exactly.
     """
     per = periodize_covariance(cov, period, n)
-    values = draw_fields(per, seed, [index])[0]
+    rng = _stream(seed, _length_key(period), index)
+    z = rng.standard_normal(2 * per.n)
+    noise = z[: per.n] + 1j * z[per.n:]
+    values = np.sqrt(per.n) * np.fft.ifft(np.sqrt(per.spectrum) * noise).real
     return MaterialSample(values=values, period=per.period, seed=int(seed), index=int(index))
-
-
-def draw_fields(per, seed, indices):
-    """Fields of the samples `indices` on one periodized grid: (len(indices), n).
-
-    Row k is the sample (seed, period, indices[k]) of `sample_periodic_field`,
-    bit for bit: each row has its own stream, and the rows share one
-    batched inverse FFT, which transforms each row on its own.
-    """
-    key = _length_key(per.period)
-    z = np.stack([_stream(seed, key, index).standard_normal(2 * per.n) for index in indices])
-    noise = z[:, : per.n] + 1j * z[:, per.n:]
-    return np.sqrt(per.n) * np.fft.ifft(np.sqrt(per.spectrum) * noise, axis=-1).real

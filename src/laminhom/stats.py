@@ -11,12 +11,11 @@ Carlo error of an N-sample average, whose natural envelope is
 `run_ensemble` is the orchestration entry point: embarrassingly parallel
 over (L, sample index), deterministic regardless of worker count because
 every sample is a pure function of (seed, L, index) and reductions run in
-fixed index order.  The samples of one L are drawn and solved in blocks of
-at most BLOCK_CELLS cells (`fields.draw_fields`, `cell.assemble_block`),
-which are also the jobs of the process pool; a sample's bits do not depend
-on its block.  The results of one L are kept as columns (`SampleColumns`:
-one array per quantity and per metadata key), which read as a sequence of
-light per-sample records.  The estimators (`fluctuation_estimate`,
+fixed index order.  The samples of one L are solved in blocks of at most
+BLOCK_CELLS cells (`cell.SampleBlock`), which are also the jobs of the
+process pool; a sample's bits do not depend on its block.  The results of
+one L are kept as columns (`SampleColumns`: one array per quantity and per
+metadata key), which read as a sequence of light per-sample records.  The estimators (`fluctuation_estimate`,
 `systematic_estimate`, `mc_total_error`, `fit_rate`) are plain
 deterministic reductions with seeded bootstrap confidence intervals.
 """
@@ -31,8 +30,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cell import SolverOptions, _read_only, assemble, assemble_block  # noqa: F401
-from .fields import draw_fields, periodize_covariance, sample_periodic_field  # noqa: F401
+from .cell import (
+    ConvergenceError,
+    SampleBlock,
+    SingularityError,
+    SolverOptions,
+    _read_only,
+    assemble,
+)
+from .fields import periodize_covariance, sample_periodic_field
 
 __all__ = [
     "EnsembleError",
@@ -181,8 +187,25 @@ class SampleColumns(Sequence):
         return list(self) + list(other)
 
     @classmethod
+    def of(cls, indices, rows, F, period, n):
+        """Columns of the solved samples `indices`, whose `assemble` results
+        are `rows`; with no rows, only the energy column (empty)."""
+        def stacked(name):
+            if not rows or getattr(rows[0], name) is None:
+                return None
+            return np.stack([getattr(q, name) for q in rows])
+
+        metadata = {k: np.array([q.metadata[k] for q in rows]) for k in
+                    (rows[0].metadata if rows else ())}
+        metadata["index"] = np.array(indices, dtype=int)
+        return cls(energy=np.array([q.energy for q in rows], dtype=float),
+                   stress=stacked("stress"), tangent=stacked("tangent"),
+                   third=stacked("third"), metadata=metadata, F=F, period=period, n=n)
+
+    @classmethod
     def join(cls, parts, F):
         """Rows of several SampleColumns of one period, in order; F is shared."""
+        parts = [c for c in parts if len(c)] or parts[:1]
         first = parts[0]
 
         def stacked(arrays):
@@ -301,15 +324,19 @@ def cells_for(length, spacing):
 def _solve_batch(args):
     """Solve one block of samples of one period: (L, SampleColumns, failures)."""
     plan, L, n, indices = args
-    omega = draw_fields(periodize_covariance(plan.covariance, L, n), plan.seed, indices)
-    quantities, metadata, errors = assemble_block(plan.material, omega, plan.F,
-                                                  order=plan.order, opts=plan.options)
-    metadata["index"] = np.array([idx for idx, e in zip(indices, errors) if e is None],
-                                 dtype=int)
-    failures = [(idx, f"{type(e).__name__}: {e}") for idx, e in zip(indices, errors)
-                if e is not None]
-    columns = SampleColumns(**quantities, metadata=metadata, F=plan.F, period=float(L), n=n)
-    return L, columns, failures
+    samples = [sample_periodic_field(plan.covariance, L, n, plan.seed, idx) for idx in indices]
+    block = SampleBlock(plan.material, samples, plan.F, plan.options)
+    solved, rows, failures = [], [], []
+    for sample in samples:
+        try:
+            q = assemble(plan.material, sample, plan.F, order=plan.order, opts=plan.options,
+                         block=block)
+        except (ConvergenceError, SingularityError) as exc:
+            failures.append((sample.index, f"{type(exc).__name__}: {exc}"))
+        else:
+            solved.append(sample.index)
+            rows.append(q)
+    return L, SampleColumns.of(solved, rows, plan.F, float(L), n), failures
 
 
 def _blocks(count, n, workers):
@@ -328,7 +355,7 @@ def _blocks(count, n, workers):
 def run_ensemble(plan):
     """Solve counts[L] independent samples per L; returns an EnsembleRun.
 
-    The samples of each L are solved in blocks (`_blocks`, `assemble_block`).
+    The samples of each L are solved in blocks (`_blocks`, `SampleBlock`).
     Per-sample solver failures are recorded and tolerated while they stay
     below 1% of the planned samples; at 1% the run stops after the block
     that reached it and raises EnsembleError.  Results and all downstream

@@ -10,9 +10,9 @@ import laminhom.cell as cell
 from laminhom.cell import (
     ConvergenceError,
     SingularityError,
+    SampleBlock,
     SolverOptions,
     assemble,
-    assemble_block,
     det_identity_residual,
     fd_derivative_errors,
     quadratic_expansion_table,
@@ -26,13 +26,7 @@ from laminhom.cell import (
     _solve_block,
 )
 from laminhom.energy import DomainError, EnergyDensity, FixedColumns, rotation_from_angle
-from laminhom.fields import (
-    CovarianceSpec,
-    MaterialSample,
-    draw_fields,
-    periodize_covariance,
-    sample_periodic_field,
-)
+from laminhom.fields import CovarianceSpec, MaterialSample, sample_periodic_field
 from laminhom.oracle import linear_solve_direct, minimize_direct
 from pointwise import derivative, evaluate
 
@@ -370,8 +364,20 @@ class TestErrors:
 def contrast_block(family, dim, count=16):
     """High-contrast samples (modulation 0.85, variance 6): 16 periods of 32 cells."""
     w = EnergyDensity(family, lame=LAME, modulation=0.85, dim=dim)
-    per = periodize_covariance(CovarianceSpec("triangle", 6.0, 4.0), 16.0, 32)
-    return w, draw_fields(per, 7, range(count))
+    cov = CovarianceSpec("triangle", 6.0, 4.0)
+    return w, [sample_periodic_field(cov, 16.0, 32, 7, i) for i in range(count)]
+
+
+def assemble_in_block(w, samples, F, order):
+    """assemble of every sample inside one SampleBlock: its quantities or its error."""
+    block = SampleBlock(w, samples, F)
+    out = []
+    for sample in samples:
+        try:
+            out.append(assemble(w, sample, F, order=order, block=block))
+        except (ConvergenceError, SingularityError) as exc:
+            out.append(exc)
+    return out
 
 
 def stretch(d, shear_, normal):
@@ -386,18 +392,27 @@ def stretch(d, shear_, normal):
 BACKTRACKING = {"saint-venant-kirchhoff": (0.08, 0.0), "neo-hookean": (0.0, -0.12)}
 
 
+def same_quantities(a, b):
+    return (a.energy == b.energy and np.array_equal(a.stress, b.stress)
+            and (a.tangent is None) == (b.tangent is None)
+            and (a.tangent is None or np.array_equal(a.tangent, b.tangent))
+            and a.metadata.keys() == b.metadata.keys()
+            and all(np.array_equal(a.metadata[k], b.metadata[k]) for k in a.metadata))
+
+
 class TestBlocks:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
     def test_block_size_does_not_change_bits(self, family, dim):
-        w, omega = contrast_block(family, dim)
+        w, samples = contrast_block(family, dim)
+        omega = np.stack([s.values for s in samples])
         F = stretch(dim, *BACKTRACKING[family])
         opts = SolverOptions()
         whole = _solve_block(w, omega, F, opts)
         assert whole.errors == [None] * len(omega)
         assert whole.stats["backtracks"].sum() > 0
         assert len(set(whole.stats["inner_iterations"])) > 1
-        q_whole, meta_whole, _ = assemble_block(w, omega, F, order=2)
+        q_whole = assemble_in_block(w, samples, F, order=2)
         for size in (1, 7):
             for lo in range(0, len(omega), size):
                 part = slice(lo, lo + size)
@@ -405,52 +420,51 @@ class TestBlocks:
                 assert np.array_equal(block.p, whole.p[:, part])
                 for key, column in block.stats.items():
                     assert np.array_equal(column, whole.stats[key][part]), key
-                q, meta, errors = assemble_block(w, omega[part], F, order=2)
-                assert errors == [None] * len(omega[part])
-                for key in ("energy", "stress", "tangent"):
-                    assert np.array_equal(q[key], q_whole[key][part]), key
-                for key, column in meta.items():
-                    assert np.array_equal(column, meta_whole[key][part]), key
+                for q, expected in zip(assemble_in_block(w, samples[part], F, order=2),
+                                       q_whole[part]):
+                    assert same_quantities(q, expected)
 
-    def test_block_of_one_is_the_sample_solve(self):
-        w, omega = contrast_block("saint-venant-kirchhoff", 2, count=3)
+    def test_block_member_reads_its_own_row(self):
+        w, samples = contrast_block("saint-venant-kirchhoff", 2, count=3)
         F = stretch(2, *BACKTRACKING["saint-venant-kirchhoff"])
-        q_block, meta, _ = assemble_block(w, omega, F, order=2)
-        for s in range(3):
-            q = assemble(w, MaterialSample(omega[s], 16.0, 7, s), F, order=2)
-            assert q.energy == q_block["energy"][s]
-            assert np.array_equal(q.stress, q_block["stress"][s])
-            assert np.array_equal(q.tangent, q_block["tangent"][s])
-            assert q.metadata["inner_iterations"] == meta["inner_iterations"][s]
-            assert np.array_equal(q.metadata["sigma"], meta["sigma"][s])
+        block = SampleBlock(w, samples, F)
+        for sample in reversed(samples):
+            sol = solve_corrector(w, sample, F, block=block)
+            alone = solve_corrector(w, sample, F)
+            assert np.array_equal(sol.p, alone.p) and np.array_equal(sol.sigma, alone.sigma)
+            assert sol.stats == alone.stats
+            assert same_quantities(assemble(w, sample, F, order=2, block=block),
+                                   assemble(w, sample, F, order=2))
+        # a block answers only for its own samples, material, F and options
+        stranger = MaterialSample(samples[0].values.copy(), 16.0, 7, 0)
+        for args in ((w, stranger, F, SolverOptions()), (w, samples[0], np.eye(2), None),
+                     (w, samples[0], F, SolverOptions(max_inner=3)),
+                     (EnergyDensity("saint-venant-kirchhoff", lame=LAME, modulation=0.85),
+                      samples[0], F, None)):
+            with pytest.raises(ValueError, match="sample block"):
+                solve_corrector(*args, block=block)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_failing_samples_leave_the_others_as_solved_alone(self, dim):
-        w, omega = contrast_block("neo-hookean", dim)
+        w, samples = contrast_block("neo-hookean", dim)
         F = stretch(dim, 0.1, -0.1)
-        quantities, _, errors = assemble_block(w, omega, F, order=1)
-        failed = [s for s, e in enumerate(errors) if e is not None]
-        assert 0 < len(failed) < len(omega)
-        assert len(quantities["energy"]) == len(omega) - len(failed)
-        solved = iter(range(len(omega)))
-        for s, error in enumerate(errors):
-            sample = MaterialSample(omega[s], 16.0, 7, s)
-            if error is not None:
-                with pytest.raises(type(error)) as alone:
+        inside = assemble_in_block(w, samples, F, order=1)
+        failed = [s for s, q in enumerate(inside) if isinstance(q, Exception)]
+        assert 0 < len(failed) < len(samples)
+        for sample, q in zip(samples, inside):
+            if isinstance(q, Exception):
+                with pytest.raises(type(q)) as alone:
                     assemble(w, sample, F, order=1)
-                assert str(alone.value) == str(error)
-                continue
-            row = next(solved)
-            q = assemble(w, sample, F, order=1)
-            assert q.energy == quantities["energy"][row]
-            assert np.array_equal(q.stress, quantities["stress"][row])
+                assert str(alone.value) == str(q)
+            else:
+                assert same_quantities(q, assemble(w, sample, F, order=1))
 
     def test_forced_failure_stays_in_its_sample(self, monkeypatch):
-        w, omega = contrast_block("saint-venant-kirchhoff", 2, count=6)
+        w, samples = contrast_block("saint-venant-kirchhoff", 2, count=6)
         F = stretch(2, *BACKTRACKING["saint-venant-kirchhoff"])
-        expected, _, _ = assemble_block(w, omega, F, order=2)
+        expected = assemble_in_block(w, samples, F, order=2)
         column = w.flux_cells
-        target = omega[4]
+        target = samples[4].values
 
         def broken(om, cols, f, acoustic=False):
             # the acoustic tensors of sample 4's cells are NaN
@@ -458,10 +472,9 @@ class TestBlocks:
             return flux, (None if M is None else np.where(np.isin(om, target), np.nan, M))
 
         monkeypatch.setattr(w, "flux_cells", broken)
-        quantities, _, errors = assemble_block(w, omega, F, order=2)
+        inside = assemble_in_block(w, samples, F, order=2)
         with pytest.raises(SingularityError) as alone:
-            assemble(w, MaterialSample(target, 16.0, 7, 4), F, order=2)
-        assert isinstance(errors[4], SingularityError) and str(errors[4]) == str(alone.value)
-        assert errors[:4] + errors[5:] == [None] * 5
-        for key in ("energy", "stress", "tangent"):
-            assert np.array_equal(quantities[key], np.delete(expected[key], 4, axis=0)), key
+            assemble(w, samples[4], F, order=2)
+        assert isinstance(inside[4], SingularityError) and str(inside[4]) == str(alone.value)
+        for s in (0, 1, 2, 3, 5):
+            assert same_quantities(inside[s], expected[s])

@@ -1,5 +1,6 @@
 """CLI tests: config grammar, golden CSV headers, determinism, exit codes."""
 
+import dataclasses
 import textwrap
 
 import numpy as np
@@ -412,16 +413,16 @@ class TestRates:
         healthy = tmp_path / "healthy"
         assert main(["rates", "--config", str(cfg), "--out", str(healthy)]) == EXIT_OK
         assert "sample failed" not in capsys.readouterr().err
-        draw = stats.draw_fields
+        draw = stats.sample_periodic_field
 
-        def one_nan_field(per, seed, indices):
+        def one_nan_field(cov, period, n, seed, index):
             # sample 3 at L = 8 fails: 1 of 200 samples, below the budget
-            omega = draw(per, seed, indices)
-            if per.period == 8.0 and 3 in indices:
-                omega[list(indices).index(3)] = np.nan
-            return omega
+            sample = draw(cov, period, n, seed, index)
+            if period == 8.0 and index == 3:
+                return dataclasses.replace(sample, values=np.full(n, np.nan))
+            return sample
 
-        monkeypatch.setattr(stats, "draw_fields", one_nan_field)
+        monkeypatch.setattr(stats, "sample_periodic_field", one_nan_field)
         out = tmp_path / "o"
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err.splitlines()

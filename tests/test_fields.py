@@ -16,7 +16,6 @@ from laminhom.fields import (
     MaterialSample,
     PeriodizationError,
     SpectrumError,
-    draw_fields,
     periodize_covariance,
     sample_periodic_field,
 )
@@ -169,15 +168,6 @@ class TestSampling:
             est = acc[:, c].mean()
             se = acc[:, c].std(ddof=1) / np.sqrt(M)
             assert abs(est - cov(j * h)) <= 3.0 * se + 1e-12, (j, est, cov(j * h), se)
-
-    def test_block_draw_rows_are_single_draws(self):
-        cov = CovarianceSpec("cosine-bump", 1.3, 1.0)
-        per = periodize_covariance(cov, 16.0, 64)
-        indices = [5, 0, 11, 3]
-        block = draw_fields(per, 9, indices)
-        assert block.shape == (4, 64)
-        for row, index in zip(block, indices):
-            assert np.array_equal(row, sample_periodic_field(cov, 16.0, 64, 9, index).values)
 
     def test_material_sample_grid(self):
         s = MaterialSample(values=np.zeros(4), period=2.0, seed=0, index=0)

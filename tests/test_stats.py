@@ -185,26 +185,25 @@ class TestRunEnsemble:
     def test_one_percent_of_failures_stops_the_pool_early(self, monkeypatch, tmp_path):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched field draw reaches pool workers only by fork")
-        draw = stats.draw_fields
+        draw = stats.sample_periodic_field
 
-        def marked(per, seed, indices):
+        def marked(cov, period, n, seed, index):
             # sample 0 gets a NaN field and fails at once; the other blocks are slow
-            (tmp_path / f"block{indices[0]}").touch()
-            omega = draw(per, seed, indices)
-            if 0 in indices:
-                omega[list(indices).index(0)] = np.nan
-            else:
-                time.sleep(0.2)
-            return omega
+            (tmp_path / f"block{index // 5}").touch()
+            sample = draw(cov, period, n, seed, index)
+            if index == 0:
+                return dataclasses.replace(sample, values=np.full(n, np.nan))
+            time.sleep(0.04)
+            return sample
 
-        monkeypatch.setattr(stats, "draw_fields", marked)
+        monkeypatch.setattr(stats, "sample_periodic_field", marked)
         # blocks of 5 samples (32 cells each at L = 8)
         monkeypatch.setattr(stats, "BLOCK_CELLS", 5 * 32)
         with pytest.raises(EnsembleError, match="1/100 samples failed"):
             run_ensemble(make_plan([8], count=100, workers=2))
-        blocks = len(stats._blocks(100, 32, 2))
-        assert blocks == 20
-        assert len(list(tmp_path.iterdir())) < blocks
+        blocks = stats._blocks(100, 32, 2)
+        assert [len(b) for b in blocks] == [5] * 20
+        assert len(list(tmp_path.iterdir())) < len(blocks)
 
     def test_spacing_must_divide_period(self):
         with pytest.raises(ValueError):
