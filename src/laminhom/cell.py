@@ -658,6 +658,7 @@ class SampleBlock:
 
     def __init__(self, w, samples, F, opts=None):
         self.w = w
+        # held, so that no other object takes the id of a sample in _rows
         self.samples = list(samples)
         self.F = np.asarray(F, dtype=float)
         self.opts = opts or SolverOptions()

@@ -19,6 +19,7 @@ from laminhom.energy import (
     DomainError,
     EnergyDensity,
     FixedColumns,
+    _matvec,
     adjugate,
     det_inverse,
     dist_to_rotations,
@@ -309,6 +310,35 @@ class TestColumnForm:
         outside = np.array([False, True, True, False, True, False])
         assert np.isnan(flux[:, outside]).all() and np.isnan(M[..., outside]).all()
         assert np.isfinite(flux[:, ~outside]).all() and np.isfinite(M[..., ~outside]).all()
+
+
+def matvec_loop(A, x):
+    """A x per column: for each output row, row[0] x_0 + row[1] x_1 + ... in order."""
+    out = np.empty((*x.shape[:-2], len(A), x.shape[-1]))
+    for i, row in enumerate(A):
+        out[..., i, :] = row[0] * x[..., 0, :]
+        for j in range(1, len(row)):
+            out[..., i, :] += row[j] * x[..., j, :]
+    return out
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    def test_bits_match_the_ordered_loop(self, dim, N):
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((4, dim, N))
+        x[:, 0, :1] = -0.0
+        for A in (rng.standard_normal((dim, dim)), rng.standard_normal((1, dim)),
+                  rng.standard_normal((dim, dim, N))):
+            for xs in (x, x[0]):
+                expected = matvec_loop(A, xs)
+                got = _matvec(A, xs)
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # the adjugate's nested rows of per-column arrays
+        _, adj = adjugate(rng.standard_normal((dim, dim, N)))
+        assert np.array_equal(_matvec(adj, x[0]), matvec_loop(adj, x[0]))
 
 
 class TestStackedTangent:
