@@ -71,17 +71,21 @@ third-order moduli:
 
     energy   = avg_i W_i
     stress   = avg_i DW_i
-    tangent[G,H] = avg_i D2W_i[G + q_G x e_d, H + q_H x e_d]
+    tangent[G,H] = avg_i D2W_i[G, H] + avg_i b_{G,i} . q_{H,i}
     third[G,H,K] = avg_i D3W_i[G + q_G x e_d, H + q_H x e_d, K + q_K x e_d]
 
-The two tangent representations (with and without the test-direction
-corrector) coincide because the linearized flux is constant and q has mean
-zero; the symmetric form is used so the declared tensor symmetries hold by
-construction.  The same orthogonality makes the third-order formula
-equivalent to differentiating the tangent representation: the terms that
-would involve the derivative of q (the second-linearized corrector) pair a
-mean-zero cell field with a constant linearized flux and vanish, so the
-third-order moduli need only the first-order correctors q.
+The tangent is the symmetric form avg_i D2W_i[G + q_G x e_d, H + q_H x e_d]
+reduced by orthogonality: its cross terms are b_G . q_H + b_H . q_G and its
+corrector term is q_G . M q_H = q_G . (tau_H - b_H), whose tau_H part
+averages to zero against the mean-zero q_G.  One evaluation of the moduli
+K_i (`EnergyDensity.moduli_cells`) per block gives both D2W_i[G, H] and
+b_G = D2W_i[G] e_d; the result is symmetrized so the declared tensor
+symmetries hold by construction.  The same orthogonality makes the
+third-order formula equivalent to differentiating the tangent
+representation: the terms that would involve the derivative of q (the
+second-linearized corrector) pair a mean-zero cell field with a constant
+linearized flux and vanish, so the third-order moduli need only the
+first-order correctors q.
 """
 
 from __future__ import annotations
@@ -191,11 +195,6 @@ def _deform(F, p):
     Fc = np.broadcast_to(F, (n, d, d)).copy()
     Fc[:, :, d - 1] += p
     return Fc
-
-
-def _embed(G, q):
-    """G + q_i x e_d per cell."""
-    return _deform(np.asarray(G, dtype=float), q)
 
 
 def _read_only(A):
@@ -521,22 +520,25 @@ def solve_corrector(w, sample, F, opts=None, block=None):
 # =====================================================================
 
 
-def _linearized_block(w, omega, Fc, Minv, G, S):
+def _moduli(w, omega, Fc):
+    """Tangent moduli of the cells (N, d, d) as (d^2, d^2, N): K[a, b] = D2W[E_a, E_b]
+    for the elementary directions E_(j d + l) = e_j x e_l."""
+    k = w.dim * w.dim
+    return w.moduli_cells(omega, _component_major(Fc)).reshape(k, k, -1)
+
+
+def _linearized_block(Minv, b, S):
     """Linearized correctors of S samples in k directions, all closed form.
 
-    omega (N,) and Fc (N, d, d) are the solved cells, Minv (d, d, N) their
-    acoustic inverses and G (k, d, d) the directions.  Per sample s, with
-    b_c = D2W_c[G] e_d:
+    Minv (d, d, N) are the acoustic inverses of the solved cells and b
+    (k, d, N) the columns b_c = D2W_c[G] e_d of the directions G.  Per sample:
 
         tau = (sum_c M_c^{-1})^{-1} sum_c M_c^{-1} b_c,   q_c = M_c^{-1} (tau - b_c),
 
     recentered to exactly mean zero.  Returns q (k, d, N), tau (k, d, S) and
     one error per sample (SingularityError for a singular harmonic mean).
     """
-    N, d, _ = Fc.shape
-    n = N // S
-    b = w.tangent_apply_cells(omega, Fc, np.broadcast_to(G[:, None], (len(G), N, d, d)))
-    b = _component_major(b[..., d - 1], axis=1)
+    n = b.shape[-1] // S
     tau = _solve_small(_cell_mean(Minv, S), _cell_mean(_matvec(Minv, b), S))
     errors = [None if ok else SingularityError("harmonic-mean matrix singular")
               for ok in np.isfinite(tau).all(axis=(0, 1))]
@@ -561,7 +563,10 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     Fc = _deform(F, base.p)
     Minv, errors = _acoustic_inverses(w, omega, Fc, 1, opts)
     if errors[0] is None:
-        q, tau, errors = _linearized_block(w, omega, Fc, Minv, G.reshape(-1, *F.shape), 1)
+        # row (j, d) of the moduli maps a direction to its flux column b_j
+        d = w.dim
+        b = _matvec(_moduli(w, omega, Fc)[d - 1::d], G.reshape(-1, d * d, 1))
+        q, tau, errors = _linearized_block(Minv, b, 1)
     if errors[0] is not None:
         raise errors[0]
     q, tau = np.moveaxis(q, 1, -1), tau[..., 0]
@@ -604,24 +609,24 @@ def _assemble_block(w, omega, F, p, order, opts, linear=None):
     if order < 2:
         return out, linear, errors
     k = d * d
-    E = np.stack([_elementary(d, j, l) for j in range(d) for l in range(d)])
+    K = _moduli(w, om, Fc)
+    # b_all[a] = D2W[E_a] e_d, by the major symmetry of the moduli
+    b_all = K[:, d - 1::d]
     if linear is None:
         Minv, errors = _acoustic_inverses(w, om, Fc, S, opts)
         # non-finite inverses belong to samples that fail here
         with np.errstate(**({"all": "ignore"} if any(errors) else {})):
-            q, tau, errs = _linearized_block(w, om, Fc, Minv, E, S)
+            q, tau, errs = _linearized_block(Minv, b_all, S)
         errors = [a or b for a, b in zip(errors, errs)]
         linear = (q, tau)
-    A_all = np.stack([_embed(E[a], linear[0][a].T) for a in range(k)])
-    T_all = w.tangent_apply_cells(om, Fc, A_all)
-    # per-cell contractions T_a : A_b, summed over the d^2 components in a fixed order
-    Tc = T_all.reshape(k, -1, k)
-    Ac = A_all.reshape(k, -1, k)
-    X = sum(Tc[:, None, :, c] * Ac[None, :, :, c] for c in range(k))
-    mat = _cell_mean(X, S)
+    q = linear[0]
+    # D2W_L[a, b] = avg_c (K_c[a, b] + b_{a,c} . q_{b,c}), summed in a fixed order
+    mat = _cell_mean(K + sum(b_all[:, None, j] * q[None, :, j] for j in range(d)), S)
     mat = 0.5 * (mat + mat.transpose(1, 0, 2))
     out["tangent"] = np.moveaxis(mat, -1, 0).reshape(S, d, d, d, d)
     if order >= 3:
+        A_all = np.stack([_deform(E, q[a].T) for a, E in enumerate(np.eye(k).reshape(k, d, d))])
+        Ac = A_all.reshape(k, -1, k)
         cube = np.empty((k, k, k, S))
         for a in range(k):
             for b in range(a, k):

@@ -50,15 +50,28 @@ tensor, without a warning or DomainError, so a line search can mask it.
 In the same terms the Gram deviation of a cell is |F^T F - Id|^2 =
 |C^T C - Id|^2 + 2|C^T f|^2 + (|f|^2 - 1)^2 (`FixedColumns.gram_squared`).
 
+Tangent moduli.  `EnergyDensity.moduli_cells` returns the full moduli
+K_jlmr = D2W[e_j x e_l, e_m x e_r] of component-major cells F (d, d, n) as
+one (d, d, d, d, n) array, built elementwise (no batched matrix products):
+
+* Saint Venant-Kirchhoff, E = (F^T F - Id)/2:  K = m [lam F_jl F_mr
+  + mu F_jr F_ml + mu delta_lr (F F^T)_jm + delta_jm (2 mu E_lr + lam tr E delta_lr)];
+* neo-Hookean, X = F^{-1} (`adjugate`), beta = lam ln J - mu:
+  K = m [mu delta_jm delta_lr + lam X_lj X_rm - beta X_lm X_rj].
+
+Each entry sums the same terms in the same order as its partner K_mrjl, so
+the major symmetry holds exactly.  The tangent is a contraction of the
+moduli, (D2W[A])_jl = sum_mr K_jlmr A_mr (`tangent_apply_cells`), so D2W
+has this one home.
+
 Each family is one small class (`_SaintVenantKirchhoff`, `_NeoHookean`)
 holding only the unmodulated W0 and its derivatives.  `EnergyDensity` picks
 one and defines the public batched kernels (`*_cells`) once, applying
-m(omega); they operate on per-cell arrays of deformation gradients, shape
-(n, d, d), and the tangent also takes a stack of directions (k, n, d, d)
-so that E (or F^{-1} and ln J) is formed once for all of them.  The
-cell-problem solvers are built entirely on those kernels, so a full
-corrector solve is a handful of vectorized numpy calls per Newton iteration
-rather than a Python loop over cells.
+m(omega); apart from the column form and the moduli they operate on
+per-cell arrays of deformation gradients, shape (n, d, d).  The cell-problem
+solvers are built entirely on those kernels, so a full corrector solve is a
+handful of vectorized numpy calls per Newton iteration rather than a Python
+loop over cells.
 
 Conventions: matrices are numpy arrays of shape (d, d); the colon product
 A:B is sum_ij A_ij B_ij; D2W[A] denotes the matrix (D2W[A])_jk =
@@ -109,16 +122,6 @@ class DomainError(ValueError):
 # =====================================================================
 # small tensor helpers
 # =====================================================================
-
-
-def _as_cells(A, n, d):
-    """Broadcast a single (d,d) matrix or pass through an (n,d,d) stack."""
-    A = np.asarray(A, dtype=float)
-    if A.shape == (d, d):
-        return np.broadcast_to(A, (n, d, d))
-    if A.shape == (n, d, d):
-        return A
-    raise ValueError(f"expected shape {(d, d)} or {(n, d, d)}, got {A.shape}")
 
 
 def _dot(A, B):
@@ -304,15 +307,19 @@ class _SaintVenantKirchhoff:
         tr = np.trace(Et, axis1=1, axis2=2)
         return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * (Fc @ Et)
 
-    def tangent(self, Fc, A):
-        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
-        tr = np.trace(Et, axis1=1, axis2=2)
-        FA = _dot(Fc, A)
-        symFA = _sym(_tAB(Fc, A))
-        return (self.lam * FA[..., None, None] * Fc
-                + self.lam * tr[:, None, None] * A
-                + 2.0 * self.mu * (Fc @ symFA)
-                + 2.0 * self.mu * (A @ Et))
+    def moduli(self, F):
+        d = self.dim
+        FtF = sum(F[k, :, None] * F[k, None, :] for k in range(d))
+        FFt = sum(F[:, None, k] * F[None, :, k] for k in range(d))
+        trE = 0.5 * (sum(FtF[l, l] for l in range(d)) - d)
+        D = self.mu * FtF
+        _diagonal(D)[...] += self.lam * trE - self.mu   # 2 mu E + lam tr E Id
+        K = self.lam * (F[:, :, None, None] * F[None, None])
+        K += self.mu * (F[:, None, None, :] * F.transpose(1, 0, 2)[None, :, :, None])
+        for l in range(d):
+            K[:, l, :, l] += self.mu * FFt
+            K[l, :, l, :] += D
+        return K
 
     def third(self, Fc, A, B):
         FA = _dot(Fc, A)
@@ -367,14 +374,19 @@ class _NeoHookean:
         beta = self.lam * lnJ - self.mu
         return self.mu * Fc + beta[:, None, None] * np.swapaxes(X, 1, 2)
 
-    def tangent(self, Fc, A):
-        X, lnJ = self._inv_log(Fc)
-        beta = self.lam * lnJ - self.mu
-        thA = np.einsum("...ij,...ji->...", X, A)
-        XAX = X @ A @ X
-        return (self.mu * A
-                + self.lam * thA[..., None, None] * np.swapaxes(X, 1, 2)
-                - beta[:, None, None] * np.swapaxes(XAX, -1, -2))
+    def moduli(self, F):
+        d = self.dim
+        J, adj = adjugate(F)
+        if np.any(J <= 0.0):
+            raise DomainError("neo-Hookean density needs det F > 0")
+        X = np.array(adj) / J
+        XT = np.ascontiguousarray(X.transpose(1, 0, 2))
+        K = self.lam * (XT[:, :, None, None] * XT[None, None])
+        K -= (self.lam * np.log(J) - self.mu) * (XT[:, None, None, :] * X[None, :, :, None])
+        for j in range(d):
+            for l in range(d):
+                K[j, l, j, l] += self.mu
+        return K
 
     def third(self, Fc, A, B):
         X, lnJ = self._inv_log(Fc)
@@ -455,22 +467,35 @@ class EnergyDensity:
         """DW(omega_i, F_i) over cells: -> (n,d,d)."""
         return self.factor(omega)[:, None, None] * self._law.stress(np.asarray(Fcells, dtype=float))
 
+    def moduli_cells(self, omega, F):
+        """Tangent moduli of component-major cells F (d, d, n) as (d, d, d, d, n),
+        see `tangent_apply_cells`.  A neo-Hookean cell with J <= 0 raises
+        DomainError."""
+        return self.factor(omega) * self._law.moduli(np.asarray(F, dtype=float))
+
     def tangent_apply_cells(self, omega, Fcells, A):
         """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d), (n,d,d) or a
-        stack (k,n,d,d) of k directions, which shares one E (SVK) or one
-        F^{-1} and ln J (neo-Hookean) over the stack."""
+        stack (k,n,d,d) of k directions, which share one evaluation of the moduli.
+
+        The tangent is the contraction (D2W[A])_jl = sum_mr K_jlmr A_mr of the
+        moduli K_jlmr = D2W[e_j x e_l, e_m x e_r] of `moduli_cells`, one
+        (d, d, d, d, n) array per call, with E = (F^T F - Id)/2, X = F^{-1}
+        and beta = lam ln J - mu:
+
+            SVK:  K = m [lam F_jl F_mr + mu F_jr F_ml + mu delta_lr (F F^T)_jm
+                         + delta_jm (2 mu E_lr + lam tr E delta_lr)]
+            NH:   K = m [mu delta_jm delta_lr + lam X_lj X_rm - beta X_lm X_rj]
+        """
         Fcells = np.asarray(Fcells, dtype=float)
         A = np.asarray(A, dtype=float)
-        if not (A.ndim == 4 and A.shape[1:] == Fcells.shape):
-            A = _as_cells(A, Fcells.shape[0], self.dim)
-        return self.factor(omega)[:, None, None] * self._law.tangent(Fcells, A)
+        A = np.broadcast_to(A, A.shape[:-3] + Fcells.shape)
+        K = self.moduli_cells(omega, np.moveaxis(Fcells, 0, -1))
+        return np.einsum("jlmrn,...nmr->...njl", K, A)
 
     def third_apply_cells(self, omega, Fcells, A, B):
         """Matrix D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B)."""
         Fcells = np.asarray(Fcells, dtype=float)
-        n = Fcells.shape[0]
-        A = _as_cells(A, n, self.dim)
-        B = _as_cells(B, n, self.dim)
+        A, B = (np.broadcast_to(np.asarray(X, dtype=float), Fcells.shape) for X in (A, B))
         return self.factor(omega)[:, None, None] * self._law.third(Fcells, A, B)
 
     def flux_cells(self, omega, cols, f, acoustic=False):
@@ -488,14 +513,8 @@ class EnergyDensity:
         return m * flux, (None if M is None else m * M)
 
     def acoustic_cells(self, omega, Fcells):
-        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d].
-
-        Closed form, with f = F e_d for Saint Venant-Kirchhoff and
-        g = F^{-T} e_d, beta = lam ln J - mu for neo-Hookean:
-
-            SVK:  M = m [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2-1)) Id]
-            NH:   M = m [mu Id + (lam - beta) g g^T]
-        """
+        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d],
+        in the closed form of the module docstring."""
         return self.factor(omega)[:, None, None] * self._law.acoustic(np.asarray(Fcells, dtype=float))
 
     def __repr__(self):

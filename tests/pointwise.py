@@ -7,6 +7,8 @@ compare W and its full derivative tensors at one deformation gradient.
 
 import numpy as np
 
+from laminhom.energy import SAINT_VENANT_KIRCHHOFF
+
 
 def evaluate(w, omega, F):
     """W(omega, F) at a single deformation gradient."""
@@ -47,6 +49,36 @@ def derivative(w, omega, F, order=1):
                         T[:, :, l, m, u, v] = w.third_apply_cells(om, Fc, A, B)[0]
         return T
     raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
+
+
+def tangent_reference(w, omega, Fc, A):
+    """D2W(omega_i, F_i)[A] over cells (n, d, d) by the matrix-product formulas
+
+    SVK:  lam (F:A) F + lam tr E A + 2 mu F sym(F^T A) + 2 mu A E,
+    NH:   mu A + lam tr(F^{-1} A) F^{-T} - beta (F^{-1} A F^{-1})^T,
+
+    E = (F^T F - Id)/2, beta = lam ln J - mu; the reference for the
+    elementwise moduli of `EnergyDensity.moduli_cells`.
+    """
+    lam, mu = w.lam, w.mu
+    Fc = np.asarray(Fc, dtype=float)
+    A = np.broadcast_to(np.asarray(A, dtype=float), Fc.shape)
+    if w.family == SAINT_VENANT_KIRCHHOFF:
+        Et = 0.5 * (np.swapaxes(Fc, 1, 2) @ Fc - np.eye(w.dim))
+        tr = np.trace(Et, axis1=1, axis2=2)
+        FA = np.einsum("nij,nij->n", Fc, A)
+        FtA = np.swapaxes(Fc, 1, 2) @ A
+        symFA = 0.5 * (FtA + np.swapaxes(FtA, 1, 2))
+        T = (lam * FA[:, None, None] * Fc + lam * tr[:, None, None] * A
+             + 2.0 * mu * (Fc @ symFA) + 2.0 * mu * (A @ Et))
+    else:
+        X = np.linalg.inv(Fc)
+        beta = lam * np.log(np.linalg.det(Fc)) - mu
+        thA = np.einsum("nij,nji->n", X, A)
+        XAX = X @ A @ X
+        T = (mu * A + lam * thA[:, None, None] * np.swapaxes(X, 1, 2)
+             - beta[:, None, None] * np.swapaxes(XAX, 1, 2))
+    return w.factor(omega)[:, None, None] * T
 
 
 def random_rotation(rng, dim):

@@ -20,7 +20,7 @@ from laminhom.cell import (
     solve_corrector,
     solve_linearized,
     _deform,
-    _embed,
+    _elementary,
     _inner_flux_solve,
     _newton_step,
     _solve_block,
@@ -112,7 +112,7 @@ class TestOracleEquivalence:
         assert np.abs(q - q_direct).max() <= 1e-9
         # linearized flux is constant across cells
         Fc = _deform(F, sol.p)
-        flux = (w.tangent_apply_cells(sample.values, Fc, _embed(G, q))[:, :, 1])
+        flux = (w.tangent_apply_cells(sample.values, Fc, _deform(G, q))[:, :, 1])
         assert np.abs(flux - tau).max() <= 1e-10
 
 
@@ -478,3 +478,44 @@ class TestBlocks:
         assert isinstance(inside[4], SingularityError) and str(inside[4]) == str(alone.value)
         for s in (0, 1, 2, 3, 5):
             assert same_quantities(inside[s], expected[s])
+
+
+def symmetric_form(w, sample, F, sol):
+    """avg_i D2W_i[E_a + q_a x e_d, E_b + q_b x e_d], symmetrized, over the
+    elementary directions E_a with the correctors cached in sol.q."""
+    d = w.dim
+    pairs = [(j, l) for j in range(d) for l in range(d)]
+    A = np.stack([_deform(_elementary(d, *pair), sol.q[pair]) for pair in pairs])
+    T = w.tangent_apply_cells(sample.values, _deform(F, sol.p), A)
+    mat = np.einsum("anjl,bnjl->ab", T, A) / len(sample.values)
+    return (0.5 * (mat + mat.T)).reshape(d, d, d, d)
+
+
+class TestReducedTangent:
+    """D2W_L = avg_i D2W_i[G, H] + avg_i b_G . q_H, from one moduli evaluation."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
+    def test_matches_the_symmetric_form(self, family, dim):
+        w, samples = contrast_block(family, dim, count=6)
+        F = stretch(dim, *BACKTRACKING[family])
+        for sample, in_block in zip(samples, assemble_in_block(w, samples, F, order=2)):
+            sol = solve_corrector(w, sample, F)
+            first = assemble(w, sample, F, base=sol, order=2)
+            cached = assemble(w, sample, F, base=sol, order=2)   # reads sol.q
+            expected = symmetric_form(w, sample, F, sol)
+            for q in (in_block, first, cached):
+                assert np.abs(q.tangent - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
+    def test_one_moduli_evaluation_per_block(self, monkeypatch, family):
+        w, samples = contrast_block(family, 2, count=4)
+        calls = {"moduli_cells": 0, "tangent_apply_cells": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(EnergyDensity, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(EnergyDensity, name, counted)
+        quantities = assemble_in_block(w, samples, stretch(2, *BACKTRACKING[family]), order=2)
+        assert all(q.tangent is not None for q in quantities)
+        assert calls == {"moduli_cells": 1, "tangent_apply_cells": 0}

@@ -25,7 +25,7 @@ from laminhom.energy import (
     dist_to_rotations,
     rotation_from_angle,
 )
-from pointwise import derivative, evaluate, random_near_identity, random_rotation
+from pointwise import derivative, evaluate, random_near_identity, random_rotation, tangent_reference
 
 LAME = (1.2, 0.8)
 FAMILIES = [SAINT_VENANT_KIRCHHOFF, NEO_HOOKEAN]
@@ -251,6 +251,60 @@ class TestBatchedKernels:
         B = rng.standard_normal((4, 3, 3))
         np.testing.assert_allclose(w.third_apply_cells(om, Fc, A, B),
                                    w.third_apply_cells(om, Fc, B, A), atol=1e-13)
+
+
+class TestModuli:
+    """moduli_cells, one elementary direction E_mr = e_m x e_r at a time."""
+
+    @staticmethod
+    def cells(family, dim, n=16):
+        w = make(family, dim)
+        rng = np.random.default_rng(31)
+        om = rng.normal(size=n)
+        Fc = np.stack([random_near_identity(rng, dim, 0.15) for _ in range(n)])
+        return w, om, Fc, w.moduli_cells(om, np.moveaxis(Fc, 0, -1))
+
+    @staticmethod
+    def elementary(dim, m, r):
+        E = np.zeros((dim, dim))
+        E[m, r] = 1.0
+        return E
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_matrix_product_formulas(self, family, dim):
+        w, om, Fc, K = self.cells(family, dim)
+        assert K.shape == (dim,) * 4 + (len(om),)
+        for m in range(dim):
+            for r in range(dim):
+                expected = tangent_reference(w, om, Fc, self.elementary(dim, m, r))
+                got = np.moveaxis(K[:, :, m, r], -1, 0)
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_major_symmetry_is_exact(self, family, dim):
+        _, _, _, K = self.cells(family, dim)
+        assert np.array_equal(K, np.transpose(K, (2, 3, 0, 1, 4)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_central_differences_of_the_stress(self, family, dim):
+        w, om, Fc, K = self.cells(family, dim)
+        step = 1e-5
+        for m in range(dim):
+            for r in range(dim):
+                E = self.elementary(dim, m, r)
+                fd = (w.stress_cells(om, Fc + step * E) - w.stress_cells(om, Fc - step * E)) / (2 * step)
+                got = np.moveaxis(K[:, :, m, r], -1, 0)
+                assert np.abs(got - fd).max() <= 1e-8 * np.abs(K).max()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_neo_hookean_outside_domain_raises(self, dim):
+        w = make(NEO_HOOKEAN, dim)
+        F = np.stack([np.eye(dim), np.diag([1.0] * (dim - 1) + [-1.0])], axis=-1)
+        with pytest.raises(DomainError):
+            w.moduli_cells(np.zeros(2), F)
 
 
 # ===================================================================
