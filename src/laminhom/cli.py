@@ -565,51 +565,43 @@ def _synthetic_rates(config, out_dir, exponent):
     return EXIT_OK
 
 
-def _run_lengths_incrementally(config, lengths, counts, order):
-    """Per-L ensembles merged into one run; returns (run, interrupted)."""
-    lengths = tuple(lengths)
-    merged = None
-    done = []
-    interrupted = False
-    try:
-        for L in lengths:
-            part = run_ensemble(config.plan(lengths=(L,), counts={L: counts[L]},
-                                            order=order))
-            for index, reason in part.failures[L]:
-                print(f"warning: sample failed seed={config.seed} L={fmt(L)} index={index}: "
-                      f"{reason}", file=sys.stderr)
-            done.append(L)
-            if merged is None:
-                merged = part
-            else:
-                merged.samples.update(part.samples)
-                merged.failures.update(part.failures)
-                merged.timing.update(part.timing)
-                merged.counts.update(part.counts)
-    except KeyboardInterrupt:
-        interrupted = True
-    if merged is None:
-        raise KeyboardInterrupt
-    merged.lengths = tuple(done)
-    return merged, interrupted
+def _warn_failures(config, run):
+    for L in run.lengths:
+        for index, reason in run.failures[L]:
+            print(f"warning: sample failed seed={config.seed} L={fmt(L)} index={index}: "
+                  f"{reason}", file=sys.stderr)
+
+
+def _ensembles(config, counts, order):
+    """One ensemble over the lengths of counts, in increasing order, then the
+    reference ensemble at reference_length unless the first was interrupted.
+
+    Returns (run, reference_run or None, interrupted); an interrupted run
+    holds the lengths that completed.
+    """
+    lengths = tuple(sorted(counts))
+    run = run_ensemble(config.plan(lengths=lengths, counts=counts, order=order))
+    _warn_failures(config, run)
+    interrupted = run.lengths != lengths
+    reference_run = None
+    if config.reference_length is not None and not interrupted:
+        Lr = config.reference_length
+        try:
+            reference_run = run_ensemble(
+                config.plan(lengths=(Lr,), counts={Lr: config.reference_samples}, order=order))
+        except KeyboardInterrupt:
+            interrupted = True
+        else:
+            _warn_failures(config, reference_run)
+    return run, reference_run, interrupted
 
 
 def cmd_rates(config, out_dir, synthetic=None):
     if synthetic is not None:
         return _synthetic_rates(config, out_dir, _parse_synthetic(synthetic))
 
-    counts = {L: config.samples for L in config.lengths}
-    run, interrupted = _run_lengths_incrementally(config, sorted(config.lengths),
-                                                  counts, config.order)
-    reference_run = None
-    if config.reference_length is not None and not interrupted:
-        Lr = config.reference_length
-        reference_run, ref_interrupted = _run_lengths_incrementally(
-            config, (Lr,), {Lr: config.reference_samples}, config.order)
-        interrupted = interrupted or ref_interrupted
-        if ref_interrupted:
-            reference_run = None
-
+    run, reference_run, interrupted = _ensembles(
+        config, {L: config.samples for L in config.lengths}, config.order)
     meta_tail = [("interrupted", "1")] if interrupted else []
     meta = base_metadata(config, "rates", meta_tail)
     orders = range(config.order + 1)
@@ -677,19 +669,11 @@ def cmd_rates(config, out_dir, synthetic=None):
 def cmd_mc(config, out_dir):
     lengths = sorted(config.lengths)
     schedule = [(L, balanced_count(L, config.mc_scale)) for L in lengths]
-    counts = {L: config.mc_groups * N for L, N in schedule}
-    run, interrupted = _run_lengths_incrementally(config, lengths, counts, order=0)
+    run, reference_run, interrupted = _ensembles(
+        config, {L: config.mc_groups * N for L, N in schedule}, order=0)
     if interrupted:
         print("warning: interrupted, writing partial mc table", file=sys.stderr)
         schedule = [(L, N) for L, N in schedule if L in run.lengths]
-
-    reference_run = None
-    if config.reference_length is not None:
-        Lr = config.reference_length
-        reference_run, ref_interrupted = _run_lengths_incrementally(
-            config, (Lr,), {Lr: config.reference_samples}, 0)
-        if ref_interrupted:
-            reference_run = None
     est = systematic_estimate(run, order=0, strategy=config.reference_strategy,
                               reference_run=reference_run)
     rows = mc_total_error(run, schedule, est.reference, order=0)

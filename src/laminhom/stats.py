@@ -11,8 +11,10 @@ Carlo error of an N-sample average, whose natural envelope is
 `run_ensemble` is the orchestration entry point: embarrassingly parallel
 over (L, sample index), deterministic regardless of worker count because
 every sample is a pure function of (seed, L, index) and reductions run in
-fixed index order.  The samples of one L are solved in blocks of at most
-BLOCK_CELLS cells (`cell.SampleBlock`), which are also the jobs of the
+fixed index order.  One call solves every period of a plan; it allows each
+period failures below 1% of its planned samples, and an interrupt keeps
+the periods that completed.  The samples of one L are solved in blocks of
+at most BLOCK_CELLS cells (`cell.SampleBlock`), which are also the jobs of the
 process pool; a sample's bits do not depend on its block.  The results of
 one L are kept as columns (`SampleColumns`: one array per quantity and per
 metadata key), which read as a sequence of light per-sample records.  The estimators (`fluctuation_estimate`,
@@ -70,7 +72,7 @@ BOOTSTRAP_RESAMPLES = 1000
 
 
 class EnsembleError(RuntimeError):
-    """Too many per-sample solver failures (rate >= 1%)."""
+    """Too many per-sample solver failures: 1% of one period's planned samples."""
 
 
 class StatisticsError(RuntimeError):
@@ -228,9 +230,11 @@ class EnsembleRun:
     order (the index is a metadata column), read as a sequence of records.
     Any sample is reproducible from (seed, L, index) alone, by
     `sample_periodic_field` and `assemble` (both importable from here).
-    failures[L] lists (index, reason) of the samples that failed.  timing[L]
-    is wall seconds from run start until that L completed; it never enters
-    data files.
+    failures[L] lists (index, reason) of the samples that failed, fewer
+    than 1% of counts[L].  timing[L] is wall seconds from the start of the
+    ensemble until that L completed; it never enters data files.  An
+    interrupted run holds only the periods that completed: lengths lists
+    them, and every dict is keyed by them alone.
     """
 
     lengths: tuple
@@ -355,13 +359,16 @@ def _blocks(count, n, workers):
 def run_ensemble(plan):
     """Solve counts[L] independent samples per L; returns an EnsembleRun.
 
-    The samples of each L are solved in blocks (`_blocks`, `SampleBlock`).
-    Per-sample solver failures are recorded and tolerated while they stay
-    below 1% of the planned samples; at 1% the run stops after the block
-    that reached it and raises EnsembleError.  Results and all downstream
-    reductions are ordered by sample index, and a sample's bits do not
-    depend on its block, so the output is independent of the block size
-    and the worker count.
+    The periods are solved in plan order, the samples of each in blocks
+    (`_blocks`, `SampleBlock`).  Per-sample solver failures are recorded
+    and tolerated while they stay below 1% of the period's planned
+    samples counts[L]; once a period reaches 1% the run stops after that
+    block and raises EnsembleError.  On KeyboardInterrupt the run returns
+    the periods that completed, with all their samples and failures (its
+    lengths are those periods); if none completed, the interrupt
+    propagates.  Results and all downstream reductions are ordered by
+    sample index, and a sample's bits do not depend on its block, so the
+    output is independent of the block size and the worker count.
     """
     # one read-only F, shared by every sample's result
     plan = replace(plan, F=_read_only(plan.F))
@@ -375,7 +382,6 @@ def run_ensemble(plan):
         periodize_covariance(plan.covariance, L, n)  # fail fast on bad geometry
         grids[L] = n
 
-    total_planned = sum(counts.values())
     parts = {L: [] for L in lengths}
     failures = {L: [] for L in lengths}
     done = {L: 0 for L in lengths}
@@ -384,46 +390,43 @@ def run_ensemble(plan):
             for indices in _blocks(counts[L], grids[L], plan.workers)]
     started = time.perf_counter()
 
-    def absorb(L, columns, failed):
-        parts[L].append(columns)
-        failures[L].extend(failed)
-        done[L] += len(columns) + len(failed)
-        if done[L] == counts[L]:
-            timing[L] = time.perf_counter() - started
+    def absorb(results):
+        """Take block results in order; returns the first period over budget."""
+        for L, columns, failed in results:
+            parts[L].append(columns)
+            failures[L].extend(failed)
+            done[L] += len(columns) + len(failed)
+            if done[L] == counts[L]:
+                timing[L] = time.perf_counter() - started
+            if failed and len(failures[L]) >= FAILURE_BUDGET * counts[L]:
+                return L
+        return None
 
-    def over_budget():
-        n_failed = sum(len(f) for f in failures.values())
-        return n_failed > 0 and n_failed >= FAILURE_BUDGET * total_planned
+    over = None
+    try:
+        if plan.workers > 1:
+            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+                futures = [pool.submit(_solve_batch, job) for job in jobs]
+                try:
+                    over = absorb(future.result() for future in futures)
+                finally:
+                    for future in futures:
+                        future.cancel()
+        else:
+            over = absorb(_solve_batch(job) for job in jobs)
+    except KeyboardInterrupt:
+        if not timing:
+            raise
 
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(_solve_batch, job) for job in jobs]
-            try:
-                for future in futures:
-                    absorb(*future.result())
-                    if over_budget():
-                        break
-            finally:
-                for future in futures:
-                    future.cancel()
-    else:
-        for job in jobs:
-            absorb(*_solve_batch(job))
-            if over_budget():
-                break
-
-    if over_budget():
-        n_failed = sum(len(f) for f in failures.values())
-        first = next(msg for L in lengths for _, msg in sorted(failures[L]))
+    if over is not None:
         raise EnsembleError(
-            f"{n_failed}/{total_planned} samples failed (budget {FAILURE_BUDGET:.0%}); "
-            f"first failure: {first}")
-    samples = {L: SampleColumns.join(parts[L], plan.F) for L in lengths}
-    for L in lengths:
-        failures[L].sort(key=lambda pair: pair[0])
-    return EnsembleRun(lengths=lengths, counts=counts, F=plan.F,
-                       order=plan.order, seed=plan.seed, samples=samples,
-                       failures=failures, timing=timing)
+            f"{len(failures[over])}/{counts[over]} samples failed at L = {over:g} "
+            f"(budget {FAILURE_BUDGET:.0%} per length); first failure: {min(failures[over])[1]}")
+    completed = tuple(L for L in lengths if L in timing)
+    return EnsembleRun(lengths=completed, counts={L: counts[L] for L in completed}, F=plan.F,
+                       order=plan.order, seed=plan.seed,
+                       samples={L: SampleColumns.join(parts[L], plan.F) for L in completed},
+                       failures={L: sorted(failures[L]) for L in completed}, timing=timing)
 
 
 # =====================================================================

@@ -15,7 +15,6 @@ from laminhom.cli import (
     GOLDEN_HEADERS,
     ConfigError,
     ExperimentConfig,
-    _run_lengths_incrementally,
     _single_checks,
     cmd_rates,
     fmt,
@@ -68,6 +67,21 @@ def write_config(path, **overrides):
         """).format(**base)
     path.write_text(text)
     return path
+
+
+@pytest.fixture
+def ensemble_calls(monkeypatch):
+    """The lengths of every plan the commands pass to cli.run_ensemble."""
+    import laminhom.cli as cli
+    calls = []
+    run_ensemble = cli.run_ensemble
+
+    def counted(plan):
+        calls.append(plan.lengths)
+        return run_ensemble(plan)
+
+    monkeypatch.setattr(cli, "run_ensemble", counted)
+    return calls
 
 
 def read_table(path):
@@ -408,7 +422,7 @@ class TestRates:
 
     def test_tolerated_failure_is_warned_on_stderr(self, tmp_path, monkeypatch, capsys):
         import laminhom.stats as stats
-        # every period is its own ensemble, with its own 1% budget
+        # the 1% budget is per period: 1 failure among L = 8's 200 samples is tolerated
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12", samples="200", order="0")
         healthy = tmp_path / "healthy"
         assert main(["rates", "--config", str(cfg), "--out", str(healthy)]) == EXIT_OK
@@ -437,36 +451,26 @@ class TestRates:
         _, _, rows = read_table(out / "fluctuations.csv")
         assert [r[2] for r in rows] == ["199", "200"]
 
-    def test_interrupt_writes_partial_tables(self, tmp_path, monkeypatch):
-        import laminhom.cli as cli
+    def test_interrupt_writes_partial_tables(self, tmp_path, interrupt_at):
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12 16", samples="8",
                            order="0")
-        config = load_config(cfg)
-        real = cli.run_ensemble
-        calls = []
-
-        def flaky(plan):
-            calls.append(plan.lengths)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return real(plan)
-
-        monkeypatch.setattr(cli, "run_ensemble", flaky)
+        interrupt_at(16.0)
         out = tmp_path / "o"
-        out.mkdir()
-        assert cli.cmd_rates(config, out) == 130
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 130
         meta, _, rows = read_table(out / "fluctuations.csv")
         assert meta["interrupted"] == "1"
         assert [r[1] for r in rows] == ["8", "12"]
 
-    def test_incremental_runner_merges_lengths(self, tmp_path):
-        config = load_config(write_config(tmp_path / "a.cfg", lengths="8 12",
-                                          samples="2", order="0"))
-        run, interrupted = _run_lengths_incrementally(
-            config, (8.0, 12.0), {8.0: 2, 12.0: 2}, 0)
-        assert not interrupted
-        assert run.lengths == (8.0, 12.0)
-        assert run.count(8.0) == 2 and run.count(12.0) == 2
+    @pytest.mark.parametrize("extra_run,planned", [
+        ("", [(8.0, 12.0)]),
+        ("reference_length = 24", [(8.0, 12.0), (24.0,)]),
+    ])
+    def test_one_ensemble_per_command(self, tmp_path, ensemble_calls, extra_run, planned):
+        # every length in one ensemble, in increasing order, and one for the reference
+        cfg = write_config(tmp_path / "a.cfg", lengths="12 8", samples="8", order="0",
+                           extra_run=extra_run)
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert ensemble_calls == planned
 
 
 class TestMcAndField:
@@ -485,6 +489,18 @@ class TestMcAndField:
             assert r[2] == "4"
             assert scaled == pytest.approx(scale * envelope, rel=1e-15)
             assert ratio == pytest.approx(total / scaled, rel=1e-15)
+
+    def test_interrupted_mc_runs_no_reference_ensemble(self, tmp_path, interrupt_at,
+                                                        ensemble_calls):
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 16", samples="1", order="0",
+                           extra_run="mc_groups = 4\nmc_scale = 4\nreference_length = 24")
+        interrupt_at(16.0)
+        out = tmp_path / "o"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 130
+        assert ensemble_calls == [(8.0, 16.0)]
+        meta, _, rows = read_table(out / "mc.csv")
+        assert meta["interrupted"] == "1"
+        assert [r[0] for r in rows] == ["8"]
 
     def test_dump_field_rows_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg")

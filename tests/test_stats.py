@@ -70,6 +70,19 @@ def fake_run(values_by_L, seed=0):
                        failures={L: [] for L in lengths}, timing={})
 
 
+def fail_sample(monkeypatch, period, index):
+    """Give sample `index` at `period` a NaN field, so that its solve fails."""
+    draw = stats.sample_periodic_field
+
+    def one_nan_field(cov, L, n, seed, i):
+        sample = draw(cov, L, n, seed, i)
+        if (L, i) == (period, index):
+            return dataclasses.replace(sample, values=np.full(n, np.nan))
+        return sample
+
+    monkeypatch.setattr(stats, "sample_periodic_field", one_nan_field)
+
+
 class TestRunEnsemble:
     def test_deterministic_rerun(self):
         plan = make_plan([8, 16], count=4)
@@ -95,6 +108,33 @@ class TestRunEnsemble:
         bad = make_plan([8], count=4, options=SolverOptions(max_inner=1))
         with pytest.raises(EnsembleError):
             run_ensemble(bad)
+
+    def test_failure_budget_is_per_period(self, monkeypatch):
+        fail_sample(monkeypatch, 8, 3)
+        plan = dataclasses.replace(make_plan([8, 16], count=1), counts={8: 50, 16: 150})
+        # 1 failure is 2% of L = 8's 50 samples, though 0.5% of the run's 200
+        with pytest.raises(EnsembleError, match="1/50 samples failed at L = 8 "):
+            run_ensemble(plan)
+
+    def test_interrupt_keeps_the_completed_periods(self, monkeypatch, interrupt_at):
+        fail_sample(monkeypatch, 8, 3)
+        monkeypatch.setattr(stats, "BLOCK_CELLS", 40 * 32)   # 3 blocks at L = 8
+        plan = make_plan([8, 12, 16], count=101)
+        full = run_ensemble(plan)
+        interrupt_at(16)
+        run = run_ensemble(plan)
+        assert run.lengths == (8, 12)
+        assert set(run.counts) == set(run.samples) == set(run.failures) == set(run.timing) \
+            == {8, 12}
+        assert [index for index, _ in run.failures[8]] == [3] and run.failures[12] == []
+        assert run.count(8) == 100 and run.count(12) == 101
+        for L in (8, 12):
+            assert np.array_equal(run.values(L, 0), full.values(L, 0))
+
+    def test_interrupt_in_the_first_period_propagates(self, interrupt_at):
+        interrupt_at(8)
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(make_plan([8, 12, 16], count=5))
 
     def test_order_guard(self):
         run = run_ensemble(make_plan([8], count=2, order=1))
