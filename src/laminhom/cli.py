@@ -213,6 +213,8 @@ class ExperimentConfig:
                 f"per correlation length {fmt(self.correlation_length)}")
         if not self.lengths:
             raise ConfigError("need at least one length")
+        if len(set(self.lengths)) < len(self.lengths):
+            raise ConfigError("lengths must be distinct")
         for L in self.lengths + ((self.reference_length,) if self.reference_length else ()):
             if L < 4.0 * self.correlation_length:
                 raise ConfigError(

@@ -16,7 +16,6 @@ from laminhom.cli import (
     ConfigError,
     ExperimentConfig,
     _single_checks,
-    cmd_rates,
     fmt,
     load_config,
     main,
@@ -134,6 +133,7 @@ class TestConfigParsing:
         ({"kind": "gaussian"}, "covariance"),
         ({"extra_run": "reference_strategy = median"}, "reference_strategy"),
         ({"extra_run": "mc_groups = 1"}, "mc_groups"),
+        ({"lengths": "8 12 8"}, "distinct"),
     ])
     def test_rejects_bad_values(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.cfg", **overrides)
@@ -464,7 +464,7 @@ class TestRates:
     @pytest.mark.parametrize("extra_run,planned", [
         ("", [(8.0, 12.0)]),
         ("reference_length = 24", [(8.0, 12.0), (24.0,)]),
-    ])
+    ], ids=["no_reference", "reference"])
     def test_one_ensemble_per_command(self, tmp_path, ensemble_calls, extra_run, planned):
         # every length in one ensemble, in increasing order, and one for the reference
         cfg = write_config(tmp_path / "a.cfg", lengths="12 8", samples="8", order="0",
