@@ -14,42 +14,48 @@ only through sigma and the mean-zero constraint:
     DW(omega_i, F + p_i x e_d) e_d = sigma   for every cell i,
     (1/n) sum_i p_i = 0.
 
-A nested Newton runs on exactly this structure: the inner solver inverts
-the per-cell flux map (monotone near SO(d), acoustic-tensor Jacobian,
-Armijo backtracking with admissibility guards), the outer solver drives the
-mean R(sigma) = (1/n) sum_i p_i(sigma) to zero with Jacobian
-(1/n) sum_i M_i^{-1}.  Starting guess sigma_0 = (1/n) sum_i DW(omega_i,F)e_d.
+One Newton method runs on this whole system, unknowns (p, sigma).  From
+an evaluated state with residuals r_i = DW_i e_d - sigma and acoustic
+tensors M_i (the Jacobians of the cell fluxes in p_i), the linearized
+system gives the flux update and the cell steps in closed form:
+
+    sigma+ = sigma + A^{-1} ((1/n) sum_i M_i^{-1} r_i - (1/n) sum_i p_i),
+    dp_i   = M_i^{-1} (sigma+ - DW_i e_d),      A = (1/n) sum_i M_i^{-1},
+
+so that the mean of p + dp is zero to first order.  Each cell then
+backtracks on its own (Armijo on |DW_i e_d - sigma+|, with admissibility
+guards).  One step costs one flux evaluation per line-search trial.  From
+p = 0 the first flux update is the linearized laminate, sigma_1 =
+(sum_i M_i^{-1})^{-1} sum_i M_i^{-1} DW(omega_i, F) e_d.
 
 Blocks.  Samples with the same F and cell count n are solved together
 (`SampleBlock`): their N = S n cells form one component-major (d, N)
-column array, sample after sample.  The inner Newton iterates every cell of
-the block at once against its sample's sigma; the outer Newton steps each
-sample's sigma on its own, and a sample leaves the block when it converges
-or fails.  A block costs about as many numpy calls as one sample.  Each
-cell's arithmetic is elementwise, the outer step is a closed-form 2x2 / 3x3
+column array, sample after sample.  Each sample takes its own Newton steps,
+with its own sigma, and leaves the block when it converges or fails.  A
+block costs about as many numpy calls as one sample.  Each cell's
+arithmetic is elementwise, the flux update is a closed-form 2x2 / 3x3
 solve, and every per-sample reduction runs along that sample's own cells
 (a pairwise mean of one contiguous row, or for the stress a sum in cell
-order), so a sample's bits, iteration and backtrack counts, and any error it
+order), so a sample's bits, step and backtrack counts, and any error it
 raises do not depend on the block it is in.  `solve_corrector` and
 `assemble` stay per sample: given a block, the first call that needs the
 block's results computes them for every sample, and each call returns its
 own sample's row; without one, a sample is the block of one.
 
-Only the last column f_i = F e_d + p_i of a cell varies, so both Newton
-levels work on the column form of `energy` (`FixedColumns`, `flux_cells`)
+Only the last column f_i = F e_d + p_i of a cell varies, so the Newton
+method works on the column form of `energy` (`FixedColumns`, `flux_cells`)
 with component-major (d, n) arrays.  The flux and the acoustic tensor are
 elementwise expressions in f: with C = F[:, :d-1],
 
     SVK:  DW e_d = m [s f + mu C C^T f],   s = lam tr E + mu (|f|^2 - 1),
     NH:   DW e_d = m [mu f + beta g],      g = n_C / J,  J = n_C . f,
 
-and the step is the closed-form M^{-1} r.  Each line-search candidate is
-evaluated once, flux and acoustic tensor together.  The residual and the
-tensor of an accepted candidate serve the next convergence test and step,
-and at the inner solution the outer Jacobian, so no point is evaluated
-twice.  A candidate outside the domain (J <= 0, or a Gram deviation
-|F^T F - Id|_F above the cap) has a NaN flux or fails the cap, and the
-line search masks it.
+and M^{-1} is the closed-form adjugate over the determinant.  Each
+line-search candidate is evaluated once, flux and acoustic tensor together.
+The flux and the tensor of an accepted candidate serve the next
+convergence test and step, so no point is evaluated twice.  A candidate
+outside the domain (J <= 0, or a Gram deviation |F^T F - Id|_F above the
+cap) has a NaN flux or fails the cap, and the line search masks it.
 
 Linearizing in a deformation direction G keeps the same structure with the
 flux map replaced by its tangent: M_i q_i + b_{G,i} = tau_G with b_{G,i} =
@@ -61,9 +67,8 @@ D2W_i[G] e_d, solved in closed form,
 The acoustic inverses M_i^{-1} depend on the base state only, so one set of
 them serves every direction: `solve_linearized` takes a stack of directions
 and `assemble` solves all d^2 elementary directions against one M^{-1}.  The
-2x2 / 3x3 inverses (and the inner Newton step M^{-1} r) are the closed-form
-adjugate over the determinant, as are the acoustic tensors themselves (see
-`energy`).
+acoustic tensors are entries of the moduli, (M_i)_jm = K_i[j, d, m, d], so
+both read them off the one moduli evaluation they make anyway.
 
 `assemble` averages the pointwise derivatives along the corrected state to
 produce the effective energy, stress, tangent moduli and (on demand) the
@@ -124,24 +129,26 @@ class SingularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and guards for the nested Newton solver.
+    """Tolerances and guards for the Newton solver of the cell problem.
 
     tol_inner is relative: each cell's flux residual must satisfy
     |DW e_d - sigma| <= tol_inner * (1 + |sigma|).  tol_outer is the
-    acceptance threshold on |mean p|; the outer iteration actually continues
-    to the stagnation floor (near machine precision) so that the final exact
-    recentering of p stays within tol_inner.  delta_bar gates the input
-    deformation (dist(F, SO(d)) < delta_bar); admissible_dist caps the
-    line-search iterates, measured through the Gram deviation |F^T F - Id|_F
-    which bounds the rotation distance from above without per-step SVDs.
-    lipschitz_factor only flags (never fails) solutions with
+    acceptance threshold on |mean p|; the iteration actually continues to
+    the stagnation floor (near machine precision) so that the final exact
+    recentering of p stays within tol_inner.  max_outer caps the Newton
+    steps of a sample and max_backtracks the halvings of one step's line
+    search.  delta_bar gates the input deformation (dist(F, SO(d)) <
+    delta_bar); admissible_dist caps the line-search iterates, measured
+    through the Gram deviation |F^T F - Id|_F which bounds the rotation
+    distance from above without per-step SVDs.  cond_cap bounds the
+    Frobenius condition number of the acoustic tensors.  lipschitz_factor
+    only flags (never fails) solutions with
     max_i |p_i| > lipschitz_factor * dist(F, SO(d)).
     """
 
     tol_inner: float = 1e-12
     tol_outer: float = 1e-10
     max_outer: int = 50
-    max_inner: int = 40
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     delta_bar: float = 0.2
@@ -268,26 +275,9 @@ def _capped_inverses(M, S, opts):
     return Minv, errors
 
 
-def _acoustic_inverses(w, omega, Fc, S, opts):
-    """M_c^{-1} of the cells (N, d, d) of S samples, component-major (d, d, N), and
-    the per-sample errors of `_capped_inverses`."""
-    return _capped_inverses(_component_major(w.acoustic_cells(omega, Fc)), S, opts)
-
-
-def _newton_step(M, r):
-    """-M_c^{-1} r_c, component-major: M (d, d, N), r (d, N); see `_solve_small`."""
-    return -_solve_small(M, r)
-
-
 def _norms(x):
     """Euclidean norms of component-major vectors (d, ...) -> (...)."""
     return np.sqrt((x * x).sum(axis=0))
-
-
-def _flag(errors, mask, make):
-    """errors[j] = make(j) for every j set in mask."""
-    for j in np.flatnonzero(mask):
-        errors[j] = make(j)
 
 
 # =====================================================================
@@ -310,103 +300,29 @@ class _Block(NamedTuple):
     errors: list
 
 
-def _inner_flux_solve(w, omega, cols, f0, sigma, state, opts):
-    """Vectorized per-cell Newton for DW(omega_c, F + p_c x e_d) e_d = sigma_s.
-
-    A block of S samples, N = S n cells in sample-major order, component-major
-    throughout: omega is (N,), f0 = F e_d is (d, 1) and sigma (d, S); state =
-    (p, flux, M) holds the start (d, N), its fluxes (d, N) and acoustic
-    tensors (d, d, N).  Each cell iterates on its own; a sample counts the
-    iterations and backtracks in which any of its cells took part, and it
-    fails alone, with the error it raises when solved by itself.  Every
-    line-search candidate is evaluated once, flux and acoustic tensor
-    together, and an accepted candidate's values are kept, so no cell is
-    evaluated twice at one point.
-
-    Returns (state, iterations (S,), backtracks (S,), errors); the cells of
-    a sample with an error are left as they were when it failed.
-    """
-    p, flux, M = state
-    S = sigma.shape[1]
-    n = len(omega) // S
-    tol = opts.tol_inner * (1.0 + _norms(sigma))
-    tol_cells = _by_cell(tol, n)
-    sigma_cells = _by_cell(sigma, n)
-    gram_cap2 = (opts.admissible_dist * (2.0 + opts.admissible_dist)) ** 2
-    res = flux - sigma_cells
-    rnorm = _norms(res)
-    iters = np.zeros(S, dtype=int)
-    backtracks = np.zeros(S, dtype=int)
-    errors = [None] * S
-    frozen = np.zeros(S, dtype=bool)    # failed samples: their cells count as settled
-
-    def fail(mask, make):
-        _flag(errors, mask, make)
-        frozen[mask] = True
-        return _by_cell(frozen, n)
-
-    frozen_cells = _by_cell(frozen, n)
-    while True:
-        settled = (rnorm <= tol_cells) | frozen_cells
-        busy = ~_per_sample(settled, S).all(axis=1)
-        if not busy.any():
-            break
-        spent = busy & (iters == opts.max_inner)
-        if spent.any():
-            worst = _per_sample(rnorm, S).max(axis=1)
-            frozen_cells = fail(spent, lambda s: ConvergenceError(
-                f"inner Newton not converged after {opts.max_inner} iterations "
-                f"(residual {worst[s]:.3e}, tol {tol[s]:.1e})"))
-            continue
-        iters += busy
-        dp = _newton_step(M, res)
-        singular = busy & ~_per_sample(np.isfinite(dp).all(axis=0), S).all(axis=1)
-        if singular.any():
-            frozen_cells = fail(singular, lambda s: SingularityError(
-                "acoustic tensor singular or not finite"))
-            settled |= frozen_cells
-        dp[:, settled] = 0.0
-        rnorm0 = rnorm
-        t = np.ones(len(omega))
-        accepted = settled.copy()
-        for trial in range(opts.max_backtracks + 1):
-            cand = p + t * dp
-            fc_cols = f0 + cand
-            fc, Mc = w.flux_cells(omega, cols, fc_cols, acoustic=True)
-            rc = fc - sigma_cells
-            rcn = _norms(rc)
-            # a candidate outside the domain has a NaN flux and fails the Armijo test
-            good = ((cols.gram_squared(fc_cols) <= gram_cap2)
-                    & (rcn <= (1.0 - 1e-4 * t) * rnorm0)) | settled
-            take = good & ~accepted
-            if take.any():
-                p = np.where(take, cand, p)
-                flux = np.where(take, fc, flux)
-                res = np.where(take, rc, res)
-                rnorm = np.where(take, rcn, rnorm)
-                M = np.where(take, Mc, M)
-                accepted |= good
-            waiting = ~_per_sample(accepted, S).all(axis=1)
-            if not waiting.any():
-                break
-            t = np.where(accepted, t, t * opts.backtrack_factor)
-            backtracks += waiting
-        else:
-            worst = _per_sample(rnorm0, S).max(axis=1)
-            frozen_cells = fail(waiting, lambda s: ConvergenceError(
-                f"inner line search exhausted {opts.max_backtracks} halvings "
-                f"(worst residual {worst[s]:.3e})"))
-    return (p, flux, M), iters, backtracks, errors
-
-
 def _solve_block(w, omega, F, opts):
-    """Nested Newton for a block of samples omega (S, n) that share F; returns a _Block.
+    """Newton on the flux-constancy system of a block of samples omega (S, n)
+    that share F; returns a _Block.
 
-    The inner Newton runs on all cells of the samples still unsolved at
-    once; the outer Newton steps each sample's sigma on its own, by the
-    closed-form solve against the per-sample mean of M^{-1}, and a sample
-    leaves the block when it converges or fails.  Raises DomainError when
-    dist(F, SO(d)) >= delta_bar.
+    N = S n cells in sample-major order, component-major throughout: p, the
+    fluxes and the acoustic tensors M are (d, N) and (d, d, N), sigma is
+    (d, S).  From an evaluated state, with r = flux - sigma and A the
+    per-sample mean of M^{-1}, a step sets
+
+        sigma+ = sigma + A^{-1} (mean M^{-1} r - mean p),
+        dp     = M^{-1} (sigma+ - flux)
+
+    for every cell of the sample, so that mean(p + dp) = 0 to first order,
+    and each cell backtracks on its own (Armijo on |flux - sigma+|, with the
+    admissibility cap; a candidate outside the domain has a NaN flux and
+    fails).  Every candidate is evaluated once, flux and acoustic tensor
+    together, and an accepted candidate's values serve the next step.  A
+    sample stops once its cells are within tol_inner and |mean p| is at the
+    stagnation floor (or has stalled below tol_outer), but never at the
+    state where its cells first met tol_inner: one more step takes the
+    residuals down to rounding.  A sample leaves the block when it stops or
+    fails; it fails alone, with the error it raises when solved by itself.
+    Raises DomainError when dist(F, SO(d)) >= delta_bar.
     """
     F = np.asarray(F, dtype=float)
     d = w.dim
@@ -420,62 +336,102 @@ def _solve_block(w, omega, F, opts):
     S, n = omega.shape
     cols = FixedColumns.of(F)
     f0 = F[:, d - 1:].copy()
+    gram_cap2 = (opts.admissible_dist * (2.0 + opts.admissible_dist)) ** 2
     errors = [None] * S
-    outer = np.zeros(S, dtype=int)
-    inner = np.zeros(S, dtype=int)
+    steps = np.zeros(S, dtype=int)
     backtracks = np.zeros(S, dtype=int)
     best = np.full(S, np.inf)
+    met = np.zeros(S, dtype=bool)    # cells within tol_inner at an earlier state
     solved = np.zeros((d, S, n))     # a failed sample keeps p = 0
 
-    # component-major (d, N) state of the samples in `live`, see _inner_flux_solve
+    # the state of the samples in `live`
     live = np.arange(S)
     om = omega.reshape(-1)
     p = np.zeros((d, S * n))
     flux, M = w.flux_cells(om, cols, f0 + p, acoustic=True)
     sigma = _cell_mean(flux, S)
-    while live.size:
+    while True:
         k = live.size
-        (p, flux, M), it, bt, errs = _inner_flux_solve(w, om, cols, f0, sigma, (p, flux, M), opts)
-        inner[live] += it
-        backtracks[live] += bt
+        sigma_cells = _by_cell(sigma, n)
+        tol = opts.tol_inner * (1.0 + _norms(sigma))
+        rnorm = _per_sample(_norms(flux - sigma_cells), k).max(axis=1)
+        within = rnorm <= tol
         R = _cell_mean(p, k)
         rn = _norms(R)
         improved = rn < 0.25 * best[live]
-        best[live] = np.minimum(best[live], rn)
-        outer[live] += 1
-        ok = np.array([e is None for e in errs])
+        # the start p = 0 has mean zero exactly; stagnation counts from the first step
+        best[live] = np.where(steps[live] > 0, np.minimum(best[live], rn), np.inf)
         # run to the stagnation floor so the exact recentering below is a
         # no-op at working precision
         floor = rn <= 1e-14 * (1.0 + _per_sample(np.abs(p).max(axis=0), k).max(axis=1))
-        stop = ok & (floor | (outer[live] >= opts.max_outer)
-                     | (~improved & (rn <= opts.tol_outer)))
-        _flag(errs, stop & (best[live] > opts.tol_outer), lambda j: ConvergenceError(
-            f"outer Newton stalled at |mean p| = {best[live[j]]:.3e} "
-            f"> tol_outer = {opts.tol_outer:.1e}"))
-        step = ok & ~stop
-        if step.any():
-            # the inner solve returns the acoustic tensors at its solution;
-            # non-finite values belong to samples that fail here
-            with np.errstate(invalid="ignore", over="ignore"):
-                Minv, bad = _capped_inverses(M, k, opts)
-                new = sigma - _solve_small(_cell_mean(Minv, k), R)
-            for j in np.flatnonzero(step):
-                if bad[j] is not None:
-                    errs[j] = bad[j]
-                elif not np.isfinite(new[:, j]).all():
-                    errs[j] = SingularityError("outer Jacobian singular")
-            sigma = new
-        for j, e in enumerate(errs):
-            errors[live[j]] = e
-        failed = np.array([e is not None for e in errs])
-        done = stop & ~failed
-        solved[:, live[done]] = _per_sample(p, k)[:, done]
-        keep = ~(stop | failed)
+        failed = np.array([errors[s] is not None for s in live], dtype=bool)
+        stop = ~failed & within & met[live] & (floor | (~improved & (rn <= opts.tol_outer)))
+        met[live] |= within
+        for j in np.flatnonzero(stop & (rn > opts.tol_outer)):
+            errors[live[j]] = ConvergenceError(
+                f"Newton stalled at |mean p| = {rn[j]:.3e} > tol_outer = {opts.tol_outer:.1e}")
+        for j in np.flatnonzero(~failed & ~stop & (steps[live] >= opts.max_outer)):
+            errors[live[j]] = ConvergenceError(
+                f"Newton not converged after {opts.max_outer} steps (flux residual "
+                f"{rnorm[j]:.3e}, tol {tol[j]:.1e}; |mean p| = {rn[j]:.3e})")
+        solved[:, live[stop]] = _per_sample(p, k)[:, stop]
+        keep = np.array([errors[s] is None for s in live], dtype=bool) & ~stop
         if not keep.all():
             cells = _by_cell(keep, n)
             p, flux, M, om = p[:, cells], flux[:, cells], M[:, :, cells], om[cells]
-            sigma = sigma[:, keep]
-            live = live[keep]
+            sigma, R, live = sigma[:, keep], R[:, keep], live[keep]
+            k = live.size
+            if not k:
+                break
+            sigma_cells = _by_cell(sigma, n)
+
+        # the Newton step
+        steps[live] += 1
+        Minv, bad = _capped_inverses(M, k, opts)
+        with np.errstate(invalid="ignore", over="ignore"):
+            new = sigma + _solve_small(_cell_mean(Minv, k),
+                                       _cell_mean(_matvec(Minv, flux - sigma_cells), k) - R)
+            dp = _matvec(Minv, _by_cell(new, n) - flux)
+        finite = _per_sample(np.isfinite(dp).all(axis=0), k).all(axis=1)
+        for j in range(k):
+            if bad[j] is None and not finite[j]:
+                bad[j] = SingularityError("flux Jacobian singular")
+            errors[live[j]] = bad[j]
+        # failed samples stand still and count as accepted
+        ok = np.array([e is None for e in bad], dtype=bool)
+        frozen = _by_cell(~ok, n)
+        dp[:, frozen] = 0.0
+        sigma = np.where(ok, new, sigma)
+        sigma_cells = _by_cell(sigma, n)
+        tol_cells = _by_cell(opts.tol_inner * (1.0 + _norms(sigma)), n)
+        rnorm0 = _norms(flux - sigma_cells)
+        t = np.ones(len(om))
+        accepted = frozen
+        for _ in range(opts.max_backtracks + 1):
+            cand = p + t * dp
+            fc_cols = f0 + cand
+            fc, Mc = w.flux_cells(om, cols, fc_cols, acoustic=True)
+            rcn = _norms(fc - sigma_cells)
+            # a candidate within tol_inner passes: near the solution rounding
+            # alone can fail the Armijo test
+            good = (cols.gram_squared(fc_cols) <= gram_cap2) & (
+                (rcn <= (1.0 - 1e-4 * t) * rnorm0) | (rcn <= tol_cells))
+            take = good & ~accepted
+            p = np.where(take, cand, p)
+            flux = np.where(take, fc, flux)
+            M = np.where(take, Mc, M)
+            accepted = accepted | good
+            waiting = ~_per_sample(accepted, k).all(axis=1)
+            if not waiting.any():
+                break
+            t = np.where(accepted, t, t * opts.backtrack_factor)
+            backtracks[live] += waiting
+        else:
+            worst = _per_sample(rnorm0, k).max(axis=1)
+            for j in np.flatnonzero(waiting):
+                errors[live[j]] = ConvergenceError(
+                    f"Newton line search exhausted {opts.max_backtracks} halvings "
+                    f"(worst residual {worst[j]:.3e})")
 
     p = solved - solved.mean(axis=-1, keepdims=True)
     flux = _per_sample(w.flux_cells(omega.reshape(-1), cols, f0 + p.reshape(d, -1))[0], S)
@@ -486,8 +442,8 @@ def _solve_block(w, omega, F, opts):
     else:
         ratio = np.where(pmax <= 1e-12, 0.0, np.inf)
     stats = {
-        "outer_iterations": outer,
-        "inner_iterations": inner,
+        "outer_iterations": steps,
+        "inner_iterations": steps,
         "backtracks": backtracks,
         "mean_residual": _norms(p.mean(axis=-1)),
         "flux_residual": _norms(flux - sigma[..., None]).max(axis=-1),
@@ -505,8 +461,8 @@ def solve_corrector(w, sample, F, opts=None, block=None):
     and opts; without one the sample is solved as the block of one.
     Returns a CorrectorSolution with exactly mean-zero p and the constant
     flux sigma.  Raises DomainError when dist(F, SO(d)) >= delta_bar,
-    ConvergenceError when either Newton level fails, SingularityError on a
-    singular acoustic tensor or outer Jacobian.
+    ConvergenceError when the Newton iteration fails, SingularityError on a
+    singular acoustic tensor or flux Jacobian.
     """
     opts = opts or SolverOptions()
     _check_sample(sample)
@@ -560,12 +516,12 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     omega = np.asarray(sample.values, dtype=float)
-    Fc = _deform(F, base.p)
-    Minv, errors = _acoustic_inverses(w, omega, Fc, 1, opts)
+    d = w.dim
+    # row (j, d) of the moduli maps a direction to its flux column b_j
+    K_flux = _moduli(w, omega, _deform(F, base.p))[d - 1::d]
+    Minv, errors = _capped_inverses(K_flux[:, d - 1::d], 1, opts)
     if errors[0] is None:
-        # row (j, d) of the moduli maps a direction to its flux column b_j
-        d = w.dim
-        b = _matvec(_moduli(w, omega, Fc)[d - 1::d], G.reshape(-1, d * d, 1))
+        b = _matvec(K_flux, G.reshape(-1, d * d, 1))
         q, tau, errors = _linearized_block(Minv, b, 1)
     if errors[0] is not None:
         raise errors[0]
@@ -613,7 +569,8 @@ def _assemble_block(w, omega, F, p, order, opts, linear=None):
     # b_all[a] = D2W[E_a] e_d, by the major symmetry of the moduli
     b_all = K[:, d - 1::d]
     if linear is None:
-        Minv, errors = _acoustic_inverses(w, om, Fc, S, opts)
+        # the acoustic tensors M_jm = D2W[e_j x e_d, e_m x e_d] are rows (j, d) of b_all
+        Minv, errors = _capped_inverses(b_all[d - 1::d], S, opts)
         # non-finite inverses belong to samples that fail here
         with np.errstate(**({"all": "ignore"} if any(errors) else {})):
             q, tau, errs = _linearized_block(Minv, b_all, S)

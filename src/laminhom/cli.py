@@ -773,10 +773,10 @@ def _check_determinism():
     if not (qa.energy == qb.energy and np.array_equal(qa.stress, qb.stress)):
         return False, "solve not reproducible"
     # the sample needing the fewest iterations, solved alone and inside a
-    # block of samples that need more
-    w = _builtin_config(modulation=0.85).material()
+    # block of samples that need more (here 5 and 6 Newton steps)
+    w = _builtin_config(modulation=0.95).material()
     cov = CovarianceSpec("triangle", 6.0, 4.0)
-    samples = [sample_periodic_field(cov, 16.0, 32, 7, i) for i in range(8)]
+    samples = [sample_periodic_field(cov, 16.0, 64, 7, i) for i in range(8)]
     block = SampleBlock(w, samples, config.F)
     try:
         inside = [assemble(w, s, config.F, order=1, block=block) for s in samples]
@@ -798,7 +798,8 @@ def _check_negative_control():
     n = cells_for(config.lengths[0], config.spacing)
     sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
                                    config.seed, 2)
-    loose = SolverOptions(tol_outer=1.0, max_outer=1)
+    # a loose flux tolerance ends the Newton iteration one step after it is met
+    loose = SolverOptions(tol_inner=1e-2)
     sol = solve_corrector(w, sample, config.F, loose)
     sigma = sol.sigma
     threshold = 10.0 * SolverOptions().tol_inner * (1.0 + float(np.linalg.norm(sigma)))

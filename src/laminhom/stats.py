@@ -25,6 +25,7 @@ deterministic reductions with seeded bootstrap confidence intervals.
 from __future__ import annotations
 
 import operator
+import sys
 import time
 from collections.abc import MutableMapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 FAILURE_BUDGET = 0.01
+# keys of the `assemble` metadata record with one value per run: kept once per period
+RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
 # cells per block of samples solved together (see _blocks)
 BLOCK_CELLS = 8192
 BOOTSTRAP_RESAMPLES = 1000
@@ -127,8 +130,9 @@ class SampleRecord:
 
 
 class _MetadataRow(MutableMapping):
-    """Row `row` of metadata columns {key: array}: scalars read as Python
-    numbers, vectors as views; writes go to the columns."""
+    """Row `row` of metadata columns {key: array or run constant}: scalars
+    read as Python numbers, vectors as views; writes go to the columns, and
+    a run constant cannot be written for one sample."""
 
     __slots__ = ("_columns", "_row")
 
@@ -137,13 +141,19 @@ class _MetadataRow(MutableMapping):
         self._row = row
 
     def __getitem__(self, key):
-        value = self._columns[key][self._row]
+        column = self._columns[key]
+        if not isinstance(column, np.ndarray):
+            return column
+        value = column[self._row]
         return value.item() if np.ndim(value) == 0 else value
 
     def __setitem__(self, key, value):
-        if key not in self._columns:
+        column = self._columns.get(key)
+        if column is None:
             raise KeyError(f"no metadata column {key!r}")
-        self._columns[key][self._row] = value
+        if not isinstance(column, np.ndarray):
+            raise TypeError(f"metadata {key!r} is one value for the whole run")
+        column[self._row] = value
 
     def __delitem__(self, key):
         raise TypeError("metadata columns cannot be deleted from one sample")
@@ -161,8 +171,10 @@ class SampleColumns(Sequence):
 
     energy (N,), stress (N, d, d), tangent (N, d, d, d, d) and third
     (N, d, d, d, d, d, d) are read-only, None above the run's order;
-    metadata holds one array per key of the `assemble` record plus "index".
-    It reads as a sequence of `SampleRecord`s, built on access.
+    metadata holds one array per key of the `assemble` record plus "index"
+    (integer columns in the smallest unsigned type that holds them), except
+    the RUN_CONSTANTS, which it holds once as plain values.  It reads as a
+    sequence of `SampleRecord`s, built on access.
     """
 
     energy: np.ndarray
@@ -197,9 +209,10 @@ class SampleColumns(Sequence):
                 return None
             return np.stack([getattr(q, name) for q in rows])
 
-        metadata = {k: np.array([q.metadata[k] for q in rows]) for k in
-                    (rows[0].metadata if rows else ())}
-        metadata["index"] = np.array(indices, dtype=int)
+        metadata = {k: (rows[0].metadata[k] if k in RUN_CONSTANTS
+                        else _column([q.metadata[k] for q in rows]))
+                    for k in (rows[0].metadata if rows else ())}
+        metadata["index"] = _column(indices)
         return cls(energy=np.array([q.energy for q in rows], dtype=float),
                    stress=stacked("stress"), tangent=stacked("tangent"),
                    third=stacked("third"), metadata=metadata, F=F, period=period, n=n)
@@ -218,8 +231,19 @@ class SampleColumns(Sequence):
         quantities = {name: (None if getattr(first, name) is None
                              else stacked([getattr(c, name) for c in parts]))
                       for name in ("energy", "stress", "tangent", "third")}
-        metadata = {k: np.concatenate([c.metadata[k] for c in parts]) for k in first.metadata}
+        # parts unpickled from a pool bring keys of their own: keep the interned ones
+        metadata = {sys.intern(k): (v if k in RUN_CONSTANTS
+                                    else np.concatenate([c.metadata[k] for c in parts]))
+                    for k, v in first.metadata.items()}
         return cls(**quantities, metadata=metadata, F=F, period=first.period, n=first.n)
+
+
+def _column(values):
+    """One metadata column; non-negative integers in the smallest unsigned type."""
+    column = np.array(values)
+    if column.dtype.kind == "i" and column.size and column.min() >= 0:
+        column = column.astype(np.min_scalar_type(column.max()))
+    return column
 
 
 @dataclass

@@ -20,12 +20,11 @@ from laminhom.cell import (
     solve_corrector,
     solve_linearized,
     _deform,
+    _capped_inverses,
     _elementary,
-    _inner_flux_solve,
-    _newton_step,
     _solve_block,
 )
-from laminhom.energy import DomainError, EnergyDensity, FixedColumns, rotation_from_angle
+from laminhom.energy import DomainError, EnergyDensity, FixedColumns, _matvec, rotation_from_angle
 from laminhom.fields import CovarianceSpec, MaterialSample, sample_periodic_field
 from laminhom.oracle import linear_solve_direct, minimize_direct
 from pointwise import derivative, evaluate
@@ -228,18 +227,21 @@ class TestDerivativeConsistency:
             np.testing.assert_allclose(tau[a], taua, rtol=0, atol=1e-15 * np.abs(taua).max())
 
     def test_one_acoustic_inverse_per_assembly(self, monkeypatch):
+        # the acoustic tensors are read off the moduli and inverted once for
+        # all d^2 directions; the separate acoustic kernel is not called
         w = svk2()
         sample = random_sample(seed=16, n=16)
         F = shear(2, 0.05)
         sol = solve_corrector(w, sample, F)
         calls = []
-        original = cell._acoustic_inverses
+        original = cell._capped_inverses
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(cell, "_acoustic_inverses", counted)
+        monkeypatch.setattr(cell, "_capped_inverses", counted)
+        monkeypatch.setattr(EnergyDensity, "acoustic_cells", None)
         assemble(w, sample, F, base=sol, order=2)
         assert len(calls) == 1
         assert len(sol.q) == 4
@@ -249,46 +251,56 @@ class TestDerivativeConsistency:
         # perfbench/run.py times the kernels by wrapping these EnergyDensity
         # class attributes; kernels moved onto a subclass would bypass it
         w = EnergyDensity(family, lame=LAME, modulation=0.3, dim=2)
-        calls = {"stress_cells": 0, "acoustic_cells": 0}
+        calls = {"stress_cells": 0, "moduli_cells": 0, "acoustic_cells": 0}
         for name in calls:
             def counted(self, *args, _name=name, _original=getattr(EnergyDensity, name)):
                 calls[_name] += 1
                 return _original(self, *args)
             monkeypatch.setattr(EnergyDensity, name, counted)
         assemble(w, random_sample(seed=17, n=16), shear(2, 0.05), order=2)
-        assert calls["stress_cells"] > 0 and calls["acoustic_cells"] > 0
+        # the acoustic tensors come from the moduli
+        assert calls["stress_cells"] > 0 and calls["moduli_cells"] > 0
+        assert calls["acoustic_cells"] == 0
 
 
 class TestColumnNewton:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_newton_step_is_minus_solve(self, dim):
+        # a cell's step M^{-1} (sigma - flux) goes through the capped inverses
         rng = np.random.default_rng(18)
         M = rng.standard_normal((10, dim, dim)) + 3.0 * np.eye(dim)
         r = rng.standard_normal((10, dim))
-        step = _newton_step(np.moveaxis(M, 0, -1), r.T)
+        Minv, errors = _capped_inverses(np.moveaxis(M, 0, -1), 1, SolverOptions())
+        assert errors == [None]
+        step = _matvec(Minv, -r.T)
         np.testing.assert_allclose(step.T, -np.linalg.solve(M, r[..., None])[..., 0],
                                    rtol=1e-13, atol=1e-15)
 
     def test_neo_hookean_candidates_outside_domain_are_masked(self):
-        # a strong compressive flux: the full Newton step from p = 0 takes
-        # J = det(F + p x e_2) below zero, where the density is undefined
-        w = nh2()
-        F = np.eye(2)
+        # one soft cell among stiff ones under compression: a full Newton step
+        # takes J = det(F + p x e_2) of the soft cell below zero, where the
+        # density is undefined
+        w = EnergyDensity("neo-hookean", lame=LAME, modulation=0.85, dim=2)
+        F = np.diag([1.0, 0.85])
         cols = FixedColumns.of(F)
-        f0 = F[:, 1:].copy()
-        omega = np.array([-1.0, 0.0, 1.0])
-        p = np.zeros((2, 3))
-        flux, M = w.flux_cells(omega, cols, f0 + p, acoustic=True)
-        sigma = np.array([[0.0], [-4.0]])
-        assert (cols.normal @ (f0 + _newton_step(M, flux - sigma)) <= 0.0).any()
+        omega = np.full(32, 3.0)
+        omega[0] = -3.0
+        sample = MaterialSample(omega, 16.0, 0, 0, prng="frozen")
+        column = w.flux_cells
+        outside = []
+
+        def watched(om, cols_, f, acoustic=False):
+            outside.append(int((cols.normal @ f <= 0.0).sum()))
+            return column(om, cols_, f, acoustic)
+
+        w.flux_cells = watched
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (p, flux, _), _, backtracks, errors = _inner_flux_solve(
-                w, omega, cols, f0, sigma, (p, flux, M), SolverOptions())
-        assert errors == [None]
-        assert backtracks[0] > 0
-        assert (cols.normal @ (f0 + p) > 0.0).all()
-        assert np.abs(flux - sigma).max() <= 1e-12 * (1.0 + 4.0)
+            sol = solve_corrector(w, sample, F)
+        assert sum(outside) > 0
+        assert sol.stats["backtracks"] > 0
+        assert (cols.normal @ (F[:, 1:] + sol.p.T) > 0.0).all()
+        assert sol.stats["flux_residual"] <= 1e-12 * (1.0 + np.linalg.norm(sol.sigma))
 
 
 class TestAssembledRecord:
@@ -338,11 +350,12 @@ class TestErrors:
         sample = two_phase_sample()
         F = shear(2, 0.05)
         sol = solve_corrector(w, sample, F)
-        monkeypatch.setattr(w, "acoustic_cells",
-                            lambda omega, Fc: np.full((len(omega), 2, 2), bad))
+        # the linearized solve reads its acoustic tensors off the moduli
+        monkeypatch.setattr(w, "moduli_cells",
+                            lambda omega, Fc: np.full((2, 2, 2, 2, len(omega)), bad))
         with pytest.raises(SingularityError):
             solve_linearized(w, sample, F, sol, np.eye(2))
-        # the inner Newton step of a fresh solve needs M^{-1} at once; its
+        # the first Newton step of a fresh solve needs M^{-1} at once; its
         # acoustic tensors come from the column-form kernel
         column = w.flux_cells
 
@@ -355,8 +368,9 @@ class TestErrors:
             solve_corrector(w, sample, F)
 
     def test_inner_budget_exhausted(self):
+        # one Newton step from p = 0 leaves the flux residuals above tol_inner
         w = svk2()
-        opts = SolverOptions(max_inner=1)
+        opts = SolverOptions(max_outer=1)
         with pytest.raises(ConvergenceError):
             solve_corrector(w, two_phase_sample(), shear(2, 0.05), opts)
 
@@ -389,7 +403,7 @@ def stretch(d, shear_, normal):
 
 
 # deformations at which every sample of contrast_block converges after backtracking
-BACKTRACKING = {"saint-venant-kirchhoff": (0.08, 0.0), "neo-hookean": (0.0, -0.12)}
+BACKTRACKING = {"saint-venant-kirchhoff": (-0.08, -0.04), "neo-hookean": (0.0, -0.12)}
 
 
 def same_quantities(a, b):
@@ -438,7 +452,7 @@ class TestBlocks:
         # a block answers only for its own samples, material, F and options
         stranger = MaterialSample(samples[0].values.copy(), 16.0, 7, 0)
         for args in ((w, stranger, F, SolverOptions()), (w, samples[0], np.eye(2), None),
-                     (w, samples[0], F, SolverOptions(max_inner=3)),
+                     (w, samples[0], F, SolverOptions(max_outer=3)),
                      (EnergyDensity("saint-venant-kirchhoff", lame=LAME, modulation=0.85),
                       samples[0], F, None)):
             with pytest.raises(ValueError, match="sample block"):
@@ -446,8 +460,9 @@ class TestBlocks:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_failing_samples_leave_the_others_as_solved_alone(self, dim):
+        # the corrector of sample 14 leaves the admissible set |F^T F - Id| <= 3
         w, samples = contrast_block("neo-hookean", dim)
-        F = stretch(dim, 0.1, -0.1)
+        F = stretch(dim, 0.1, 0.1)
         inside = assemble_in_block(w, samples, F, order=1)
         failed = [s for s, q in enumerate(inside) if isinstance(q, Exception)]
         assert 0 < len(failed) < len(samples)
