@@ -235,11 +235,6 @@ def _by_cell(x, n):
     return np.repeat(x, n, axis=-1)
 
 
-def _component_major(x, axis=0):
-    """Move the cell axis of x to the end, contiguously."""
-    return np.ascontiguousarray(np.moveaxis(x, axis, -1))
-
-
 def _solve_small(A, r):
     """A_c^{-1} r_c for every column c by the adjugate: A (d, d, N), r (..., d, N).
 
@@ -480,7 +475,7 @@ def _moduli(w, omega, Fc):
     """Tangent moduli of the cells (N, d, d) as (d^2, d^2, N): K[a, b] = D2W[E_a, E_b]
     for the elementary directions E_(j d + l) = e_j x e_l."""
     k = w.dim * w.dim
-    return w.moduli_cells(omega, _component_major(Fc)).reshape(k, k, -1)
+    return w.moduli_cells(omega, np.ascontiguousarray(np.moveaxis(Fc, 0, -1))).reshape(k, k, -1)
 
 
 def _linearized_block(Minv, b, S):
