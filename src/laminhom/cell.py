@@ -91,6 +91,10 @@ representation: the terms that would involve the derivative of q (the
 second-linearized corrector) pair a mean-zero cell field with a constant
 linearized flux and vanish, so the third-order moduli need only the
 first-order correctors q.
+
+The kernels of `energy` take one layout, component-major, so the cells
+F + p_i x e_d of a block are one (d, d, N) array built straight from p
+(d, N) (`_deform`), and every kernel result keeps the cell axis last.
 """
 
 from __future__ import annotations
@@ -161,16 +165,13 @@ class SolverOptions:
 class CorrectorSolution:
     """Corrector of one sample at one deformation gradient.
 
-    p has exactly zero mean (recentered after convergence); sigma is the
-    constant flux.  q / tau cache linearized correctors and their constant
-    fluxes for elementary directions (j, k).  stats records iteration
-    counts, residuals, and the Lipschitz flag.
+    p (n, d) has exactly zero mean (recentered after convergence); sigma is
+    the constant flux.  stats records iteration counts, residuals, and the
+    Lipschitz flag.
     """
 
     p: np.ndarray
     sigma: np.ndarray
-    q: dict = field(default_factory=dict)
-    tau: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
 
@@ -197,10 +198,10 @@ class HomogenizedQuantities:
 
 
 def _deform(F, p):
-    """F + p_i x e_d per cell: (d,d), (n,d) -> (n,d,d)."""
-    n, d = p.shape
-    Fc = np.broadcast_to(F, (n, d, d)).copy()
-    Fc[:, :, d - 1] += p
+    """The cells F + p_i x e_d, component-major: (d,d), (d,N) -> (d,d,N)."""
+    d, N = p.shape
+    Fc = np.repeat(F[:, :, None], N, axis=2)
+    Fc[:, d - 1] += p
     return Fc
 
 
@@ -471,13 +472,6 @@ def solve_corrector(w, sample, F, opts=None, block=None):
 # =====================================================================
 
 
-def _moduli(w, omega, Fc):
-    """Tangent moduli of the cells (N, d, d) as (d^2, d^2, N): K[a, b] = D2W[E_a, E_b]
-    for the elementary directions E_(j d + l) = e_j x e_l."""
-    k = w.dim * w.dim
-    return w.moduli_cells(omega, np.ascontiguousarray(np.moveaxis(Fc, 0, -1))).reshape(k, k, -1)
-
-
 def _linearized_block(Minv, b, S):
     """Linearized correctors of S samples in k directions, all closed form.
 
@@ -512,8 +506,9 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     G = np.asarray(G, dtype=float)
     omega = np.asarray(sample.values, dtype=float)
     d = w.dim
-    # row (j, d) of the moduli maps a direction to its flux column b_j
-    K_flux = _moduli(w, omega, _deform(F, base.p))[d - 1::d]
+    # K[a, b] = D2W[E_a, E_b] for E_(j d + l) = e_j x e_l; row (j, d) maps a
+    # direction to its flux column b_j
+    K_flux = w.moduli_cells(omega, _deform(F, base.p.T)).reshape(d * d, d * d, -1)[d - 1::d]
     Minv, errors = _capped_inverses(K_flux[:, d - 1::d], 1, opts)
     if errors[0] is None:
         b = _matvec(K_flux, G.reshape(-1, d * d, 1))
@@ -535,62 +530,58 @@ def _elementary(d, j, k):
     return E
 
 
-def _assemble_block(w, omega, F, p, order, opts, linear=None):
+def _assemble_block(w, omega, F, p, order, opts):
     """Effective quantities of solved samples omega (S, n) with correctors p (d, S, n).
 
-    Returns (quantities, linear, errors): quantities maps energy, stress,
-    tangent and third to per-sample arrays (S,), (S,d,d), ... (None above
-    `order`); linear = (q, tau) are the linearized correctors of the d^2
-    elementary directions, (d^2, d, S n) and (d^2, d, S), which may also be
-    passed in; errors[s] is the error of sample s in the linearized solve.
-    A failed sample's quantities are not defined.  Every per-sample
-    reduction is a mean along the cell axis (`_cell_mean`).
+    Returns (quantities, errors): quantities maps energy, stress, tangent
+    and third to per-sample arrays (S,), (S,d,d), ... (None above `order`);
+    errors[s] is the error of sample s in the linearized solve.  A failed
+    sample's quantities are not defined.  Every per-sample reduction is a
+    mean along the cell axis.
     """
     d = w.dim
     S, n = omega.shape
     om = omega.reshape(-1)
-    Fc = _deform(F, p.reshape(d, -1).T)
+    Fc = _deform(F, p.reshape(d, -1))
     out = {"energy": _cell_mean(w.energy_cells(om, Fc), S),
            "stress": None, "tangent": None, "third": None}
     errors = [None] * S
     if order >= 1:
-        # each sample's cells summed in cell order, as numpy sums an (n, d, d)
-        # stack over its first axis
-        out["stress"] = w.stress_cells(om, Fc).reshape(S, n, d, d).mean(axis=1)
+        # each sample's cells summed one after another in cell order
+        stress = np.cumsum(w.stress_cells(om, Fc).reshape(d, d, S, n), axis=-1)[..., -1] / n
+        out["stress"] = np.moveaxis(stress, -1, 0)
     if order < 2:
-        return out, linear, errors
+        return out, errors
     k = d * d
-    K = _moduli(w, om, Fc)
+    # K[a, b] = D2W[E_a, E_b] for the elementary directions E_(j d + l) = e_j x e_l
+    K = w.moduli_cells(om, Fc).reshape(k, k, -1)
     # b_all[a] = D2W[E_a] e_d, by the major symmetry of the moduli
     b_all = K[:, d - 1::d]
-    if linear is None:
-        # the acoustic tensors M_jm = D2W[e_j x e_d, e_m x e_d] are rows (j, d) of b_all
-        Minv, errors = _capped_inverses(b_all[d - 1::d], S, opts)
-        # non-finite inverses belong to samples that fail here
-        with np.errstate(**({"all": "ignore"} if any(errors) else {})):
-            q, tau, errs = _linearized_block(Minv, b_all, S)
-        errors = [a or b for a, b in zip(errors, errs)]
-        linear = (q, tau)
-    q = linear[0]
+    # the acoustic tensors M_jm = D2W[e_j x e_d, e_m x e_d] are rows (j, d) of b_all
+    Minv, errors = _capped_inverses(b_all[d - 1::d], S, opts)
+    # non-finite inverses belong to samples that fail here
+    with np.errstate(**({"all": "ignore"} if any(errors) else {})):
+        q, _, errs = _linearized_block(Minv, b_all, S)
+    errors = [a or b for a, b in zip(errors, errs)]
     # D2W_L[a, b] = avg_c (K_c[a, b] + b_{a,c} . q_{b,c}), summed in a fixed order
     mat = _cell_mean(K + sum(b_all[:, None, j] * q[None, :, j] for j in range(d)), S)
     mat = 0.5 * (mat + mat.transpose(1, 0, 2))
     out["tangent"] = np.moveaxis(mat, -1, 0).reshape(S, d, d, d, d)
     if order >= 3:
-        A_all = np.stack([_deform(E, q[a].T) for a, E in enumerate(np.eye(k).reshape(k, d, d))])
-        Ac = A_all.reshape(k, -1, k)
+        A_all = np.stack([_deform(E, q[a]) for a, E in enumerate(np.eye(k).reshape(k, d, d))])
+        Ac = A_all.reshape(k, k, -1)
         cube = np.empty((k, k, k, S))
         for a in range(k):
             for b in range(a, k):
-                U = w.third_apply_cells(om, Fc, A_all[a], A_all[b]).reshape(-1, k)
-                row = _cell_mean(sum(U[:, c] * Ac[:, :, c] for c in range(k)), S)
+                U = w.third_apply_cells(om, Fc, A_all[a], A_all[b]).reshape(k, -1)
+                row = _cell_mean(sum(U[c] * Ac[:, c] for c in range(k)), S)
                 cube[a, b] = row
                 cube[b, a] = row
         cube = (cube + np.transpose(cube, (0, 2, 1, 3)) + np.transpose(cube, (1, 0, 2, 3))
                 + np.transpose(cube, (1, 2, 0, 3)) + np.transpose(cube, (2, 0, 1, 3))
                 + np.transpose(cube, (2, 1, 0, 3))) / 6.0
         out["third"] = np.moveaxis(cube, -1, 0).reshape(S, *(d,) * 6)
-    return out, linear, errors
+    return out, errors
 
 
 def _metadata(sigma, stats, tol_inner, tol_outer):
@@ -649,8 +640,8 @@ class SampleBlock:
         above `order`); raises the error of its linearized solve."""
         if order not in self._assembled:
             # a failed sample's p is zero: assembling it is harmless
-            quantities, _, errors = _assemble_block(self.w, self.omega, self.F,
-                                                    self._solved.p, order, self.opts)
+            quantities, errors = _assemble_block(self.w, self.omega, self.F,
+                                                 self._solved.p, order, self.opts)
             self._assembled[order] = quantities, errors
         quantities, errors = self._assembled[order]
         if errors[row] is not None:
@@ -664,8 +655,7 @@ def assemble(w, sample, F, base=None, order=2, opts=None, block=None):
     order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
     directions in one stacked solve); 3: + third-order moduli.  Without a
     base solution the sample is solved and assembled inside `block` (see
-    `solve_corrector`), or as the block of one; a given base solution
-    caches its linearized correctors.
+    `solve_corrector`), or as the block of one.
     """
     opts = opts or SolverOptions()
     if order not in (0, 1, 2, 3):
@@ -678,20 +668,10 @@ def assemble(w, sample, F, base=None, order=2, opts=None, block=None):
         base = solve_corrector(w, sample, F, opts, block=block)
         row = block.quantities(block.row(w, sample, F, opts), order)
     else:
-        d = w.dim
-        pairs = [(j, k) for j in range(d) for k in range(d)]
-        linear = None
-        if order >= 2 and all(pair in base.q for pair in pairs):
-            linear = (np.stack([base.q[pair].T for pair in pairs]),
-                      np.stack([base.tau[pair] for pair in pairs])[..., None])
         omega = np.asarray(sample.values, dtype=float)[None]
-        quantities, linear, errors = _assemble_block(w, omega, F, base.p.T[:, None], order,
-                                                     opts, linear)
+        quantities, errors = _assemble_block(w, omega, F, base.p.T[:, None], order, opts)
         if errors[0] is not None:
             raise errors[0]
-        if order >= 2:
-            for a, pair in enumerate(pairs):
-                base.q[pair], base.tau[pair] = linear[0][a].T, linear[1][a, :, 0]
         row = {k: (None if v is None else v[0]) for k, v in quantities.items()}
     return HomogenizedQuantities(energy=float(row["energy"]), stress=row["stress"],
                                  tangent=row["tangent"], third=row["third"], F=F,
@@ -712,8 +692,8 @@ def det_identity_residual(p, F):
     mean-zero p leaves the cell average of the determinant exactly at det F.
     """
     F = np.asarray(F, dtype=float)
-    dets = np.linalg.det(_deform(F, np.asarray(p, dtype=float)))
-    return float(abs(dets.mean() - np.linalg.det(F)))
+    dets = adjugate(_deform(F, np.asarray(p, dtype=float).T))[0]
+    return float(abs(dets.mean() - adjugate(F)[0]))
 
 
 def rank_one_minimum(tangent, rng, count=100):

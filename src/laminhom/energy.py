@@ -18,26 +18,22 @@ with amplitude a in [0, 1), so W inherits all structural properties of W0
 uniformly in omega.  Derivatives in F up to third order are implemented in
 closed form.
 
-The acoustic tensor M_jk = D2W[e_j x e_d, e_k x e_d] of the laminate axis
-e_d is built directly rather than read off d tangent applications:
-
-* Saint Venant-Kirchhoff, f = F e_d:
-  M = m(omega) [(lam+mu) f f^T + mu F F^T + (lam tr E + mu(|f|^2 - 1)) Id];
-* neo-Hookean, g = F^{-T} e_d and beta = lam ln J - mu:
-  M = m(omega) [mu Id + (lam - beta) g g^T].
-
+All batched kernels (`EnergyDensity.*_cells`) take their cells
+component-major: the deformation gradients as one (d, d, n) array, entry
+(j, l) of cell i at [j, l, i], and directions likewise as (d, d, n), or as a
+stack (k, d, d, n) of k of them.  Each formula is then a handful of
+elementwise operations on contiguous length-n component arrays; the matrix
+products of the stress and of D3W are `np.matmul` over the first two axes.
 Determinants and inverses of the small (2x2 or 3x3) matrices are the
-closed-form adjugate over the determinant (`adjugate`, `det_inverse`).
+closed-form adjugate over the determinant (`adjugate`).
 
 Column form.  In a laminate cell F_i = F + p_i x e_d: the first d-1 columns
 C = F[:, :d-1] are the same in every cell and only the last column
 f_i = F e_d + p_i varies.  `FixedColumns` forms the invariants of C once
 (C C^T, |C|^2, |C^T C - Id|^2 and the cofactor normal n_C, for which
-det[C | f] = n_C . f), and `EnergyDensity.flux_cells` maps the columns f to
-the flux DW e_d and, when asked, the acoustic tensor.  Its arrays are
-component-major, f and the flux (d, n) and M (d, d, n), so that each
-formula below is a handful of elementwise operations on contiguous
-length-n component arrays:
+det[C | f] = n_C . f), and `EnergyDensity.flux_cells` maps the columns f
+(d, n) to the flux DW e_d (d, n) and, when asked, the acoustic tensor
+M_jk = D2W[e_j x e_d, e_k x e_d] (d, d, n):
 
 * Saint Venant-Kirchhoff, tr E = (|C|^2 + |f|^2 - d)/2 and
   s = lam tr E + mu(|f|^2 - 1):
@@ -61,17 +57,16 @@ one (d, d, d, d, n) array, built elementwise (no batched matrix products):
 
 Each entry sums the same terms in the same order as its partner K_mrjl, so
 the major symmetry holds exactly.  The tangent is a contraction of the
-moduli, (D2W[A])_jl = sum_mr K_jlmr A_mr (`tangent_apply_cells`), so D2W
-has this one home.
+moduli, (D2W[A])_jl = sum_mr K_jlmr A_mr (`tangent_apply_cells`), and the
+acoustic tensor is an entry of them, M_jk = K_jdkd (`acoustic_cells`), so
+D2W has this one home.
 
 Each family is one small class (`_SaintVenantKirchhoff`, `_NeoHookean`)
 holding only the unmodulated W0 and its derivatives.  `EnergyDensity` picks
-one and defines the public batched kernels (`*_cells`) once, applying
-m(omega); apart from the column form and the moduli they operate on
-per-cell arrays of deformation gradients, shape (n, d, d).  The cell-problem
-solvers are built entirely on those kernels, so a full corrector solve is a
-handful of vectorized numpy calls per Newton iteration rather than a Python
-loop over cells.
+one and defines the public batched kernels once, applying m(omega).  The
+cell-problem solvers are built entirely on those kernels, so a full
+corrector solve is a handful of vectorized numpy calls per Newton iteration
+rather than a Python loop over cells.
 
 Conventions: matrices are numpy arrays of shape (d, d); the colon product
 A:B is sum_ij A_ij B_ij; D2W[A] denotes the matrix (D2W[A])_jk =
@@ -92,7 +87,6 @@ __all__ = [
     "SAINT_VENANT_KIRCHHOFF",
     "NEO_HOOKEAN",
     "adjugate",
-    "det_inverse",
     "dist_to_rotations",
     "rotation_from_angle",
 ]
@@ -124,19 +118,36 @@ class DomainError(ValueError):
 # =====================================================================
 
 
-def _dot(A, B):
-    """Per-cell colon product A:B, shapes (...,n,d,d) -> (...,n)."""
-    return np.einsum("...ij,...ij->...", A, B)
+def _inner(A, B):
+    """Per-cell colon products A:B of component-major matrices (d, d, n) -> (n,),
+    summed entry by entry in a fixed order, so a cell's bits do not depend on n."""
+    d = len(A)
+    return sum(A[j, l] * B[j, l] for j in range(d) for l in range(d))
 
 
-def _T(A):
-    """Per-cell transpose, made contiguous so that `@` takes its fast path."""
-    return np.ascontiguousarray(np.swapaxes(A, -1, -2))
+def _gram(F):
+    """Per-cell F^T F of component-major matrices (d, d, n), entry by entry."""
+    return sum(F[k, :, None] * F[k, None, :] for k in range(len(F)))
 
 
-def _tAB(A, B):
-    """Per-cell A^T B, shapes (n,d,d)."""
-    return _T(A) @ B
+def _trace(A):
+    """Per-cell traces of component-major matrices (d, d, n) -> (n,)."""
+    return sum(A[j, j] for j in range(len(A)))
+
+
+def _product(A, B, transpose=False):
+    """Per-cell matrix products A B, or A^T B with `transpose`, of
+    component-major matrices (d, d, n) -> (d, d, n)."""
+    return np.matmul(A, B, axes=[(1, 0) if transpose else (0, 1), (0, 1), (0, 1)])
+
+
+def _directions(A, F):
+    """Directions A for the cells F (d, d, n): a constant (d, d) or per-cell
+    (d, d, n), or a stack (k, d, d, n) of them, broadcast over the cells."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 2:
+        A = A[:, :, None]
+    return np.broadcast_to(A, A.shape[:-3] + F.shape)
 
 
 def _diagonal(M):
@@ -160,17 +171,16 @@ def _matvec(A, x):
     return out
 
 
-def _sym(A):
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def adjugate(m):
     """Determinant and adjugate of a 2x2 or 3x3 matrix given by its entries.
 
     m[i][j] are arrays of one shape (any indexable works: a nested list, or
     a component-major array (d, d, n)); returns det and the adjugate as a
-    nested list of arrays of that shape.
+    nested list of arrays of that shape.  The inverse is the adjugate over
+    det, so a singular matrix gives non-finite entries (no exception).
     """
+    if len(m) not in (2, 3):
+        raise ValueError(f"closed-form adjugate needs 2x2 or 3x3 matrices, got {len(m)} rows")
     if len(m) == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0], [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
     adj = [[m[1][1] * m[2][2] - m[1][2] * m[2][1],
@@ -185,26 +195,6 @@ def adjugate(m):
     return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0], adj
 
 
-def det_inverse(A):
-    """Closed-form determinants and inverses of stacked 2x2 or 3x3 matrices.
-
-    Returns (det, inv) with shapes (...,) and (..., d, d); inv is the
-    adjugate over the determinant, so a singular matrix gives non-finite
-    entries (no warning, no exception) and callers test np.isfinite.
-    """
-    A = np.asarray(A, dtype=float)
-    d = A.shape[-1]
-    if d not in (2, 3):
-        raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got {A.shape}")
-    det, adj = adjugate([[A[..., i, j] for j in range(d)] for i in range(d)])
-    inv = np.empty_like(A)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(d):
-            for j in range(d):
-                inv[..., i, j] = adj[i][j] / det
-    return det, inv
-
-
 def dist_to_rotations(F):
     """Frobenius distance of a matrix to SO(d).
 
@@ -215,7 +205,7 @@ def dist_to_rotations(F):
     F = np.asarray(F, dtype=float)
     s = np.linalg.svd(F, compute_uv=False)
     dist2 = np.sum((s - 1.0) ** 2)
-    if np.linalg.det(F) <= 0.0:
+    if adjugate(F)[0] <= 0.0:
         dist2 += 4.0 * np.min(s)
     return float(np.sqrt(dist2))
 
@@ -273,18 +263,8 @@ class _SaintVenantKirchhoff:
     def __init__(self, lam, mu, dim):
         self.lam, self.mu, self.dim = lam, mu, dim
 
-    def admissible(self, Fc):
-        return np.ones(Fc.shape[0], dtype=bool)
-
-    def acoustic(self, Fc):
-        d = self.dim
-        f = Fc[:, :, d - 1]
-        trE = 0.5 * (_dot(Fc, Fc) - d)
-        diag = (self.lam * trE + self.mu * (np.sum(f * f, axis=1) - 1.0))[:, None]
-        M = ((self.lam + self.mu) * f[:, :, None] * f[:, None, :]
-             + self.mu * (Fc @ _T(Fc)))
-        M[:, np.arange(d), np.arange(d)] += diag
-        return M
+    def admissible(self, F):
+        return np.ones(F.shape[-1], dtype=bool)
 
     def column(self, cols, f, acoustic):
         ff = (f * f).sum(axis=0)
@@ -297,21 +277,22 @@ class _SaintVenantKirchhoff:
         _diagonal(M)[...] += s
         return flux, M
 
-    def energy(self, Fc):
-        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
-        tr = np.trace(Et, axis1=1, axis2=2)
-        return 0.5 * self.lam * tr * tr + self.mu * _dot(Et, Et)
+    def energy(self, F):
+        E = 0.5 * (_gram(F) - np.eye(self.dim)[:, :, None])
+        tr = _trace(E)
+        return 0.5 * self.lam * tr * tr + self.mu * _inner(E, E)
 
-    def stress(self, Fc):
-        Et = 0.5 * (_tAB(Fc, Fc) - np.eye(self.dim))
-        tr = np.trace(Et, axis1=1, axis2=2)
-        return self.lam * tr[:, None, None] * Fc + 2.0 * self.mu * (Fc @ Et)
+    def stress(self, F):
+        # np.matmul's products, not elementwise sums as in `energy`, which
+        # round differently: the assembled DW_L keeps its bits
+        E = 0.5 * (_product(F, F, transpose=True) - np.eye(self.dim)[:, :, None])
+        return self.lam * _trace(E) * F + 2.0 * self.mu * _product(F, E)
 
     def moduli(self, F):
         d = self.dim
-        FtF = sum(F[k, :, None] * F[k, None, :] for k in range(d))
+        FtF = _gram(F)
         FFt = sum(F[:, None, k] * F[None, :, k] for k in range(d))
-        trE = 0.5 * (sum(FtF[l, l] for l in range(d)) - d)
+        trE = 0.5 * (_trace(FtF) - d)
         D = self.mu * FtF
         _diagonal(D)[...] += self.lam * trE - self.mu   # 2 mu E + lam tr E Id
         K = self.lam * (F[:, :, None, None] * F[None, None])
@@ -321,17 +302,14 @@ class _SaintVenantKirchhoff:
             K[l, :, l, :] += D
         return K
 
-    def third(self, Fc, A, B):
-        FA = _dot(Fc, A)
-        FB = _dot(Fc, B)
-        AB = _dot(A, B)
-        symFA = _sym(_tAB(Fc, A))
-        symFB = _sym(_tAB(Fc, B))
-        symAB = _sym(_tAB(A, B))
-        return (self.lam * (A * FB[:, None, None] + B * FA[:, None, None] + Fc * AB[:, None, None])
-                + 2.0 * self.mu * (np.einsum("nij,njk->nik", A, symFB)
-                                   + np.einsum("nij,njk->nik", B, symFA)
-                                   + np.einsum("nij,njk->nik", Fc, symAB)))
+    def third(self, F, A, B):
+        def sym(X, Y):   # sym(X^T Y)
+            P = _product(X, Y, transpose=True)
+            return 0.5 * (P + P.transpose(1, 0, 2))
+
+        return (self.lam * (A * _inner(F, B) + B * _inner(F, A) + F * _inner(A, B))
+                + 2.0 * self.mu * (_product(A, sym(F, B)) + _product(B, sym(F, A))
+                                   + _product(F, sym(A, B))))
 
 
 class _NeoHookean:
@@ -340,17 +318,8 @@ class _NeoHookean:
     def __init__(self, lam, mu, dim):
         self.lam, self.mu, self.dim = lam, mu, dim
 
-    def admissible(self, Fc):
-        return det_inverse(Fc)[0] > 0.0
-
-    def acoustic(self, Fc):
-        d = self.dim
-        X, lnJ = self._inv_log(Fc)
-        g = X[:, d - 1, :]
-        beta = self.lam * lnJ - self.mu
-        M = (self.lam - beta)[:, None, None] * g[:, :, None] * g[:, None, :]
-        M[:, np.arange(d), np.arange(d)] += self.mu
-        return M
+    def admissible(self, F):
+        return adjugate(F)[0] > 0.0
 
     def column(self, cols, f, acoustic):
         J = _matvec(cols.normal[None], f)[0]
@@ -364,51 +333,43 @@ class _NeoHookean:
         _diagonal(M)[...] += self.mu
         return flux, M
 
-    def energy(self, Fc):
-        _, lnJ = self._inv_log(Fc)
-        frob2 = _dot(Fc, Fc)
-        return 0.5 * self.mu * (frob2 - self.dim) - self.mu * lnJ + 0.5 * self.lam * lnJ * lnJ
+    def energy(self, F):
+        _, lnJ = self._inverse_log(F)
+        return 0.5 * self.mu * (_inner(F, F) - self.dim) - self.mu * lnJ + 0.5 * self.lam * lnJ * lnJ
 
-    def stress(self, Fc):
-        X, lnJ = self._inv_log(Fc)
-        beta = self.lam * lnJ - self.mu
-        return self.mu * Fc + beta[:, None, None] * np.swapaxes(X, 1, 2)
+    def stress(self, F):
+        X, lnJ = self._inverse_log(F)
+        return self.mu * F + (self.lam * lnJ - self.mu) * X.transpose(1, 0, 2)
 
     def moduli(self, F):
         d = self.dim
-        J, adj = adjugate(F)
-        if np.any(J <= 0.0):
-            raise DomainError("neo-Hookean density needs det F > 0")
-        X = np.array(adj) / J
+        X, lnJ = self._inverse_log(F)
         XT = np.ascontiguousarray(X.transpose(1, 0, 2))
         K = self.lam * (XT[:, :, None, None] * XT[None, None])
-        K -= (self.lam * np.log(J) - self.mu) * (XT[:, None, None, :] * X[None, :, :, None])
+        K -= (self.lam * lnJ - self.mu) * (XT[:, None, None, :] * X[None, :, :, None])
         for j in range(d):
             for l in range(d):
                 K[j, l, j, l] += self.mu
         return K
 
-    def third(self, Fc, A, B):
-        X, lnJ = self._inv_log(Fc)
-        beta = self.lam * lnJ - self.mu
-        XT = np.swapaxes(X, 1, 2)
-        thA = np.einsum("nij,nji->n", X, A)
-        thB = np.einsum("nij,nji->n", X, B)
-        XAX = np.einsum("nij,njk,nkl->nil", X, A, X)
-        XBX = np.einsum("nij,njk,nkl->nil", X, B, X)
-        trAB = np.einsum("nij,nji->n", XAX, B)
-        XAXBX = np.einsum("nij,njk->nik", XAX, np.einsum("nij,njk->nik", B, X))
-        XBXAX = np.einsum("nij,njk->nik", XBX, np.einsum("nij,njk->nik", A, X))
-        return (-self.lam * (thB[:, None, None] * np.swapaxes(XAX, 1, 2)
-                             + thA[:, None, None] * np.swapaxes(XBX, 1, 2)
-                             + trAB[:, None, None] * XT)
-                + beta[:, None, None] * (np.swapaxes(XAXBX, 1, 2) + np.swapaxes(XBXAX, 1, 2)))
+    def third(self, F, A, B):
+        X, lnJ = self._inverse_log(F)
+        XT = X.transpose(1, 0, 2)
+        XAX = _product(_product(X, A), X)
+        XBX = _product(_product(X, B), X)
+        # the transpose of D3W[A, B], tr(X A) = X^T : A
+        T = (-self.lam * (_inner(XT, B) * XAX + _inner(XT, A) * XBX
+                          + _inner(XAX.transpose(1, 0, 2), B) * X)
+             + (self.lam * lnJ - self.mu) * (_product(XAX, _product(B, X))
+                                             + _product(XBX, _product(A, X))))
+        return T.transpose(1, 0, 2)
 
-    def _inv_log(self, Fc):
-        J, X = det_inverse(Fc)
+    def _inverse_log(self, F):
+        """F^{-1} and ln J of cells inside the domain; DomainError otherwise."""
+        J, adj = adjugate(F)
         if np.any(J <= 0.0):
             raise DomainError("neo-Hookean density needs det F > 0")
-        return X, np.log(J)
+        return np.array(adj) / J, np.log(J)
 
 
 # =====================================================================
@@ -453,29 +414,30 @@ class EnergyDensity:
         """m(omega) = 1 + a*tanh(omega), elementwise."""
         return 1.0 + self.modulation * np.tanh(np.asarray(omega, dtype=float))
 
-    # -- batched kernels (per-cell arrays) -------------------------------
+    # -- batched kernels (component-major cells F (d, d, n)) -------------
 
-    def admissible_cells(self, Fcells):
-        """Per-cell admissibility of the deformation gradients."""
-        return self._law.admissible(np.asarray(Fcells, dtype=float))
+    def admissible_cells(self, F):
+        """Per-cell admissibility of the deformation gradients: (d,d,n) -> (n,)."""
+        return self._law.admissible(np.asarray(F, dtype=float))
 
-    def energy_cells(self, omega, Fcells):
-        """W(omega_i, F_i) over cells: (n,), (n,d,d) -> (n,)."""
-        return self.factor(omega) * self._law.energy(np.asarray(Fcells, dtype=float))
+    def energy_cells(self, omega, F):
+        """W(omega_i, F_i) over cells: (n,), (d,d,n) -> (n,)."""
+        return self.factor(omega) * self._law.energy(np.asarray(F, dtype=float))
 
-    def stress_cells(self, omega, Fcells):
-        """DW(omega_i, F_i) over cells: -> (n,d,d)."""
-        return self.factor(omega)[:, None, None] * self._law.stress(np.asarray(Fcells, dtype=float))
+    def stress_cells(self, omega, F):
+        """DW(omega_i, F_i) over cells: -> (d,d,n)."""
+        return self.factor(omega) * self._law.stress(np.asarray(F, dtype=float))
 
     def moduli_cells(self, omega, F):
-        """Tangent moduli of component-major cells F (d, d, n) as (d, d, d, d, n),
-        see `tangent_apply_cells`.  A neo-Hookean cell with J <= 0 raises
+        """Tangent moduli of the cells as (d, d, d, d, n), see
+        `tangent_apply_cells`.  A neo-Hookean cell with J <= 0 raises
         DomainError."""
         return self.factor(omega) * self._law.moduli(np.asarray(F, dtype=float))
 
-    def tangent_apply_cells(self, omega, Fcells, A):
-        """Matrix D2W(omega_i, F_i)[A_i] over cells; A is (d,d), (n,d,d) or a
-        stack (k,n,d,d) of k directions, which share one evaluation of the moduli.
+    def tangent_apply_cells(self, omega, F, A):
+        """Matrices D2W(omega_i, F_i)[A_i] over cells; A is one direction (d,d),
+        per-cell directions (d,d,n) or a stack (k,d,d,n) of them (k,d,d,1 for
+        constant ones), which share one evaluation of the moduli.
 
         The tangent is the contraction (D2W[A])_jl = sum_mr K_jlmr A_mr of the
         moduli K_jlmr = D2W[e_j x e_l, e_m x e_r] of `moduli_cells`, one
@@ -486,17 +448,14 @@ class EnergyDensity:
                          + delta_jm (2 mu E_lr + lam tr E delta_lr)]
             NH:   K = m [mu delta_jm delta_lr + lam X_lj X_rm - beta X_lm X_rj]
         """
-        Fcells = np.asarray(Fcells, dtype=float)
-        A = np.asarray(A, dtype=float)
-        A = np.broadcast_to(A, A.shape[:-3] + Fcells.shape)
-        K = self.moduli_cells(omega, np.moveaxis(Fcells, 0, -1))
-        return np.einsum("jlmrn,...nmr->...njl", K, A)
+        F = np.asarray(F, dtype=float)
+        return np.einsum("jlmrn,...mrn->...jln", self.moduli_cells(omega, F), _directions(A, F))
 
-    def third_apply_cells(self, omega, Fcells, A, B):
-        """Matrix D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B)."""
-        Fcells = np.asarray(Fcells, dtype=float)
-        A, B = (np.broadcast_to(np.asarray(X, dtype=float), Fcells.shape) for X in (A, B))
-        return self.factor(omega)[:, None, None] * self._law.third(Fcells, A, B)
+    def third_apply_cells(self, omega, F, A, B):
+        """Matrices D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B);
+        A and B are (d,d) or (d,d,n)."""
+        F = np.asarray(F, dtype=float)
+        return self.factor(omega) * self._law.third(F, _directions(A, F), _directions(B, F))
 
     def flux_cells(self, omega, cols, f, acoustic=False):
         """Flux DW(omega_i, F_i) e_d of the cells F_i = [C | f_i], in column form.
@@ -512,10 +471,11 @@ class EnergyDensity:
         flux, M = self._law.column(cols, np.asarray(f, dtype=float), acoustic)
         return m * flux, (None if M is None else m * M)
 
-    def acoustic_cells(self, omega, Fcells):
-        """Acoustic tensors M_i with (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d],
-        in the closed form of the module docstring."""
-        return self.factor(omega)[:, None, None] * self._law.acoustic(np.asarray(Fcells, dtype=float))
+    def acoustic_cells(self, omega, F):
+        """Acoustic tensors (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d] over
+        cells, (d,d,n): the entries K_jdkd of the moduli."""
+        d = self.dim
+        return self.moduli_cells(omega, F)[:, d - 1, :, d - 1]
 
     def __repr__(self):
         return (f"EnergyDensity({self.family!r}, lame=({self.lam}, {self.mu}), "

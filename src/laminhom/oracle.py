@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import ConvergenceError, SolverOptions, _check_sample, _deform
-from .energy import DomainError, _tAB, dist_to_rotations
+from .energy import DomainError, _gram, _inner, dist_to_rotations
 
 __all__ = [
     "DiscreteEnergyProblem",
@@ -28,8 +28,8 @@ __all__ = [
 
 def _gram_deviation(Fc):
     """|F^T F - Id|_F per cell: cheap upper bound proxy for dist(F, SO(d))."""
-    G = _tAB(Fc, Fc) - np.eye(Fc.shape[-1])
-    return np.sqrt(np.einsum("nij,nij->n", G, G))
+    G = _gram(Fc) - np.eye(len(Fc))[:, :, None]
+    return np.sqrt(_inner(G, G))
 
 
 @dataclass
@@ -70,32 +70,36 @@ class DiscreteEnergyProblem:
         return (np.roll(phi, -1, axis=0) - phi) / self.h
 
     def deformations(self, u):
-        return _deform(self.F, self.cell_gradients(self.phi_from(u)))
+        """The cells, component-major (d, d, n)."""
+        return _deform(self.F, self.cell_gradients(self.phi_from(u)).T)
 
     def energy(self, u):
         return float(self.w.energy_cells(self.omega, self.deformations(u)).mean())
 
     def tractions(self, u):
-        dd = self.d - 1
-        return self.w.stress_cells(self.omega, self.deformations(u))[:, :, dd]
+        """DW_i e_d of the cells, (d, n)."""
+        return self.w.stress_cells(self.omega, self.deformations(u))[:, self.d - 1]
+
+    def nodal(self, t):
+        """Jumps of the cell columns t (d, n) across nodes 1 .. n-1, as one nodal vector."""
+        # node j sits between cells j-1 and j
+        g = (np.roll(t, 1, axis=-1) - t) / (self.n * self.h)
+        return g[:, 1:].T.ravel()
 
     def gradient(self, u):
-        t = self.tractions(u)
-        # node j sits between cells j-1 and j
-        g = (np.roll(t, 1, axis=0) - t) / (self.n * self.h)
-        return g[1:].ravel()
+        return self.nodal(self.tractions(u))
 
     def hessian(self, u):
         return self._stiffness(self.w.acoustic_cells(self.omega, self.deformations(u)))
 
     def _stiffness(self, M):
-        """Block-tridiagonal nodal matrix of per-cell acoustic tensors M, node 0 removed."""
+        """Block-tridiagonal nodal matrix of per-cell acoustic tensors M (d, d, n), node 0 removed."""
         n, d = self.n, self.d
         scale = 1.0 / (n * self.h * self.h)
         K = np.zeros((n, d, n, d))
         nxt = (np.arange(n) + 1) % n
         for i in range(n):
-            Mi = scale * M[i]
+            Mi = scale * M[..., i]
             K[i, :, i, :] += Mi
             K[nxt[i], :, nxt[i], :] += Mi
             K[i, :, nxt[i], :] -= Mi
@@ -174,12 +178,9 @@ def linear_solve_direct(w, sample, F, p, G):
     and returns the per-cell gradients q (mean zero by telescoping).
     """
     prob = DiscreteEnergyProblem(w, sample, F)
-    dd = prob.d - 1
-    p = np.asarray(p, dtype=float)
-    Fc = _deform(prob.F, p)
+    Fc = _deform(prob.F, np.asarray(p, dtype=float).T)
     K = prob._stiffness(w.acoustic_cells(prob.omega, Fc))
-    b = w.tangent_apply_cells(prob.omega, Fc, np.asarray(G, dtype=float))[:, :, dd]
-    g = (np.roll(b, 1, axis=0) - b) / (prob.n * prob.h)
-    psi = prob.phi_from(np.linalg.solve(K, -g[1:].ravel()))
+    b = w.tangent_apply_cells(prob.omega, Fc, np.asarray(G, dtype=float))[:, prob.d - 1]
+    psi = prob.phi_from(np.linalg.solve(K, -prob.nodal(b)))
     q = prob.cell_gradients(psi)
     return q - q.mean(axis=0)

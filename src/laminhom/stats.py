@@ -197,9 +197,6 @@ class SampleColumns(Sequence):
             raise IndexError(f"sample {i} out of range for {len(self)} samples")
         return SampleRecord(self, i % len(self))
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
     @classmethod
     def of(cls, indices, rows, F, period, n):
         """Columns of the solved samples `indices`, whose `assemble` results
@@ -287,9 +284,6 @@ class EnsembleRun:
             return columns.energy.reshape(N, 1)
         return (columns.stress if order == 1 else columns.tangent).reshape(N, -1)
 
-    def mean(self, L, order):
-        return self.values(L, order).mean(axis=0)
-
 
 @dataclass
 class FluctuationEstimate:
@@ -329,10 +323,6 @@ class RateFit:
     ci_high: float
     count: int
     residuals: np.ndarray
-
-    @property
-    def half_width(self):
-        return 0.5 * (self.ci_high - self.ci_low)
 
 
 # =====================================================================

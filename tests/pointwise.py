@@ -12,7 +12,7 @@ from laminhom.energy import SAINT_VENANT_KIRCHHOFF
 
 def evaluate(w, omega, F):
     """W(omega, F) at a single deformation gradient."""
-    W = w.energy_cells(np.atleast_1d(float(omega)), np.asarray(F, dtype=float)[None])
+    W = w.energy_cells(np.atleast_1d(float(omega)), np.asarray(F, dtype=float)[:, :, None])
     return float(W[0])
 
 
@@ -25,16 +25,16 @@ def derivative(w, omega, F, order=1):
     """
     d = w.dim
     om = np.atleast_1d(float(omega))
-    Fc = np.asarray(F, dtype=float)[None]
+    Fc = np.asarray(F, dtype=float)[:, :, None]
     if order == 1:
-        return w.stress_cells(om, Fc)[0]
+        return w.stress_cells(om, Fc)[..., 0]
     if order == 2:
         T = np.empty((d, d, d, d))
         for l in range(d):
             for m in range(d):
                 E = np.zeros((d, d))
                 E[l, m] = 1.0
-                T[:, :, l, m] = w.tangent_apply_cells(om, Fc, E)[0]
+                T[:, :, l, m] = w.tangent_apply_cells(om, Fc, E)[..., 0]
         return T
     if order == 3:
         T = np.empty((d, d, d, d, d, d))
@@ -46,13 +46,13 @@ def derivative(w, omega, F, order=1):
                     for v in range(d):
                         B = np.zeros((d, d))
                         B[u, v] = 1.0
-                        T[:, :, l, m, u, v] = w.third_apply_cells(om, Fc, A, B)[0]
+                        T[:, :, l, m, u, v] = w.third_apply_cells(om, Fc, A, B)[..., 0]
         return T
     raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
 
 
 def tangent_reference(w, omega, Fc, A):
-    """D2W(omega_i, F_i)[A] over cells (n, d, d) by the matrix-product formulas
+    """D2W(omega_i, F_i)[A] over cell-major cells (n, d, d) by the matrix-product formulas
 
     SVK:  lam (F:A) F + lam tr E A + 2 mu F sym(F^T A) + 2 mu A E,
     NH:   mu A + lam tr(F^{-1} A) F^{-T} - beta (F^{-1} A F^{-1})^T,

@@ -110,9 +110,9 @@ class TestOracleEquivalence:
         q_direct = linear_solve_direct(w, sample, F, sol.p, G)
         assert np.abs(q - q_direct).max() <= 1e-9
         # linearized flux is constant across cells
-        Fc = _deform(F, sol.p)
-        flux = (w.tangent_apply_cells(sample.values, Fc, _deform(G, q))[:, :, 1])
-        assert np.abs(flux - tau).max() <= 1e-10
+        Fc = _deform(F, sol.p.T)
+        flux = w.tangent_apply_cells(sample.values, Fc, _deform(G, q.T))[:, 1]
+        assert np.abs(flux - tau[:, None]).max() <= 1e-10
 
 
 class TestStructure:
@@ -121,12 +121,12 @@ class TestStructure:
         sample = random_sample(seed=3, n=16)
         F = shear(2, 0.05)
         sol = solve_corrector(w, sample, F)
-        base = w.energy_cells(sample.values, _deform(F, sol.p)).mean()
+        base = w.energy_cells(sample.values, _deform(F, sol.p.T)).mean()
         rng = np.random.default_rng(0)
         for _ in range(20):
             dp = 1e-3 * rng.standard_normal(sol.p.shape)
             dp -= dp.mean(axis=0)
-            perturbed = w.energy_cells(sample.values, _deform(F, sol.p + dp)).mean()
+            perturbed = w.energy_cells(sample.values, _deform(F, (sol.p + dp).T)).mean()
             assert perturbed >= base - 1e-15
 
     def test_frame_indifference(self):
@@ -201,17 +201,6 @@ class TestDerivativeConsistency:
             scale = np.abs(full.third).max()
             assert np.abs(full.third[..., j, k] - fd).max() <= 1e-4 * scale
 
-    def test_linearized_cache_reused(self):
-        w = svk2()
-        sample = random_sample(seed=13, n=16)
-        F = shear(2, 0.05)
-        sol = solve_corrector(w, sample, F)
-        first = assemble(w, sample, F, base=sol, order=2)
-        assert len(sol.q) == 4
-        again = assemble(w, sample, F, base=sol, order=2)
-        assert np.array_equal(first.tangent, again.tangent)
-
-
     def test_stacked_directions_match_single_calls(self):
         w = svk2()
         sample = random_sample(seed=15, n=16)
@@ -244,7 +233,6 @@ class TestDerivativeConsistency:
         monkeypatch.setattr(EnergyDensity, "acoustic_cells", None)
         assemble(w, sample, F, base=sol, order=2)
         assert len(calls) == 1
-        assert len(sol.q) == 4
 
     @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
     def test_assembly_goes_through_kernel_patch_points(self, monkeypatch, family):
@@ -497,12 +485,13 @@ class TestBlocks:
 
 def symmetric_form(w, sample, F, sol):
     """avg_i D2W_i[E_a + q_a x e_d, E_b + q_b x e_d], symmetrized, over the
-    elementary directions E_a with the correctors cached in sol.q."""
+    elementary directions E_a with their linearized correctors q_a."""
     d = w.dim
-    pairs = [(j, l) for j in range(d) for l in range(d)]
-    A = np.stack([_deform(_elementary(d, *pair), sol.q[pair]) for pair in pairs])
-    T = w.tangent_apply_cells(sample.values, _deform(F, sol.p), A)
-    mat = np.einsum("anjl,bnjl->ab", T, A) / len(sample.values)
+    E = np.stack([_elementary(d, j, l) for j in range(d) for l in range(d)])
+    q, _ = solve_linearized(w, sample, F, sol, E)
+    A = np.stack([_deform(Ea, qa.T) for Ea, qa in zip(E, q)])
+    T = w.tangent_apply_cells(sample.values, _deform(F, sol.p.T), A)
+    mat = np.einsum("ajln,bjln->ab", T, A) / len(sample.values)
     return (0.5 * (mat + mat.T)).reshape(d, d, d, d)
 
 
@@ -516,10 +505,9 @@ class TestReducedTangent:
         F = stretch(dim, *BACKTRACKING[family])
         for sample, in_block in zip(samples, assemble_in_block(w, samples, F, order=2)):
             sol = solve_corrector(w, sample, F)
-            first = assemble(w, sample, F, base=sol, order=2)
-            cached = assemble(w, sample, F, base=sol, order=2)   # reads sol.q
+            given_base = assemble(w, sample, F, base=sol, order=2)
             expected = symmetric_form(w, sample, F, sol)
-            for q in (in_block, first, cached):
+            for q in (in_block, given_base):
                 assert np.abs(q.tangent - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])

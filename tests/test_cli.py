@@ -523,7 +523,7 @@ class TestMcAndField:
         assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         config = load_config(cfg)
         w = config.material()
-        expected = float(w.energy_cells(np.zeros(1), config.F[None, :, :])[0])
+        expected = float(w.energy_cells(np.zeros(1), config.F[:, :, None])[0])
         _, _, rows = read_table(out / "quantities.csv")
         table = {(r[0], r[1]): float(r[2]) for r in rows}
         assert table[("W", "")] == pytest.approx(expected, rel=1e-14)

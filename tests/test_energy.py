@@ -21,7 +21,6 @@ from laminhom.energy import (
     FixedColumns,
     _matvec,
     adjugate,
-    det_inverse,
     dist_to_rotations,
     rotation_from_angle,
 )
@@ -191,6 +190,11 @@ class TestFiniteDifferenceConsistency:
 # ===================================================================
 
 
+def random_cells(rng, dim, n, dist=0.1):
+    """n deformation gradients near SO(d), component-major (d, d, n)."""
+    return np.stack([random_near_identity(rng, dim, dist) for _ in range(n)], axis=-1)
+
+
 class TestBatchedKernels:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cells_match_pointwise(self, family):
@@ -198,7 +202,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(5)
         n = 17
         om = rng.normal(size=n)
-        Fc = np.stack([random_near_identity(rng, 3, 0.1) for _ in range(n)])
+        Fc = random_cells(rng, 3, n)
         Wv = w.energy_cells(om, Fc)
         Sv = w.stress_cells(om, Fc)
         A = rng.standard_normal((3, 3))
@@ -206,11 +210,12 @@ class TestBatchedKernels:
         Tv = w.tangent_apply_cells(om, Fc, A)
         Uv = w.third_apply_cells(om, Fc, A, B)
         for i in range(n):
-            assert Wv[i] == pytest.approx(evaluate(w, om[i], Fc[i]), rel=1e-14, abs=1e-16)
-            np.testing.assert_allclose(Sv[i], derivative(w, om[i], Fc[i], 1), rtol=1e-13, atol=1e-16)
-            np.testing.assert_allclose(Tv[i], np.einsum("jklm,lm->jk", derivative(w, om[i], Fc[i], 2), A),
+            Fi = Fc[..., i]
+            assert Wv[i] == pytest.approx(evaluate(w, om[i], Fi), rel=1e-14, abs=1e-16)
+            np.testing.assert_allclose(Sv[..., i], derivative(w, om[i], Fi, 1), rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(Tv[..., i], np.einsum("jklm,lm->jk", derivative(w, om[i], Fi, 2), A),
                                        rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(Uv[i], np.einsum("jklmuv,lm,uv->jk", derivative(w, om[i], Fc[i], 3), A, B),
+            np.testing.assert_allclose(Uv[..., i], np.einsum("jklmuv,lm,uv->jk", derivative(w, om[i], Fi, 3), A, B),
                                        rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -220,35 +225,34 @@ class TestBatchedKernels:
         w = make(family, dim)
         rng = np.random.default_rng(6)
         om = rng.normal(size=8)
-        Fc = np.stack([random_near_identity(rng, dim, 0.1) for _ in range(8)])
-        M = w.acoustic_cells(om, Fc)
-        np.testing.assert_allclose(M, np.swapaxes(M, 1, 2), atol=1e-13)
-        assert np.all(np.linalg.eigvalsh(M) > 0.0)
+        M = w.acoustic_cells(om, random_cells(rng, dim, 8))
+        np.testing.assert_allclose(M, M.transpose(1, 0, 2), atol=1e-13)
+        assert np.all(np.linalg.eigvalsh(np.moveaxis(M, -1, 0)) > 0.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("dim", DIMS)
     def test_acoustic_closed_form_matches_tangent_columns(self, family, dim):
-        """M_jk read off d tangent applications D2W[e_k x e_d] e_d."""
+        """M_jk, entries of the moduli, equal d tangent applications D2W[e_k x e_d] e_d."""
         w = make(family, dim)
         rng = np.random.default_rng(9)
         n = 64
         om = rng.normal(size=n)
-        Fc = np.stack([random_near_identity(rng, dim, 0.15) for _ in range(n)])
-        columns = np.empty((n, dim, dim))
+        Fc = random_cells(rng, dim, n, 0.15)
+        columns = np.empty((dim, dim, n))
         for k in range(dim):
             E = np.zeros((dim, dim))
             E[k, dim - 1] = 1.0
-            columns[:, :, k] = w.tangent_apply_cells(om, Fc, E)[:, :, dim - 1]
+            columns[:, k] = w.tangent_apply_cells(om, Fc, E)[:, dim - 1]
         M = w.acoustic_cells(om, Fc)
         assert np.abs(M - columns).max() <= 1e-13 * np.abs(columns).max()
 
     def test_third_apply_symmetric_in_arguments(self):
         w = make(NEO_HOOKEAN, 3)
         rng = np.random.default_rng(8)
-        Fc = np.stack([random_near_identity(rng, 3, 0.1) for _ in range(4)])
+        Fc = random_cells(rng, 3, 4)
         om = rng.normal(size=4)
-        A = rng.standard_normal((4, 3, 3))
-        B = rng.standard_normal((4, 3, 3))
+        A = rng.standard_normal((3, 3, 4))
+        B = rng.standard_normal((3, 3, 4))
         np.testing.assert_allclose(w.third_apply_cells(om, Fc, A, B),
                                    w.third_apply_cells(om, Fc, B, A), atol=1e-13)
 
@@ -261,8 +265,8 @@ class TestModuli:
         w = make(family, dim)
         rng = np.random.default_rng(31)
         om = rng.normal(size=n)
-        Fc = np.stack([random_near_identity(rng, dim, 0.15) for _ in range(n)])
-        return w, om, Fc, w.moduli_cells(om, np.moveaxis(Fc, 0, -1))
+        Fc = random_cells(rng, dim, n, 0.15)
+        return w, om, Fc, w.moduli_cells(om, Fc)
 
     @staticmethod
     def elementary(dim, m, r):
@@ -277,7 +281,8 @@ class TestModuli:
         assert K.shape == (dim,) * 4 + (len(om),)
         for m in range(dim):
             for r in range(dim):
-                expected = tangent_reference(w, om, Fc, self.elementary(dim, m, r))
+                expected = tangent_reference(w, om, np.moveaxis(Fc, -1, 0),
+                                             self.elementary(dim, m, r))
                 got = np.moveaxis(K[:, :, m, r], -1, 0)
                 assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -294,10 +299,9 @@ class TestModuli:
         step = 1e-5
         for m in range(dim):
             for r in range(dim):
-                E = self.elementary(dim, m, r)
+                E = self.elementary(dim, m, r)[:, :, None]
                 fd = (w.stress_cells(om, Fc + step * E) - w.stress_cells(om, Fc - step * E)) / (2 * step)
-                got = np.moveaxis(K[:, :, m, r], -1, 0)
-                assert np.abs(got - fd).max() <= 1e-8 * np.abs(K).max()
+                assert np.abs(K[:, :, m, r] - fd).max() <= 1e-8 * np.abs(K).max()
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_neo_hookean_outside_domain_raises(self, dim):
@@ -313,12 +317,11 @@ class TestModuli:
 
 
 def laminate_cells(rng, dim, n, shift=0.15):
-    """A deformation F near SO(d) and the cells F + p_i x e_d, plus their last columns (d, n)."""
+    """A deformation F near SO(d) and the cells F + p_i x e_d (d, d, n), plus their last columns (d, n)."""
     F = random_near_identity(rng, dim, 0.1)
-    p = shift * rng.standard_normal((n, dim))
-    Fc = np.broadcast_to(F, (n, dim, dim)).copy()
-    Fc[:, :, dim - 1] += p
-    return F, Fc, np.ascontiguousarray(Fc[:, :, dim - 1].T)
+    Fc = np.repeat(F[:, :, None], n, axis=2)
+    Fc[:, dim - 1] += shift * rng.standard_normal((dim, n))
+    return F, Fc, Fc[:, dim - 1].copy()
 
 
 class TestColumnForm:
@@ -332,21 +335,22 @@ class TestColumnForm:
         F, Fc, f = laminate_cells(rng, dim, n)
         cols = FixedColumns.of(F)
         flux, M = w.flux_cells(om, cols, f, acoustic=True)
-        stress = w.stress_cells(om, Fc)[:, :, dim - 1]
+        stress = w.stress_cells(om, Fc)[:, dim - 1]
         acoustic = w.acoustic_cells(om, Fc)
-        assert np.linalg.norm(flux.T - stress) <= 1e-13 * np.linalg.norm(stress)
-        assert np.linalg.norm(np.moveaxis(M, -1, 0) - acoustic) <= 1e-13 * np.linalg.norm(acoustic)
+        assert np.linalg.norm(flux - stress) <= 1e-13 * np.linalg.norm(stress)
+        assert np.linalg.norm(M - acoustic) <= 1e-13 * np.linalg.norm(acoustic)
         only, none = w.flux_cells(om, cols, f)
         assert none is None and np.array_equal(only, flux)
-        gram = np.einsum("nji,njk->nik", Fc, Fc) - np.eye(dim)
-        np.testing.assert_allclose(cols.gram_squared(f), np.einsum("nij,nij->n", gram, gram),
+        gram = np.einsum("jin,jkn->ikn", Fc, Fc) - np.eye(dim)[:, :, None]
+        np.testing.assert_allclose(cols.gram_squared(f), np.einsum("ijn,ijn->n", gram, gram),
                                    rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_cofactor_normal_gives_det(self, dim):
         rng = np.random.default_rng(22)
         F, Fc, f = laminate_cells(rng, dim, 16)
-        np.testing.assert_allclose(FixedColumns.of(F).normal @ f, np.linalg.det(Fc), rtol=1e-13)
+        np.testing.assert_allclose(FixedColumns.of(F).normal @ f,
+                                   np.linalg.det(np.moveaxis(Fc, -1, 0)), rtol=1e-13)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_neo_hookean_outside_domain_is_nan_without_warning(self, dim):
@@ -364,6 +368,42 @@ class TestColumnForm:
         outside = np.array([False, True, True, False, True, False])
         assert np.isnan(flux[:, outside]).all() and np.isnan(M[..., outside]).all()
         assert np.isfinite(flux[:, ~outside]).all() and np.isfinite(M[..., ~outside]).all()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestCellIndependence:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_slices_give_the_same_bits(self, family, dim):
+        """A cell's results do not depend on the other cells of the call: n
+        cells at once give the bits of slices of 1 and of 7 cells."""
+        w = make(family, dim)
+        rng = np.random.default_rng(26)
+        n = 23
+        om = rng.normal(size=n)
+        Fc = random_cells(rng, dim, n)
+        A = rng.standard_normal((dim * dim, dim, dim, n))
+        F, _, f = laminate_cells(rng, dim, n)
+        cols = FixedColumns.of(F)
+        kernels = {
+            "energy": lambda s: (w.energy_cells(om[s], Fc[..., s]),),
+            "stress": lambda s: (w.stress_cells(om[s], Fc[..., s]),),
+            "acoustic": lambda s: (w.acoustic_cells(om[s], Fc[..., s]),),
+            "moduli": lambda s: (w.moduli_cells(om[s], Fc[..., s]),),
+            "tangent_apply": lambda s: (w.tangent_apply_cells(om[s], Fc[..., s], A[..., s]),),
+            "flux": lambda s: w.flux_cells(om[s], cols, f[:, s], acoustic=True),
+        }
+        for name, kernel in kernels.items():
+            whole = kernel(slice(None))
+            for size in (1, 7):
+                parts = [kernel(slice(lo, lo + size)) for lo in range(0, n, size)]
+                for k, expected in enumerate(whole):
+                    joined = np.concatenate([part[k] for part in parts], axis=-1)
+                    assert same_bits(joined, expected), (name, size)
 
 
 def matvec_loop(A, x):
@@ -403,27 +443,27 @@ class TestStackedTangent:
         rng = np.random.default_rng(24)
         n = 32
         om = rng.normal(size=n)
-        Fc = np.stack([random_near_identity(rng, dim, 0.1) for _ in range(n)])
-        A = rng.standard_normal((dim * dim, n, dim, dim))
+        Fc = random_cells(rng, dim, n)
+        A = rng.standard_normal((dim * dim, dim, dim, n))
         stacked = w.tangent_apply_cells(om, Fc, A)
         looped = np.stack([w.tangent_apply_cells(om, Fc, Aa) for Aa in A])
         assert stacked.shape == A.shape
         assert np.abs(stacked - looped).max() <= 1e-14 * np.abs(looped).max()
         # a stack of constant directions, broadcast over the cells
         G = rng.standard_normal((3, dim, dim))
-        stacked = w.tangent_apply_cells(om, Fc, np.broadcast_to(G[:, None], (3, n, dim, dim)))
+        stacked = w.tangent_apply_cells(om, Fc, G[..., None])
         looped = np.stack([w.tangent_apply_cells(om, Fc, Ga) for Ga in G])
         assert np.abs(stacked - looped).max() <= 1e-14 * np.abs(looped).max()
 
     def test_rejects_misshaped_directions(self):
         w = make(SAINT_VENANT_KIRCHHOFF, 2)
-        Fc = np.broadcast_to(np.eye(2), (4, 2, 2))
+        Fc = np.repeat(np.eye(2)[:, :, None], 4, axis=2)
         with pytest.raises(ValueError):
             w.tangent_apply_cells(np.zeros(4), Fc, np.zeros((3, 2, 2)))
 
 
 # ===================================================================
-# closed-form small-matrix inverse
+# closed-form small-matrix determinant and inverse (the adjugate)
 # ===================================================================
 
 
@@ -431,31 +471,37 @@ class TestDetInverse:
     @pytest.mark.parametrize("dim", DIMS)
     def test_matches_numpy(self, dim):
         rng = np.random.default_rng(10)
-        A = rng.standard_normal((50, dim, dim)) + 2.0 * np.eye(dim)
-        det, inv = det_inverse(A)
-        np.testing.assert_allclose(det, np.linalg.det(A), rtol=1e-12)
-        np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-12, atol=1e-13)
+        A = rng.standard_normal((dim, dim, 50)) + 2.0 * np.eye(dim)[:, :, None]
+        det, adj = adjugate(A)
+        cells = np.moveaxis(A, -1, 0)
+        np.testing.assert_allclose(det, np.linalg.det(cells), rtol=1e-12)
+        np.testing.assert_allclose(np.moveaxis(np.array(adj) / det, -1, 0), np.linalg.inv(cells),
+                                   rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_singular_and_non_finite_give_non_finite_inverse(self, dim):
-        A = np.stack([np.eye(dim), np.ones((dim, dim)), np.full((dim, dim), np.nan)])
-        det, inv = det_inverse(A)
+        A = np.stack([np.eye(dim), np.ones((dim, dim)), np.full((dim, dim), np.nan)], axis=-1)
+        det, adj = adjugate(A)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.array(adj) / det
         assert det[1] == 0.0
-        assert np.isfinite(inv[0]).all()
-        assert not np.isfinite(inv[1]).any() and not np.isfinite(inv[2]).any()
+        assert np.isfinite(inv[..., 0]).all()
+        assert not np.isfinite(inv[..., 1]).any() and not np.isfinite(inv[..., 2]).any()
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
-            det_inverse(np.eye(4))
+            adjugate(np.eye(4))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_adjugate_of_component_major_stack(self, dim):
+        # a stack gives every matrix the bits it has alone
         rng = np.random.default_rng(14)
-        A = rng.standard_normal((20, dim, dim)) + 2.0 * np.eye(dim)
-        det, adj = adjugate(np.moveaxis(A, 0, -1))
-        ref_det, ref_inv = det_inverse(A)
-        np.testing.assert_array_equal(det, ref_det)
-        np.testing.assert_array_equal(np.moveaxis(np.array(adj), -1, 0) / det[:, None, None], ref_inv)
+        A = rng.standard_normal((dim, dim, 20)) + 2.0 * np.eye(dim)[:, :, None]
+        det, adj = adjugate(A)
+        for i in range(A.shape[-1]):
+            ref_det, ref_adj = adjugate(A[..., i])
+            assert det[i] == ref_det
+            np.testing.assert_array_equal(np.array(adj)[..., i], np.array(ref_adj))
 
 
 # ===================================================================

@@ -162,7 +162,7 @@ class TestRunEnsemble:
     def test_samples_share_one_read_only_F(self, workers):
         plan = make_plan([8, 16], count=3, order=0, workers=workers)
         run = run_ensemble(plan)
-        qs = run.samples[8] + run.samples[16]
+        qs = [*run.samples[8], *run.samples[16]]
         assert all(q.F is run.F for q in qs) and not run.F.flags.writeable
         assert np.array_equal(run.F, plan.F) and plan.F.flags.writeable
         assert all("seed" not in q.metadata for q in qs)
@@ -463,7 +463,7 @@ class TestFitRate:
         xs = np.array([16.0, 32.0, 64.0, 128.0, 256.0])
         fit = fit_rate(xs, xs ** -0.5)
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-        assert fit.half_width <= 1e-12
+        assert fit.ci_high - fit.ci_low <= 2e-12
 
     def test_log_over_x_slope_window(self):
         # the raw model ln(x)/x fits at about -0.75 on this range (local
