@@ -141,12 +141,12 @@ class SolverOptions:
     the stagnation floor (near machine precision) so that the final exact
     recentering of p stays within tol_inner.  max_outer caps the Newton
     steps of a sample and max_backtracks the halvings of one step's line
-    search.  delta_bar gates the input deformation (dist(F, SO(d)) <
-    delta_bar); admissible_dist caps the line-search iterates, measured
-    through the Gram deviation |F^T F - Id|_F which bounds the rotation
-    distance from above without per-step SVDs.  cond_cap bounds the
-    Frobenius condition number of the acoustic tensors.  lipschitz_factor
-    only flags (never fails) solutions with
+    search.  delta_bar gates the input deformation (`check_deformation`:
+    dist(F, SO(d)) < delta_bar); admissible_dist caps the line-search
+    iterates, measured through the Gram deviation |F^T F - Id|_F which
+    bounds the rotation distance from above without per-step SVDs.
+    cond_cap bounds the Frobenius condition number of the acoustic
+    tensors.  lipschitz_factor only flags (never fails) solutions with
     max_i |p_i| > lipschitz_factor * dist(F, SO(d)).
     """
 
@@ -159,6 +159,15 @@ class SolverOptions:
     admissible_dist: float = 1.0
     lipschitz_factor: float = 20.0
     cond_cap: float = 1e12
+
+    def check_deformation(self, F):
+        """dist(F, SO(d)), the gate of every solve: raises DomainError
+        unless it is below delta_bar."""
+        dist = dist_to_rotations(F)
+        if not dist < self.delta_bar:
+            raise DomainError(f"deformation too far from rotations: dist(F, SO(d)) = {dist!r} "
+                              f"not below delta_bar = {self.delta_bar!r}")
+        return dist
 
 
 @dataclass
@@ -210,11 +219,6 @@ def _read_only(A):
     A = np.array(A, dtype=float)
     A.flags.writeable = False
     return A
-
-
-def _check_sample(sample):
-    if not getattr(sample, "periodic", True):
-        raise ValueError("cell problems need a periodic sample")
 
 
 def _per_sample(x, S):
@@ -324,10 +328,7 @@ def _solve_block(w, omega, F, opts):
     d = w.dim
     if F.shape != (d, d):
         raise ValueError(f"F must be {d}x{d}, got {F.shape}")
-    dist_F = dist_to_rotations(F)
-    if not dist_F < opts.delta_bar:
-        raise DomainError(
-            f"dist(F, SO(d)) = {dist_F:.4f} not below delta_bar = {opts.delta_bar}")
+    dist_F = opts.check_deformation(F)
     omega = np.asarray(omega, dtype=float)
     S, n = omega.shape
     cols = FixedColumns.of(F)
@@ -461,7 +462,6 @@ def solve_corrector(w, sample, F, opts=None, block=None):
     singular acoustic tensor or flux Jacobian.
     """
     opts = opts or SolverOptions()
-    _check_sample(sample)
     if block is None:
         return SampleBlock(w, [sample], F, opts).corrector(0)
     return block.corrector(block.row(w, sample, F, opts))
@@ -501,7 +501,6 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     (k,n,d) and (k,d) for a stack.
     """
     opts = opts or SolverOptions()
-    _check_sample(sample)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     omega = np.asarray(sample.values, dtype=float)

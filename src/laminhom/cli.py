@@ -11,17 +11,8 @@ validate    run the built-in cross-checks (oracle routes, invariants, golden
             headers) on small instances; exit 0/1
 dump-field  write one sampled material field as field.csv
 
-Config files are flat INI text (sections in brackets, key = value):
-
-    [material]        family, lambda, mu, modulation, dimension
-    [covariance]      kind, variance, correlation_length
-    [discretization]  spacing
-    [deformation]     mode = matrix  -> matrix = "1 0.05 ; 0 1"  (rows by ';')
-                      mode = identity_plus -> angle, strain, magnitude,
-                      meaning F = R(angle) (Id + magnitude * strain)
-    [run]             lengths, samples, seed, and optionally order, tol_inner,
-                      tol_outer, delta_bar, workers, reference_strategy,
-                      reference_length, reference_samples, mc_groups, mc_scale
+Config files are flat INI text (sections in brackets, key = value); the
+keys and their defaults are in README's "Config format" and in _KEYS.
 
 Outputs are plain CSV ('.' decimal, '%.17g' floats) preceded by '#key=value'
 metadata lines (version, PRNG, effective seed, config hash, resolved config)
@@ -43,7 +34,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +51,7 @@ from .cell import (
     rank_one_minimum,
     solve_corrector,
 )
-from .energy import DomainError, EnergyDensity, adjugate, dist_to_rotations, rotation_from_angle
+from .energy import DomainError, EnergyDensity, adjugate, rotation_from_angle
 from .fields import (
     PRNG_NAME,
     CovarianceSpec,
@@ -71,6 +62,7 @@ from .fields import (
 )
 from .oracle import minimize_direct
 from .stats import (
+    REFERENCE_STRATEGIES,
     DegenerateFitError,
     EnsembleError,
     EnsemblePlan,
@@ -81,6 +73,8 @@ from .stats import (
     fit_rate,
     fluctuation_estimate,
     mc_total_error,
+    period_cells,
+    reference_lengths,
     run_ensemble,
     systematic_estimate,
 )
@@ -125,16 +119,6 @@ class ConfigError(ValueError):
 # configuration
 # =====================================================================
 
-_SCHEMA = {
-    "material": {"family", "lambda", "mu", "modulation", "dimension"},
-    "covariance": {"kind", "variance", "correlation_length"},
-    "discretization": {"spacing"},
-    "deformation": {"mode", "matrix", "angle", "strain", "magnitude"},
-    "run": {"lengths", "samples", "seed", "order", "tol_inner", "tol_outer",
-            "delta_bar", "workers", "reference_strategy", "reference_length",
-            "reference_samples", "mc_groups", "mc_scale"},
-}
-
 
 def fmt(x):
     """Stable text form: %.17g floats, plain ints, 0/1 booleans."""
@@ -147,32 +131,86 @@ def fmt(x):
     return str(x)
 
 
-def _parse_matrix(text, what):
+def _matrix(text):
     """Square matrix from ';'-separated rows; ExperimentConfig checks its size."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
     if not rows:
-        raise ConfigError(f"{what} needs rows separated by ';'")
+        raise ConfigError("needs rows separated by ';'")
     out = []
     for r in rows:
         entries = r.replace(",", " ").split()
         if len(entries) != len(rows):
-            raise ConfigError(f"{what} row {r!r} needs {len(rows)} entries, one per row")
-        try:
-            out.append([float(e) for e in entries])
-        except ValueError as exc:
-            raise ConfigError(f"{what}: {exc}") from exc
+            raise ConfigError(f"row {r!r} needs {len(rows)} entries, one per row")
+        out.append([float(e) for e in entries])
     return np.array(out)
+
+
+def _numbers(text):
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+# Every config key, in canonical order: (section, key, parse).  A key sets
+# the ExperimentConfig field of its name (`lam` for lambda, see _FIELD),
+# except the [deformation] keys, which make F together (`_deformation`).
+# README's "Config format" block lists the same keys.
+_KEYS = (
+    ("material", "family", str.strip),
+    ("material", "lambda", float),
+    ("material", "mu", float),
+    ("material", "modulation", float),
+    ("material", "dimension", int),
+    ("covariance", "kind", str.strip),
+    ("covariance", "variance", float),
+    ("covariance", "correlation_length", float),
+    ("discretization", "spacing", float),
+    ("deformation", "mode", str.strip),
+    ("deformation", "matrix", _matrix),
+    ("deformation", "angle", float),
+    ("deformation", "strain", _matrix),
+    ("deformation", "magnitude", float),
+    ("run", "lengths", _numbers),
+    ("run", "samples", int),
+    ("run", "seed", int),
+    ("run", "order", int),
+    ("run", "tol_inner", float),
+    ("run", "tol_outer", float),
+    ("run", "delta_bar", float),
+    ("run", "workers", int),
+    ("run", "reference_strategy", str.strip),
+    ("run", "reference_length", float),
+    ("run", "reference_samples", int),
+    ("run", "mc_groups", int),
+    ("run", "mc_scale", float),
+)
+_FIELD = {"lambda": "lam"}
+_SCHEMA = {section: {k for s, k, _ in _KEYS if s == section} for section, _, _ in _KEYS}
+
+
+def _text(value):
+    """Canonical text of a config value: numbers by fmt, sequences joined by spaces."""
+    if value is None:
+        return "none"
+    if isinstance(value, (tuple, np.ndarray)):
+        return " ".join(fmt(v) for v in np.ravel(value))
+    return fmt(value)
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved, validated experiment description (see module docstring)."""
+    """Resolved, validated experiment: one field per key of _KEYS, and F.
+
+    Each rule is checked by the code that relies on it: every period the
+    run solves (the lengths and reference_length) by `stats.period_cells`,
+    the deformation by `SolverOptions.check_deformation`, the reference by
+    `stats.reference_lengths`.
+    """
 
     family: str
-    lame: tuple
+    lam: float
+    mu: float
     modulation: float
     dimension: int
-    cov_kind: str
+    kind: str
     variance: float
     correlation_length: float
     spacing: float
@@ -200,30 +238,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"deformation must be {self.dimension}x{self.dimension} ({self.dimension} rows "
                 f"of {self.dimension} entries), got shape {self.F.shape}")
-        try:
-            self.material()
-            self.covariance()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not self.spacing > 0.0:
-            raise ConfigError("spacing must be positive")
-        if self.spacing > 0.5 * self.correlation_length:
-            raise ConfigError(
-                f"spacing {fmt(self.spacing)} too coarse: need at least two cells "
-                f"per correlation length {fmt(self.correlation_length)}")
         if not self.lengths:
             raise ConfigError("need at least one length")
         if len(set(self.lengths)) < len(self.lengths):
             raise ConfigError("lengths must be distinct")
-        for L in self.lengths + ((self.reference_length,) if self.reference_length else ()):
-            if L < 4.0 * self.correlation_length:
-                raise ConfigError(
-                    f"period {fmt(L)} below 4 correlation lengths "
-                    f"({fmt(4 * self.correlation_length)})")
-            try:
-                cells_for(L, self.spacing)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -232,7 +250,7 @@ class ExperimentConfig:
             raise ConfigError(f"order must be 0, 1 or 2, got {self.order}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.reference_strategy not in ("largest_L_mean", "extrapolated"):
+        if self.reference_strategy not in REFERENCE_STRATEGIES:
             raise ConfigError(f"unknown reference_strategy {self.reference_strategy!r}")
         if self.reference_samples is None:
             self.reference_samples = self.samples
@@ -240,18 +258,26 @@ class ExperimentConfig:
             raise ConfigError("mc_groups must be >= 2")
         if not self.mc_scale > 0.0:
             raise ConfigError("mc_scale must be positive")
-        dist = dist_to_rotations(self.F)
-        if not dist < self.delta_bar:
-            raise ConfigError(
-                f"deformation too far from rotations: dist = {fmt(dist)} "
-                f">= delta_bar = {fmt(self.delta_bar)}")
+        periods = self.lengths
+        if self.reference_length is not None:
+            periods += (self.reference_length,)
+        try:
+            self.material()
+            covariance = self.covariance()
+            for L in periods:
+                period_cells(covariance, L, self.spacing)
+            self.solver_options().check_deformation(self.F)
+            if self.reference_length is None:
+                reference_lengths(self.reference_strategy, self.lengths)
+        except (ValueError, StatisticsError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def material(self):
-        return EnergyDensity(self.family, lame=self.lame, modulation=self.modulation,
+        return EnergyDensity(self.family, lame=(self.lam, self.mu), modulation=self.modulation,
                              dim=self.dimension)
 
     def covariance(self):
-        return CovarianceSpec(self.cov_kind, self.variance, self.correlation_length)
+        return CovarianceSpec(self.kind, self.variance, self.correlation_length)
 
     def solver_options(self):
         return SolverOptions(tol_inner=self.tol_inner, tol_outer=self.tol_outer,
@@ -261,8 +287,6 @@ class ExperimentConfig:
         lengths = tuple(lengths if lengths is not None else self.lengths)
         if counts is None:
             counts = {L: self.samples for L in lengths}
-        elif isinstance(counts, int):
-            counts = {L: counts for L in lengths}
         return EnsemblePlan(material=self.material(), covariance=self.covariance(),
                             F=self.F, spacing=self.spacing, lengths=lengths,
                             counts=counts, seed=self.seed,
@@ -270,68 +294,46 @@ class ExperimentConfig:
                             options=self.solver_options(), workers=self.workers)
 
     def canonical_items(self):
-        """Resolved config as ordered (key, value) text pairs, for metadata
-        and hashing.  Worker count is deliberately excluded: outputs do not
+        """Resolved config as (key, value) text pairs in the order of _KEYS,
+        for metadata and hashing; the [deformation] keys appear as the one
+        matrix F.  Worker count is deliberately excluded: outputs do not
         depend on it."""
-        lam, mu = self.lame
-        return [
-            ("material.family", self.family),
-            ("material.lambda", fmt(lam)),
-            ("material.mu", fmt(mu)),
-            ("material.modulation", fmt(self.modulation)),
-            ("material.dimension", fmt(self.dimension)),
-            ("covariance.kind", self.cov_kind),
-            ("covariance.variance", fmt(self.variance)),
-            ("covariance.correlation_length", fmt(self.correlation_length)),
-            ("discretization.spacing", fmt(self.spacing)),
-            ("deformation.F", " ".join(fmt(v) for v in self.F.reshape(-1))),
-            ("run.lengths", " ".join(fmt(L) for L in self.lengths)),
-            ("run.samples", fmt(self.samples)),
-            ("run.seed", fmt(self.seed)),
-            ("run.order", fmt(self.order)),
-            ("run.tol_inner", fmt(self.tol_inner)),
-            ("run.tol_outer", fmt(self.tol_outer)),
-            ("run.delta_bar", fmt(self.delta_bar)),
-            ("run.reference_strategy", self.reference_strategy),
-            ("run.reference_length",
-             fmt(self.reference_length) if self.reference_length else "none"),
-            ("run.reference_samples", fmt(self.reference_samples)),
-            ("run.mc_groups", fmt(self.mc_groups)),
-            ("run.mc_scale", fmt(self.mc_scale)),
-        ]
+        items = {}
+        for section, key, _ in _KEYS:
+            if section == "deformation":
+                items["deformation.F"] = _text(self.F)
+            elif key != "workers":
+                items[f"{section}.{key}"] = _text(getattr(self, _FIELD.get(key, key)))
+        return list(items.items())
 
     def sha256(self):
         text = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _section(cp, name):
-    if not cp.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
-    unknown = set(cp.options(name)) - _SCHEMA[name]
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
-    return dict(cp.items(name))
+def _deformation(keys):
+    """F from the given [deformation] keys: mode = matrix takes the matrix;
+    mode = identity_plus takes strain, magnitude and optionally angle, and
+    means F = R(angle) (Id + magnitude * strain)."""
+    def need(key):
+        if key not in keys:
+            raise ConfigError(f"missing deformation.{key}")
+        return keys[key]
 
-
-def _need(sec, secname, key):
-    if key not in sec:
-        raise ConfigError(f"missing {secname}.{key}")
-    return sec[key]
-
-
-def _as_float(secname, key, text):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{secname}.{key}: {exc}") from exc
-
-
-def _as_int(secname, key, text):
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{secname}.{key}: {exc}") from exc
+    mode = need("mode").lower()
+    if mode == "matrix":
+        if set(keys) - {"mode", "matrix"}:
+            raise ConfigError("matrix mode takes only the matrix key")
+        return need("matrix")
+    if mode == "identity_plus":
+        if "matrix" in keys:
+            raise ConfigError("identity_plus mode does not take a matrix key")
+        strain = need("strain")
+        F = np.eye(len(strain)) + need("magnitude") * strain
+        if len(strain) >= 2:  # the rotation acts in the (e1, e2) plane
+            F = rotation_from_angle(keys.get("angle", 0.0), len(strain)) @ F
+        return F
+    raise ConfigError(f"deformation.mode must be matrix or identity_plus, got {mode!r}")
 
 
 def load_config(path):
@@ -349,71 +351,25 @@ def load_config(path):
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
+    for section, keys in _SCHEMA.items():
+        if not cp.has_section(section):
+            raise ConfigError(f"missing [{section}] section")
+        unknown = set(cp.options(section)) - keys
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    mat = _section(cp, "material")
-    cov = _section(cp, "covariance")
-    disc = _section(cp, "discretization")
-    defo = _section(cp, "deformation")
-    run = _section(cp, "run")
-
-    mode = _need(defo, "deformation", "mode").strip().lower()
-    if mode == "matrix":
-        if "angle" in defo or "strain" in defo or "magnitude" in defo:
-            raise ConfigError("matrix mode takes only the matrix key")
-        F = _parse_matrix(_need(defo, "deformation", "matrix"), "deformation.matrix")
-    elif mode == "identity_plus":
-        if "matrix" in defo:
-            raise ConfigError("identity_plus mode does not take a matrix key")
-        angle = _as_float("deformation", "angle", defo.get("angle", "0"))
-        strain = _parse_matrix(_need(defo, "deformation", "strain"), "deformation.strain")
-        magnitude = _as_float("deformation", "magnitude",
-                              _need(defo, "deformation", "magnitude"))
-        k = len(strain)
-        F = np.eye(k) + magnitude * strain
-        if k >= 2:  # the rotation acts in the (e1, e2) plane
-            F = rotation_from_angle(angle, k) @ F
-    else:
-        raise ConfigError(f"deformation.mode must be matrix or identity_plus, got {mode!r}")
-
-    lengths = _need(run, "run", "lengths").replace(",", " ").split()
-    if not lengths:
-        raise ConfigError("run.lengths is empty")
-    ref_len = run.get("reference_length")
-
-    kwargs = dict(
-        family=_need(mat, "material", "family").strip(),
-        lame=(_as_float("material", "lambda", _need(mat, "material", "lambda")),
-              _as_float("material", "mu", _need(mat, "material", "mu"))),
-        modulation=_as_float("material", "modulation", _need(mat, "material", "modulation")),
-        dimension=_as_int("material", "dimension", _need(mat, "material", "dimension")),
-        cov_kind=_need(cov, "covariance", "kind").strip(),
-        variance=_as_float("covariance", "variance", _need(cov, "covariance", "variance")),
-        correlation_length=_as_float("covariance", "correlation_length",
-                                     _need(cov, "covariance", "correlation_length")),
-        spacing=_as_float("discretization", "spacing", _need(disc, "discretization", "spacing")),
-        F=F,
-        lengths=[_as_float("run", "lengths", L) for L in lengths],
-        samples=_as_int("run", "samples", _need(run, "run", "samples")),
-        seed=_as_int("run", "seed", _need(run, "run", "seed")),
-    )
-    optional = {
-        "order": ("order", _as_int),
-        "tol_inner": ("tol_inner", _as_float),
-        "tol_outer": ("tol_outer", _as_float),
-        "delta_bar": ("delta_bar", _as_float),
-        "workers": ("workers", _as_int),
-        "reference_samples": ("reference_samples", _as_int),
-        "mc_groups": ("mc_groups", _as_int),
-        "mc_scale": ("mc_scale", _as_float),
-    }
-    for key, (kw, conv) in optional.items():
-        if key in run:
-            kwargs[kw] = conv("run", key, run[key])
-    if "reference_strategy" in run:
-        kwargs["reference_strategy"] = run["reference_strategy"].strip()
-    if ref_len is not None:
-        kwargs["reference_length"] = _as_float("run", "reference_length", ref_len)
-    return ExperimentConfig(**kwargs)
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    values, deformation = {}, {}
+    for section, key, parse in _KEYS:
+        if cp.has_option(section, key):
+            try:
+                value = parse(cp.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            (deformation if section == "deformation" else values)[_FIELD.get(key, key)] = value
+        elif _FIELD.get(key, key) in required:
+            raise ConfigError(f"missing {section}.{key}")
+    return ExperimentConfig(F=_deformation(deformation), **values)
 
 
 # =====================================================================
@@ -669,8 +625,10 @@ def cmd_rates(config, out_dir, synthetic=None):
 
 
 def cmd_mc(config, out_dir):
-    lengths = sorted(config.lengths)
-    schedule = [(L, balanced_count(L, config.mc_scale)) for L in lengths]
+    try:
+        schedule = [(L, balanced_count(L, config.mc_scale)) for L in sorted(config.lengths)]
+    except ValueError as exc:
+        raise ConfigError(f"mc: {exc}") from exc
     run, reference_run, interrupted = _ensembles(
         config, {L: config.mc_groups * N for L, N in schedule}, order=0)
     if interrupted:
@@ -715,8 +673,8 @@ def _builtin_config(dim=2, family="saint-venant-kirchhoff", lengths=(8.0,), samp
     F = np.eye(dim)
     F[0, 1] += 0.05
     F[1, 0] += 0.05
-    kwargs = dict(family=family, lame=(1.2, 0.8), modulation=0.3, dimension=dim,
-                  cov_kind="triangle", variance=1.0, correlation_length=1.0,
+    kwargs = dict(family=family, lam=1.2, mu=0.8, modulation=0.3, dimension=dim,
+                  kind="triangle", variance=1.0, correlation_length=1.0,
                   spacing=0.25, F=F, lengths=lengths, samples=samples, seed=seed)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
@@ -921,11 +879,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _error_line(EXIT_CONFIG, "config", exc)
-        return EXIT_CONFIG
-    except (PeriodizationError, SpectrumError, StatisticsError, DegenerateFitError,
-            DomainError) as exc:
+    except (ConfigError, PeriodizationError, SpectrumError, StatisticsError,
+            DegenerateFitError, DomainError) as exc:
         _error_line(EXIT_CONFIG, "config", exc)
         return EXIT_CONFIG
     except (ConvergenceError, SingularityError, EnsembleError) as exc:

@@ -39,6 +39,7 @@ __all__ = [
     "CovarianceSpec",
     "PeriodizedCovariance",
     "MaterialSample",
+    "check_grid",
     "periodize_covariance",
     "sample_periodic_field",
     "PRNG_NAME",
@@ -126,9 +127,8 @@ class MaterialSample:
     """One realization of the material field on a uniform grid.
 
     values[i] is omega at x_i = i*spacing, held constant on the cell
-    [x_i, x_{i+1}); the field continues period-L periodically when
-    `periodic` is set (the default).  seed/index identify the stream that
-    generated the sample (PRNG recorded in `prng`).
+    [x_i, x_{i+1}); the field continues period-L periodically.  seed/index
+    identify the stream that generated the sample (PRNG recorded in `prng`).
     """
 
     values: np.ndarray
@@ -136,7 +136,6 @@ class MaterialSample:
     seed: int
     index: int
     prng: str = PRNG_NAME
-    periodic: bool = True
 
     @property
     def n(self):
@@ -155,6 +154,20 @@ class MaterialSample:
 # =====================================================================
 
 
+def check_grid(cov, period, spacing):
+    """Raise PeriodizationError unless a period-L grid of cells of width
+    `spacing` suits the covariance: period >= 4*correlation_length (the
+    matching-window guarantee needs slack around the support) and at least
+    two cells per correlation length."""
+    if period < 4.0 * cov.correlation_length:
+        raise PeriodizationError(
+            f"period {period} < 4*correlation_length = {4.0 * cov.correlation_length}")
+    if spacing > 0.5 * cov.correlation_length:
+        raise PeriodizationError(
+            f"spacing {spacing} too coarse: need at least two cells per correlation length "
+            f"{cov.correlation_length}")
+
+
 def periodize_covariance(cov, period, n):
     """Wrap a compactly supported covariance onto a period-L grid.
 
@@ -164,21 +177,14 @@ def periodize_covariance(cov, period, n):
     semidefinite C supported inside [-L/2, L/2] has nonnegative Fourier
     coefficients and discrete sampling only aliases them together.
 
-    Raises PeriodizationError when period < 4*correlation_length (the
-    matching-window guarantee needs slack around the support) or when the
-    grid has fewer than two cells per correlation length; SpectrumError when
-    a spectral value is more negative than -SPECTRUM_CLAMP*variance.
+    Raises PeriodizationError when the grid does not suit the covariance
+    (`check_grid`); SpectrumError when a spectral value is more negative
+    than -SPECTRUM_CLAMP*variance.
     """
     period = float(period)
     n = int(n)
-    if period < 4.0 * cov.correlation_length:
-        raise PeriodizationError(
-            f"period {period} < 4*correlation_length = {4.0 * cov.correlation_length}")
     h = period / n
-    if h > 0.5 * cov.correlation_length:
-        raise PeriodizationError(
-            f"spacing {h} too coarse: need at least two cells per correlation length "
-            f"{cov.correlation_length}")
+    check_grid(cov, period, h)
     x = np.arange(n) * h
     x = np.where(x >= 0.5 * period, x - period, x)
     entries = cov(x)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import ConvergenceError, SolverOptions, _check_sample, _deform
-from .energy import DomainError, _gram, _inner, dist_to_rotations
+from .cell import ConvergenceError, SolverOptions, _deform
+from .energy import _gram, _inner
 
 __all__ = [
     "DiscreteEnergyProblem",
@@ -51,7 +51,6 @@ class DiscreteEnergyProblem:
     """
 
     def __init__(self, w, sample, F):
-        _check_sample(sample)
         self.w = w
         self.omega = np.asarray(sample.values, dtype=float)
         self.F = np.asarray(F, dtype=float)
@@ -117,10 +116,7 @@ def minimize_direct(w, sample, F, opts=None):
     """Minimize the nodal energy by damped Newton.  Returns OracleSolution."""
     opts = opts or SolverOptions()
     prob = DiscreteEnergyProblem(w, sample, F)
-    dist_F = dist_to_rotations(prob.F)
-    if not dist_F < opts.delta_bar:
-        raise DomainError(
-            f"dist(F, SO(d)) = {dist_F:.4f} not below delta_bar = {opts.delta_bar}")
+    opts.check_deformation(prob.F)
     u = np.zeros((prob.n - 1) * prob.d)
     t0 = prob.tractions(u)
     tol = 2.0 * opts.tol_inner * (1.0 + float(np.abs(t0).max())) / (prob.n * prob.h)

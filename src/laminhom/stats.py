@@ -41,7 +41,7 @@ from .cell import (
     _read_only,
     assemble,
 )
-from .fields import periodize_covariance, sample_periodic_field
+from .fields import check_grid, periodize_covariance, sample_periodic_field
 
 __all__ = [
     "EnsembleError",
@@ -64,6 +64,9 @@ __all__ = [
     "fit_rate",
     "decompose_error",
     "cells_for",
+    "period_cells",
+    "REFERENCE_STRATEGIES",
+    "reference_lengths",
 ]
 
 FAILURE_BUDGET = 0.01
@@ -72,6 +75,8 @@ RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
 # cells per block of samples solved together (see _blocks)
 BLOCK_CELLS = 8192
 BOOTSTRAP_RESAMPLES = 1000
+# references of systematic_estimate made from the run itself (see reference_lengths)
+REFERENCE_STRATEGIES = ("largest_L_mean", "extrapolated")
 
 
 class EnsembleError(RuntimeError):
@@ -331,11 +336,25 @@ class RateFit:
 
 
 def cells_for(length, spacing):
-    """Cell count L / h, requiring the spacing to divide the period."""
+    """Cell count L / h, requiring a positive spacing that divides the period."""
+    if not spacing > 0.0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     ratio = float(length) / float(spacing)
-    n = int(round(ratio))
+    n = int(round(ratio)) if np.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"spacing {spacing} does not divide period {length}")
+    return n
+
+
+def period_cells(covariance, length, spacing):
+    """Cell count of period `length` at cell width `spacing`, checked before
+    any sample is drawn: the grid must suit the covariance (`check_grid`,
+    first, so a coarse spacing reads as coarse whether or not it divides
+    the period), the spacing must divide the period (`cells_for`), and the
+    periodized spectrum must be nonnegative (`periodize_covariance`)."""
+    check_grid(covariance, length, spacing)
+    n = cells_for(length, spacing)
+    periodize_covariance(covariance, length, n)
     return n
 
 
@@ -392,9 +411,7 @@ def run_ensemble(plan):
     for L in lengths:
         if counts[L] < 1:
             raise ValueError(f"need at least one sample at L = {L}")
-        n = cells_for(L, plan.spacing)
-        periodize_covariance(plan.covariance, L, n)  # fail fast on bad geometry
-        grids[L] = n
+        grids[L] = period_cells(plan.covariance, L, plan.spacing)
 
     parts = {L: [] for L in lengths}
     failures = {L: [] for L in lengths}
@@ -497,6 +514,21 @@ def fluctuation_estimate(run, order):
     return out
 
 
+def reference_lengths(strategy, lengths):
+    """The lengths whose means make the reference of `strategy`, largest
+    first: the largest length, or for "extrapolated" the two largest, which
+    must be in ratio 2.  Raises ValueError for a strategy not in
+    REFERENCE_STRATEGIES, StatisticsError when the lengths cannot make it."""
+    if strategy not in REFERENCE_STRATEGIES:
+        raise ValueError(f"unknown reference_strategy {strategy!r}")
+    ordered = sorted(lengths, reverse=True)
+    if strategy == "largest_L_mean":
+        return tuple(ordered[:1])
+    if len(ordered) < 2 or ordered[0] != 2 * ordered[1]:
+        raise StatisticsError("extrapolated reference needs the two largest lengths in ratio 2")
+    return tuple(ordered[:2])
+
+
 def _reference(run, order, strategy, reference_run):
     """Reference vector, its standard error, and lengths to exclude from fits."""
     if reference_run is not None:
@@ -505,24 +537,18 @@ def _reference(run, order, strategy, reference_run):
         ref = vals.mean(axis=0)
         se = _sd(vals) / np.sqrt(len(vals))
         return ref, se, (), "external"
-    ordered = sorted(run.lengths)
+    excluded = reference_lengths(strategy, run.lengths)
     if strategy == "largest_L_mean":
-        Lmax = ordered[-1]
-        vals = run.values(Lmax, order)
+        vals = run.values(excluded[0], order)
         ref = vals.mean(axis=0)
         se = _sd(vals) / np.sqrt(len(vals))
-        return ref, se, (Lmax,), strategy
-    if strategy == "extrapolated":
-        if len(ordered) < 2 or ordered[-1] != 2 * ordered[-2]:
-            raise StatisticsError(
-                "extrapolated reference needs the two largest lengths in ratio 2")
-        v1 = run.values(ordered[-1], order)
-        v2 = run.values(ordered[-2], order)
-        # Richardson step assuming first-order bias decay
-        ref = 2.0 * v1.mean(axis=0) - v2.mean(axis=0)
-        se = float(np.sqrt(4.0 * _sd(v1) ** 2 / len(v1) + _sd(v2) ** 2 / len(v2)))
-        return ref, se, (ordered[-1], ordered[-2]), strategy
-    raise ValueError(f"unknown reference strategy {strategy!r}")
+        return ref, se, excluded, strategy
+    v1 = run.values(excluded[0], order)
+    v2 = run.values(excluded[1], order)
+    # Richardson step assuming first-order bias decay
+    ref = 2.0 * v1.mean(axis=0) - v2.mean(axis=0)
+    se = float(np.sqrt(4.0 * _sd(v1) ** 2 / len(v1) + _sd(v2) ** 2 / len(v2)))
+    return ref, se, excluded, strategy
 
 
 def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=None):

@@ -321,12 +321,6 @@ class TestErrors:
         with pytest.raises(DomainError):
             solve_corrector(w, two_phase_sample(), 1.5 * np.eye(2))
 
-    def test_window_sample_rejected(self):
-        w = svk2()
-        window = MaterialSample(random_sample(seed=0, n=16).values, 8.0, 0, 0, periodic=False)
-        with pytest.raises(ValueError):
-            solve_corrector(w, window, shear(2, 0.05))
-
     def test_bad_order(self):
         w = svk2()
         with pytest.raises(ValueError):

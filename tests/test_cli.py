@@ -1,11 +1,14 @@
 """CLI tests: config grammar, golden CSV headers, determinism, exit codes."""
 
 import dataclasses
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from laminhom import cli
 from laminhom.cell import SolverOptions, assemble, solve_corrector
 from laminhom.cli import (
     EXIT_CONFIG,
@@ -23,6 +26,8 @@ from laminhom.cli import (
 from laminhom.energy import NEO_HOOKEAN, rotation_from_angle
 from laminhom.fields import sample_periodic_field
 from laminhom.stats import cells_for
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -134,6 +139,8 @@ class TestConfigParsing:
         ({"extra_run": "reference_strategy = median"}, "reference_strategy"),
         ({"extra_run": "mc_groups = 1"}, "mc_groups"),
         ({"lengths": "8 12 8"}, "distinct"),
+        ({"lengths": "inf"}, "divide"),
+        ({"spacing": "0"}, "positive"),
     ])
     def test_rejects_bad_values(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.cfg", **overrides)
@@ -195,6 +202,35 @@ class TestConfigParsing:
         assert config.reference_strategy == "largest_L_mean"
         assert config.reference_samples == config.samples
         assert config.mc_groups == 8 and config.mc_scale == 1.0
+
+    @pytest.mark.parametrize("path,digest", [
+        ("configs/single_small.cfg",
+         "bfe21f2d26852a08657e83cad76187eff4c5199432d7e3b7682447da1c269396"),
+        ("configs/rates_small.cfg",
+         "abc067c7932db2ff1c3c914ab41a6863dc8591a9199f7adfab82f4b5783ca8fb"),
+        ("configs/rates_medium.cfg",
+         "42c682e70756100fba8a043e2fe16ba0e543d9703ac29416844f041537efe738"),
+        ("configs/mc_small.cfg",
+         "4fb44e19881e547d3d732853de0781c7b0e07c089f248976b2d1faa3617bcd1b"),
+        ("perfbench/configs/mc_contrast_2w.cfg",
+         "24e76fb9069c47d22b82f132c9b761406e681071c63434b6f0742d1b560eed64"),
+        ("perfbench/configs/smoke.cfg",
+         "0e8a5a9dbc84108ee00e9356aabb48f7540f97c5e093c33a741cec5c8af15d74"),
+    ])
+    def test_shipped_config_hash_is_pinned(self, path, digest):
+        # config_sha256 is written into every CSV: the shipped configs keep theirs
+        assert load_config(ROOT / path).sha256() == digest
+
+    def test_readme_lists_every_key(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Config format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+        keys, section = set(), None
+        for line in block.splitlines():
+            if m := re.match(r"\[(\w+)\]", line):
+                section = m[1]
+            elif m := re.match(r"#? ?(\w+) = ", line):
+                keys.add((section, m[1]))
+        assert keys == {(section, key) for section, key, _ in cli._KEYS}
 
     def test_sha_covers_resolved_config(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.cfg"))
@@ -336,6 +372,26 @@ class TestExitCodes:
         assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
         assert "laminhom-error code=2 kind=solver" in capsys.readouterr().err
         assert not (out / "quantities.csv").exists()
+
+    @pytest.mark.parametrize("command,overrides,fragment", [
+        ("rates", {"extra_run": "reference_length = 0"}, "correlation"),
+        ("mc", {"correlation_length": "0.25", "spacing": "0.0625", "lengths": "1"}, "L > 1"),
+        ("rates", {"lengths": "4 8 12 16", "extra_run": "reference_strategy = extrapolated"},
+         "ratio 2"),
+        ("mc", {"lengths": "4 8 12 16", "extra_run": "reference_strategy = extrapolated"},
+         "ratio 2"),
+    ], ids=["zero_reference_length", "mc_length_one", "rates_extrapolated_ratio",
+            "mc_extrapolated_ratio"])
+    def test_unrunnable_config_exits_three_before_any_ensemble(
+            self, tmp_path, capsys, ensemble_calls, command, overrides, fragment):
+        cfg = write_config(tmp_path / "a.cfg", samples="8", order="0", **overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("laminhom-error code=3 kind=config")
+        assert err.count("\n") == 1 and fragment in err
+        assert ensemble_calls == []
+        assert not any(out.glob("*.csv"))
 
     def test_bad_workers_env_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LAMINHOM_WORKERS", "many")
@@ -543,7 +599,7 @@ class TestValidate:
 class TestBuiltinConfigGuard:
     def test_experiment_config_validates_directly(self):
         with pytest.raises(ConfigError, match="rotations"):
-            ExperimentConfig(family="svk", lame=(1.2, 0.8), modulation=0.0,
-                             dimension=2, cov_kind="triangle", variance=1.0,
+            ExperimentConfig(family="svk", lam=1.2, mu=0.8, modulation=0.0,
+                             dimension=2, kind="triangle", variance=1.0,
                              correlation_length=1.0, spacing=0.25,
                              F=1.5 * np.eye(2), lengths=(8.0,), samples=1, seed=0)

@@ -150,7 +150,7 @@ class TestSampling:
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
         assert not np.array_equal(a.values, d.values)
-        assert a.periodic and a.n == 64 and a.spacing == pytest.approx(0.125)
+        assert a.n == 64 and a.spacing == pytest.approx(0.125)
         assert a.prng == "philox4x64(numpy)"
 
     def test_empirical_covariance_periodic(self):
