@@ -99,6 +99,9 @@ F + p_i x e_d of a block are one (d, d, N) array built straight from p
 
 from __future__ import annotations
 
+import operator
+import sys
+from collections.abc import MutableMapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -112,6 +115,7 @@ __all__ = [
     "SolverOptions",
     "CorrectorSolution",
     "HomogenizedQuantities",
+    "SampleColumns",
     "solve_corrector",
     "solve_linearized",
     "assemble",
@@ -131,34 +135,37 @@ class SingularityError(RuntimeError):
     """Acoustic tensor (or its harmonic mean) numerically singular."""
 
 
+# Fixed guards of the Newton solvers (`_solve_block`, `oracle.minimize_direct`).
+# A line search halves the step (BACKTRACK_FACTOR) at most MAX_BACKTRACKS times.
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
+# line-search iterates stay within this distance from the rotations, measured
+# through the Gram deviation |F^T F - Id|_F, which bounds the rotation
+# distance from above without per-step SVDs
+ADMISSIBLE_DIST = 1.0
+# solutions with max_i |p_i| > LIPSCHITZ_FACTOR dist(F, SO(d)) are flagged, never failed
+LIPSCHITZ_FACTOR = 20.0
+# bound on the Frobenius condition number of the acoustic tensors
+COND_CAP = 1e12
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and guards for the Newton solver of the cell problem.
+    """Tolerances of the Newton solver of the cell problem.
 
     tol_inner is relative: each cell's flux residual must satisfy
     |DW e_d - sigma| <= tol_inner * (1 + |sigma|).  tol_outer is the
     acceptance threshold on |mean p|; the iteration actually continues to
     the stagnation floor (near machine precision) so that the final exact
     recentering of p stays within tol_inner.  max_outer caps the Newton
-    steps of a sample and max_backtracks the halvings of one step's line
-    search.  delta_bar gates the input deformation (`check_deformation`:
-    dist(F, SO(d)) < delta_bar); admissible_dist caps the line-search
-    iterates, measured through the Gram deviation |F^T F - Id|_F which
-    bounds the rotation distance from above without per-step SVDs.
-    cond_cap bounds the Frobenius condition number of the acoustic
-    tensors.  lipschitz_factor only flags (never fails) solutions with
-    max_i |p_i| > lipschitz_factor * dist(F, SO(d)).
+    steps of a sample.  delta_bar gates the input deformation
+    (`check_deformation`: dist(F, SO(d)) < delta_bar).
     """
 
     tol_inner: float = 1e-12
     tol_outer: float = 1e-10
     max_outer: int = 50
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
     delta_bar: float = 0.2
-    admissible_dist: float = 1.0
-    lipschitz_factor: float = 20.0
-    cond_cap: float = 1e12
 
     def check_deformation(self, F):
         """dist(F, SO(d)), the gate of every solve: raises DomainError
@@ -184,21 +191,150 @@ class CorrectorSolution:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class HomogenizedQuantities:
-    """Effective quantities of one sample: energy W_L, stress DW_L, tangent
-    D2W_L (pair-major symmetric by construction), optional third-order
-    moduli (fully symmetric in the three directions).  F is read-only; the
-    samples of one ensemble share a single array."""
+# =====================================================================
+# results as columns
+# =====================================================================
 
-    energy: float
-    stress: np.ndarray            # (d, d)
-    tangent: np.ndarray | None    # (d, d, d, d)
-    third: np.ndarray | None      # (d, d, d, d, d, d)
+QUANTITIES = ("energy", "stress", "tangent", "third")
+# metadata with one value per run, kept once per SampleColumns
+RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
+# corrector statistics kept as metadata columns, one value per sample
+_STATISTICS = ("outer_iterations", "inner_iterations", "flux_residual", "mean_residual",
+               "lipschitz_ok")
+
+
+class HomogenizedQuantities:
+    """Effective quantities of one solved sample, a row of its SampleColumns.
+
+    energy W_L (a float), stress DW_L (d, d), tangent D2W_L (d, d, d, d;
+    pair-major symmetric by construction) and the third-order moduli (fully
+    symmetric in the three directions), None above the assembled order.  F
+    is read-only and shared by the samples of a block or an ensemble.
+    metadata is a mapping onto the metadata columns, so a write to it
+    changes the columns.
+    """
+
+    __slots__ = ("_columns", "_row")
+
+    def __init__(self, columns, row):
+        self._columns = columns
+        self._row = row
+
+    def _get(self, name):
+        column = getattr(self._columns, name)
+        return None if column is None else column[self._row]
+
+    energy = property(lambda self: float(self._columns.energy[self._row]))
+    stress = property(lambda self: self._get("stress"))
+    tangent = property(lambda self: self._get("tangent"))
+    third = property(lambda self: self._get("third"))
+    F = property(lambda self: self._columns.F)
+    period = property(lambda self: self._columns.period)
+    n = property(lambda self: self._columns.n)
+    metadata = property(lambda self: _MetadataRow(self._columns.metadata, self._row))
+
+
+class _MetadataRow(MutableMapping):
+    """Row `row` of metadata columns {key: array or run constant}: scalars
+    read as Python numbers, vectors as views; writes go to the columns, and
+    a run constant cannot be written for one sample."""
+
+    __slots__ = ("_columns", "_row")
+
+    def __init__(self, columns, row):
+        self._columns = columns
+        self._row = row
+
+    def __getitem__(self, key):
+        column = self._columns[key]
+        if not isinstance(column, np.ndarray):
+            return column
+        value = column[self._row]
+        return value.item() if np.ndim(value) == 0 else value
+
+    def __setitem__(self, key, value):
+        column = self._columns[key]
+        if not isinstance(column, np.ndarray):
+            raise TypeError(f"metadata {key!r} is one value for the whole run")
+        column[self._row] = value
+
+    def __delitem__(self, key):
+        raise TypeError("metadata columns cannot be deleted from one sample")
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self):
+        return len(self._columns)
+
+
+@dataclass(eq=False)
+class SampleColumns(Sequence):
+    """Effective quantities of solved samples of one period, as columns.
+
+    energy (N,), stress (N, d, d), tangent (N, d, d, d, d) and third
+    (N, d, d, d, d, d, d) are read-only, None above the assembled order.
+    metadata holds the flux sigma (N, d) and one array per corrector
+    statistic (integer columns in the smallest unsigned type that holds
+    them), in an ensemble also "index", and the RUN_CONSTANTS once as plain
+    values.  It reads as a sequence of HomogenizedQuantities, built on
+    access.
+    """
+
+    energy: np.ndarray
+    stress: np.ndarray | None
+    tangent: np.ndarray | None
+    third: np.ndarray | None
+    metadata: dict
     F: np.ndarray
     period: float
     n: int
-    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in QUANTITIES:
+            column = getattr(self, name)
+            if column is not None:
+                column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.energy)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return [HomogenizedQuantities(self, r) for r in rows]
+        return HomogenizedQuantities(self, rows)
+
+    def take(self, rows):
+        """The samples `rows` (indices into these columns), as new columns."""
+        return self._map(lambda get: get(self)[rows], self.F)
+
+    @classmethod
+    def join(cls, parts, F):
+        """The samples of several SampleColumns of one period, in order; F is shared."""
+        parts = [c for c in parts if len(c)] or parts[:1]
+        return parts[0]._map(lambda get: np.concatenate([get(c) for c in parts]), F)
+
+    def _map(self, combine, F):
+        """Columns with the keys of these, each array made by combine(get),
+        where get(c) reads that array of columns c; the run constants, the
+        period and n are these columns'."""
+        quantities = {name: (None if getattr(self, name) is None
+                             else combine(operator.attrgetter(name)))
+                      for name in QUANTITIES}
+        # parts unpickled from a pool bring keys of their own: keep the interned ones
+        metadata = {sys.intern(k): (v if k in RUN_CONSTANTS
+                                    else combine(lambda c, k=k: c.metadata[k]))
+                    for k, v in self.metadata.items()}
+        return SampleColumns(**quantities, metadata=metadata, F=F, period=self.period, n=self.n)
+
+
+def _column(values):
+    """One metadata column; non-negative integers in the smallest unsigned type."""
+    column = np.array(values)
+    if column.dtype.kind == "i" and column.size and column.min() >= 0:
+        column = column.astype(np.min_scalar_type(column.max()))
+    return column
 
 
 # =====================================================================
@@ -215,9 +351,11 @@ def _deform(F, p):
 
 
 def _read_only(A):
-    """A read-only copy of A."""
-    A = np.array(A, dtype=float)
-    A.flags.writeable = False
+    """A as a read-only float array: A itself if it is one, else a copy."""
+    A = np.asarray(A, dtype=float)
+    if A.flags.writeable:
+        A = A.copy()
+        A.flags.writeable = False
     return A
 
 
@@ -250,12 +388,12 @@ def _solve_small(A, r):
         return _matvec(adj, r) / det
 
 
-def _capped_inverses(M, S, opts):
+def _capped_inverses(M, S):
     """Closed-form inverses of component-major tensors M (d, d, S n) and one error per sample.
 
     A sample's error is a SingularityError when one of its tensors is
     singular or not finite, or when its worst Frobenius condition number
-    exceeds opts.cond_cap; None otherwise.
+    exceeds COND_CAP; None otherwise.
     """
     det, adj = adjugate(M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -267,9 +405,9 @@ def _capped_inverses(M, S, opts):
     for ok, c in zip(finite, worst):
         if not ok:
             errors.append(SingularityError("acoustic tensor singular or not finite"))
-        elif c > opts.cond_cap:
+        elif c > COND_CAP:
             errors.append(SingularityError(
-                f"acoustic tensor condition {c:.3e} above cap {opts.cond_cap:.1e}"))
+                f"acoustic tensor condition {c:.3e} above cap {COND_CAP:.1e}"))
         else:
             errors.append(None)
     return Minv, errors
@@ -333,7 +471,7 @@ def _solve_block(w, omega, F, opts):
     S, n = omega.shape
     cols = FixedColumns.of(F)
     f0 = F[:, d - 1:].copy()
-    gram_cap2 = (opts.admissible_dist * (2.0 + opts.admissible_dist)) ** 2
+    gram_cap2 = (ADMISSIBLE_DIST * (2.0 + ADMISSIBLE_DIST)) ** 2
     errors = [None] * S
     steps = np.zeros(S, dtype=int)
     backtracks = np.zeros(S, dtype=int)
@@ -384,7 +522,7 @@ def _solve_block(w, omega, F, opts):
 
         # the Newton step
         steps[live] += 1
-        Minv, bad = _capped_inverses(M, k, opts)
+        Minv, bad = _capped_inverses(M, k)
         with np.errstate(invalid="ignore", over="ignore"):
             new = sigma + _solve_small(_cell_mean(Minv, k),
                                        _cell_mean(_matvec(Minv, flux - sigma_cells), k) - R)
@@ -404,7 +542,7 @@ def _solve_block(w, omega, F, opts):
         rnorm0 = _norms(flux - sigma_cells)
         t = np.ones(len(om))
         accepted = frozen
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             cand = p + t * dp
             fc_cols = f0 + cand
             fc, Mc = w.flux_cells(om, cols, fc_cols, acoustic=True)
@@ -421,13 +559,13 @@ def _solve_block(w, omega, F, opts):
             waiting = ~_per_sample(accepted, k).all(axis=1)
             if not waiting.any():
                 break
-            t = np.where(accepted, t, t * opts.backtrack_factor)
+            t = np.where(accepted, t, t * BACKTRACK_FACTOR)
             backtracks[live] += waiting
         else:
             worst = _per_sample(rnorm0, k).max(axis=1)
             for j in np.flatnonzero(waiting):
                 errors[live[j]] = ConvergenceError(
-                    f"Newton line search exhausted {opts.max_backtracks} halvings "
+                    f"Newton line search exhausted {MAX_BACKTRACKS} halvings "
                     f"(worst residual {worst[j]:.3e})")
 
     p = solved - solved.mean(axis=-1, keepdims=True)
@@ -446,7 +584,7 @@ def _solve_block(w, omega, F, opts):
         "flux_residual": _norms(flux - sigma[..., None]).max(axis=-1),
         "dist_F": np.full(S, dist_F),
         "lipschitz_ratio": ratio,
-        "lipschitz_ok": pmax <= opts.lipschitz_factor * dist_F + 1e-12,
+        "lipschitz_ok": pmax <= LIPSCHITZ_FACTOR * dist_F + 1e-12,
     }
     return _Block(p, sigma, stats, errors)
 
@@ -462,8 +600,7 @@ def solve_corrector(w, sample, F, opts=None, block=None):
     singular acoustic tensor or flux Jacobian.
     """
     opts = opts or SolverOptions()
-    if block is None:
-        return SampleBlock(w, [sample], F, opts).corrector(0)
+    block = block or SampleBlock(w, [sample], F, opts)
     return block.corrector(block.row(w, sample, F, opts))
 
 
@@ -491,7 +628,20 @@ def _linearized_block(Minv, b, S):
     return q - _by_cell(_cell_mean(q, S), n), tau, errors
 
 
-def solve_linearized(w, sample, F, base, G, opts=None):
+def _flux_rows(w, om, Fc, S):
+    """(K, b, Minv, errors) of the cells Fc (d, d, S n): the moduli K[a, c] =
+    D2W[E_a, E_c] for E_(j d + l) = e_j x e_l, the flux rows b[a] = D2W[E_a] e_d,
+    and the acoustic inverses with one error per sample (`_capped_inverses`)."""
+    d = w.dim
+    K = w.moduli_cells(om, Fc).reshape(d * d, d * d, -1)
+    # b[a]_j = K[a, (j, d)], by the major symmetry of the moduli
+    b = K[:, d - 1::d]
+    # the acoustic tensors M_jm = D2W[e_j x e_d, e_m x e_d] are rows (j, d) of b
+    Minv, errors = _capped_inverses(b[d - 1::d], S)
+    return K, b, Minv, errors
+
+
+def solve_linearized(w, sample, F, base, G):
     """Linearized correctors in the directions G around a solved base state.
 
     G is one direction (d,d) or a stack (k,d,d); all directions share one
@@ -500,17 +650,14 @@ def solve_linearized(w, sample, F, base, G, opts=None):
     M_i q_i + D2W_i[G] e_d = tau, shaped (n,d) and (d,) for one direction,
     (k,n,d) and (k,d) for a stack.
     """
-    opts = opts or SolverOptions()
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     omega = np.asarray(sample.values, dtype=float)
     d = w.dim
-    # K[a, b] = D2W[E_a, E_b] for E_(j d + l) = e_j x e_l; row (j, d) maps a
-    # direction to its flux column b_j
-    K_flux = w.moduli_cells(omega, _deform(F, base.p.T)).reshape(d * d, d * d, -1)[d - 1::d]
-    Minv, errors = _capped_inverses(K_flux[:, d - 1::d], 1, opts)
+    _, b_all, Minv, errors = _flux_rows(w, omega, _deform(F, base.p.T), 1)
     if errors[0] is None:
-        b = _matvec(K_flux, G.reshape(-1, d * d, 1))
+        # the flux column of D2W[G] is sum_a G_a D2W[E_a] e_d
+        b = _matvec(np.moveaxis(b_all, 0, 1), G.reshape(-1, d * d, 1))
         q, tau, errors = _linearized_block(Minv, b, 1)
     if errors[0] is not None:
         raise errors[0]
@@ -529,14 +676,14 @@ def _elementary(d, j, k):
     return E
 
 
-def _assemble_block(w, omega, F, p, order, opts):
+def _assemble_block(w, omega, F, p, order):
     """Effective quantities of solved samples omega (S, n) with correctors p (d, S, n).
 
-    Returns (quantities, errors): quantities maps energy, stress, tangent
-    and third to per-sample arrays (S,), (S,d,d), ... (None above `order`);
-    errors[s] is the error of sample s in the linearized solve.  A failed
-    sample's quantities are not defined.  Every per-sample reduction is a
-    mean along the cell axis.
+    Returns (quantities, errors): quantities maps each of QUANTITIES to
+    per-sample arrays (S,), (S,d,d), ... (None above `order`); errors[s] is
+    the error of sample s in the linearized solve.  A failed sample's
+    quantities are not defined.  Every per-sample reduction is a mean along
+    the cell axis.
     """
     d = w.dim
     S, n = omega.shape
@@ -552,12 +699,7 @@ def _assemble_block(w, omega, F, p, order, opts):
     if order < 2:
         return out, errors
     k = d * d
-    # K[a, b] = D2W[E_a, E_b] for the elementary directions E_(j d + l) = e_j x e_l
-    K = w.moduli_cells(om, Fc).reshape(k, k, -1)
-    # b_all[a] = D2W[E_a] e_d, by the major symmetry of the moduli
-    b_all = K[:, d - 1::d]
-    # the acoustic tensors M_jm = D2W[e_j x e_d, e_m x e_d] are rows (j, d) of b_all
-    Minv, errors = _capped_inverses(b_all[d - 1::d], S, opts)
+    K, b_all, Minv, errors = _flux_rows(w, om, Fc, S)
     # non-finite inverses belong to samples that fail here
     with np.errstate(**({"all": "ignore"} if any(errors) else {})):
         q, _, errs = _linearized_block(Minv, b_all, S)
@@ -583,33 +725,29 @@ def _assemble_block(w, omega, F, p, order, opts):
     return out, errors
 
 
-def _metadata(sigma, stats, tol_inner, tol_outer):
-    """The metadata record of assembled quantities: the corrector's flux and
-    iteration and residual statistics, and the solver tolerances."""
-    keys = ("dist_F", "outer_iterations", "inner_iterations", "flux_residual",
-            "mean_residual", "lipschitz_ok")
-    return {"sigma": sigma, **{k: stats.get(k) for k in keys},
-            "tol_inner": tol_inner, "tol_outer": tol_outer}
-
-
 class SampleBlock:
-    """Samples with one cell count, solved and assembled together at one F.
+    """Samples of one period and cell count, solved and assembled together at one F.
 
     Pass it as `block` to `solve_corrector` or `assemble` for each of its
     samples.  The first call that needs the correctors solves every sample
-    of the block at once (`_solve_block`), the first `assemble` at an order
-    assembles every sample at once (`_assemble_block`), and each call
-    returns its own sample's results, or raises the error that sample
-    raises when solved alone.
+    of the block at once (`_solve_block`), and the first `assemble` at an
+    order assembles every sample at once (`_assemble_block`) into one
+    SampleColumns.  Each call returns its own sample's corrector or row of
+    those columns, or raises the error that sample raises when solved alone.
     """
 
     def __init__(self, w, samples, F, opts=None):
         self.w = w
         # held, so that no other object takes the id of a sample in _rows
         self.samples = list(samples)
-        self.F = np.asarray(F, dtype=float)
+        # read-only: the rows of the block's columns share it
+        self.F = _read_only(F)
         self.opts = opts or SolverOptions()
         self.omega = np.stack([np.asarray(s.values, dtype=float) for s in self.samples])
+        periods = {s.period for s in self.samples}
+        if len(periods) != 1:
+            raise ValueError(f"the samples of a block share one period, got {sorted(periods)}")
+        self.period = periods.pop()
         self._rows = {id(s): r for r, s in enumerate(self.samples)}
         self._solved = None
         self._assembled = {}
@@ -624,59 +762,55 @@ class SampleBlock:
                              "with another material, F or solver options")
         return row
 
-    def corrector(self, row):
-        """CorrectorSolution of sample `row`; raises the error of its solve."""
+    def _solution(self):
         if self._solved is None:
             self._solved = _solve_block(self.w, self.omega, self.F, self.opts)
-        solved = self._solved
+        return self._solved
+
+    def corrector(self, row):
+        """CorrectorSolution of sample `row`; raises the error of its solve."""
+        solved = self._solution()
         if solved.errors[row] is not None:
             raise solved.errors[row]
         return CorrectorSolution(p=solved.p[:, row].T.copy(), sigma=solved.sigma[:, row].copy(),
                                  stats={k: v[row].item() for k, v in solved.stats.items()})
 
-    def quantities(self, row, order):
-        """{energy, stress, tangent, third} of the solved sample `row` (None
-        above `order`); raises the error of its linearized solve."""
+    def assembled(self, order):
+        """(SampleColumns, errors) of every sample of the block up to `order`:
+        errors[s] is the error of sample s in its linearized solve, or None.
+        The row of a sample whose solve failed is not defined."""
         if order not in self._assembled:
+            solved = self._solution()
             # a failed sample's p is zero: assembling it is harmless
-            quantities, errors = _assemble_block(self.w, self.omega, self.F,
-                                                 self._solved.p, order, self.opts)
-            self._assembled[order] = quantities, errors
-        quantities, errors = self._assembled[order]
-        if errors[row] is not None:
-            raise errors[row]
-        return {k: (None if v is None else v[row]) for k, v in quantities.items()}
+            quantities, errors = _assemble_block(self.w, self.omega, self.F, solved.p, order)
+            metadata = {"sigma": solved.sigma.T, "dist_F": float(solved.stats["dist_F"][0]),
+                        **{k: _column(solved.stats[k]) for k in _STATISTICS},
+                        "tol_inner": self.opts.tol_inner, "tol_outer": self.opts.tol_outer}
+            columns = SampleColumns(**quantities, metadata=metadata, F=self.F,
+                                    period=self.period, n=self.omega.shape[1])
+            self._assembled[order] = columns, errors
+        return self._assembled[order]
 
 
-def assemble(w, sample, F, base=None, order=2, opts=None, block=None):
+def assemble(w, sample, F, order=2, opts=None, block=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
     order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
-    directions in one stacked solve); 3: + third-order moduli.  Without a
-    base solution the sample is solved and assembled inside `block` (see
-    `solve_corrector`), or as the block of one.
+    directions in one stacked solve); 3: + third-order moduli.  The sample
+    is solved (`solve_corrector`) and assembled inside `block`, or as the
+    block of one.  Returns its row of the block's columns, a
+    HomogenizedQuantities; raises the error of its solve or its assembly.
     """
     opts = opts or SolverOptions()
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order!r}")
-    F = np.asarray(F, dtype=float)
-    if F.flags.writeable:
-        F = _read_only(F)
-    if base is None:
-        block = block or SampleBlock(w, [sample], F, opts)
-        base = solve_corrector(w, sample, F, opts, block=block)
-        row = block.quantities(block.row(w, sample, F, opts), order)
-    else:
-        omega = np.asarray(sample.values, dtype=float)[None]
-        quantities, errors = _assemble_block(w, omega, F, base.p.T[:, None], order, opts)
-        if errors[0] is not None:
-            raise errors[0]
-        row = {k: (None if v is None else v[0]) for k, v in quantities.items()}
-    return HomogenizedQuantities(energy=float(row["energy"]), stress=row["stress"],
-                                 tangent=row["tangent"], third=row["third"], F=F,
-                                 period=sample.period, n=len(sample.values),
-                                 metadata=_metadata(base.sigma.copy(), base.stats,
-                                                    opts.tol_inner, opts.tol_outer))
+    block = block or SampleBlock(w, [sample], F, opts)
+    solve_corrector(w, sample, F, opts, block=block)
+    columns, errors = block.assembled(order)
+    row = block.row(w, sample, F, opts)
+    if errors[row] is not None:
+        raise errors[row]
+    return columns[row]
 
 
 # =====================================================================

@@ -34,7 +34,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,9 @@ from .stats import (
     DegenerateFitError,
     EnsembleError,
     EnsemblePlan,
+    FluctuationEstimate,
     StatisticsError,
+    SystematicEstimate,
     balanced_count,
     cells_for,
     fit_envelope_scale,
@@ -338,6 +340,11 @@ def _deformation(keys):
 
 def load_config(path):
     """Parse and validate a config file into an ExperimentConfig."""
+    return ExperimentConfig(**_config_fields(path))
+
+
+def _config_fields(path):
+    """The ExperimentConfig fields a config file sets, parsed but not yet validated."""
     # ';' separates matrix rows, so only '#' may start an inline comment
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
@@ -369,7 +376,7 @@ def load_config(path):
             (deformation if section == "deformation" else values)[_FIELD.get(key, key)] = value
         elif _FIELD.get(key, key) in required:
             raise ConfigError(f"missing {section}.{key}")
-    return ExperimentConfig(F=_deformation(deformation), **values)
+    return {"F": _deformation(deformation), **values}
 
 
 # =====================================================================
@@ -449,8 +456,9 @@ def cmd_single(config, out_dir):
     L = config.lengths[0]
     n = cells_for(L, config.spacing)
     sample = sample_periodic_field(config.covariance(), L, n, config.seed, 0)
-    sol = solve_corrector(w, sample, config.F, opts)
-    quantities = assemble(w, sample, config.F, base=sol, order=2, opts=opts)
+    block = SampleBlock(w, [sample], config.F, opts)
+    sol = solve_corrector(w, sample, config.F, opts, block=block)
+    quantities = assemble(w, sample, config.F, order=2, opts=opts, block=block)
 
     d = config.dimension
     qrows = [("W", "", quantities.energy)]
@@ -500,27 +508,58 @@ def _parse_synthetic(text):
 
 
 def _synthetic_rates(config, out_dir, exponent):
-    """Exact power-law data driven through the real table + fit pipeline."""
-    orders = range(config.order + 1)
+    """Exact power-law estimates L**exponent, written by the tables and fits
+    of a real run: every sd, CI bound and bias is L**exponent, every SE 0."""
     lengths = sorted(config.lengths)
+    values = {L: float(L) ** exponent for L in lengths}
+    orders = range(config.order + 1)
+    fluct = {order: {L: FluctuationEstimate(sd=v, ci_low=v, ci_high=v, count=config.samples)
+                     for L, v in values.items()} for order in orders}
+    syst = {order: SystematicEstimate(order=order, strategy="synthetic", reference=None,
+                                      biases=values, ses=dict.fromkeys(lengths, 0.0),
+                                      underpowered=dict.fromkeys(lengths, False), excluded=())
+            for order in orders}
     meta = base_metadata(config, "rates", [("synthetic", f"powerlaw:{fmt(exponent)}")])
-    fl_rows, sy_rows, rate_rows = [], [], []
-    for order in orders:
-        values = {L: float(L) ** exponent for L in lengths}
+    _write_rates(config, out_dir, dict.fromkeys(lengths, config.samples), fluct, syst, meta)
+    return EXIT_OK
+
+
+def _write_rates(config, out_dir, counts, fluct, syst, meta):
+    """fluctuations.csv, systematic.csv and rates.csv of the per-order
+    estimates fluct {order: {L: FluctuationEstimate}} and syst {order:
+    SystematicEstimate} at the lengths of counts {L: solved samples}, and a
+    log-log rate fit of each series: every fluctuation fit, then every
+    systematic fit."""
+    lengths = list(counts)
+    fl_rows = [(order, L, per_l[L].count, per_l[L].sd, per_l[L].ci_low, per_l[L].ci_high)
+               for order, per_l in fluct.items() for L in lengths]
+    sy_rows = []
+    for order, est in syst.items():
         for L in lengths:
-            v = values[L]
-            fl_rows.append((order, L, config.samples, v, v, v))
-            sy_rows.append((order, L, config.samples, v, 0.0, 0, 0))
-        fit = fit_rate(np.array(lengths), np.array([values[L] for L in lengths]),
-                       seed=config.seed)
-        rate_rows.append(("fluctuation", order, fit.slope, fit.intercept,
-                          fit.ci_low, fit.ci_high, fit.count))
-        rate_rows.append(("systematic", order, fit.slope, fit.intercept,
-                          fit.ci_low, fit.ci_high, fit.count))
+            if est.underpowered[L] and L not in est.excluded:
+                print(f"warning: systematic order {order} underpowered at L={fmt(L)} "
+                      f"(bias below 3 SE)", file=sys.stderr)
+            sy_rows.append((order, L, counts[L], est.biases[L], est.ses[L],
+                            est.underpowered[L], L in est.excluded))
+
+    series = [("fluctuation", order, {L: per_l[L].sd for L in lengths})
+              for order, per_l in fluct.items()]
+    series += [("systematic", order, {L: est.biases[L] for L in lengths if L not in est.excluded})
+               for order, est in syst.items()]
+    rate_rows = []
+    for name, order, ys in series:
+        try:
+            fit = fit_rate(np.array(list(ys), dtype=float), np.array(list(ys.values())),
+                           seed=config.seed)
+        except DegenerateFitError as exc:
+            print(f"warning: {name} fit order {order}: {exc}", file=sys.stderr)
+        else:
+            rate_rows.append((name, order, fit.slope, fit.intercept,
+                              fit.ci_low, fit.ci_high, fit.count))
+
     write_csv(out_dir, "fluctuations.csv", "fluctuations", fl_rows, meta)
     write_csv(out_dir, "systematic.csv", "systematic", sy_rows, meta)
     write_csv(out_dir, "rates.csv", "rates", rate_rows, meta)
-    return EXIT_OK
 
 
 def _warn_failures(config, run):
@@ -561,61 +600,21 @@ def cmd_rates(config, out_dir, synthetic=None):
     run, reference_run, interrupted = _ensembles(
         config, {L: config.samples for L in config.lengths}, config.order)
     meta_tail = [("interrupted", "1")] if interrupted else []
-    meta = base_metadata(config, "rates", meta_tail)
-    orders = range(config.order + 1)
-
-    fl_rows, sy_rows, rate_rows = [], [], []
-    fluct = {}
-    syst = {}
-    for order in orders:
+    fluct, syst = {}, {}
+    for order in range(config.order + 1):
         try:
             fluct[order] = fluctuation_estimate(run, order)
         except StatisticsError as exc:
             print(f"warning: fluctuation order {order}: {exc}", file=sys.stderr)
-            continue
-        for L in run.lengths:
-            e = fluct[order][L]
-            fl_rows.append((order, L, e.count, e.sd, e.ci_low, e.ci_high))
-    for order in orders:
+    for order in range(config.order + 1):
         try:
             syst[order] = systematic_estimate(run, order=order,
                                               strategy=config.reference_strategy,
                                               reference_run=reference_run)
         except StatisticsError as exc:
             print(f"warning: systematic order {order}: {exc}", file=sys.stderr)
-            continue
-        est = syst[order]
-        for L in run.lengths:
-            if est.underpowered[L] and L not in est.excluded:
-                print(f"warning: systematic order {order} underpowered at L={fmt(L)} "
-                      f"(bias below 3 SE)", file=sys.stderr)
-            sy_rows.append((order, L, run.count(L), est.biases[L], est.ses[L],
-                            est.underpowered[L], L in est.excluded))
-
-    for order, per_l in fluct.items():
-        xs = np.array(list(run.lengths), dtype=float)
-        ys = np.array([per_l[L].sd for L in run.lengths])
-        try:
-            fit = fit_rate(xs, ys, seed=config.seed)
-        except DegenerateFitError as exc:
-            print(f"warning: fluctuation fit order {order}: {exc}", file=sys.stderr)
-        else:
-            rate_rows.append(("fluctuation", order, fit.slope, fit.intercept,
-                              fit.ci_low, fit.ci_high, fit.count))
-    for order, est in syst.items():
-        kept = [L for L in run.lengths if L not in est.excluded]
-        try:
-            fit = fit_rate(np.array(kept, dtype=float),
-                           np.array([est.biases[L] for L in kept]), seed=config.seed)
-        except DegenerateFitError as exc:
-            print(f"warning: systematic fit order {order}: {exc}", file=sys.stderr)
-        else:
-            rate_rows.append(("systematic", order, fit.slope, fit.intercept,
-                              fit.ci_low, fit.ci_high, fit.count))
-
-    write_csv(out_dir, "fluctuations.csv", "fluctuations", fl_rows, meta)
-    write_csv(out_dir, "systematic.csv", "systematic", sy_rows, meta)
-    write_csv(out_dir, "rates.csv", "rates", rate_rows, meta)
+    _write_rates(config, out_dir, {L: run.count(L) for L in run.lengths}, fluct, syst,
+                 base_metadata(config, "rates", meta_tail))
     return 130 if interrupted else EXIT_OK
 
 
@@ -683,12 +682,14 @@ def _builtin_config(dim=2, family="saint-venant-kirchhoff", lengths=(8.0,), samp
 def _check_oracle(dim, family):
     config = _builtin_config(dim=dim, family=family)
     w = config.material()
+    opts = config.solver_options()
     n = cells_for(config.lengths[0], config.spacing)
     sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
                                    config.seed, 0)
-    sol = solve_corrector(w, sample, config.F, config.solver_options())
-    energy = assemble(w, sample, config.F, base=sol, order=0).energy
-    direct = minimize_direct(w, sample, config.F, config.solver_options())
+    block = SampleBlock(w, [sample], config.F, opts)
+    sol = solve_corrector(w, sample, config.F, opts, block=block)
+    energy = assemble(w, sample, config.F, order=0, opts=opts, block=block).energy
+    direct = minimize_direct(w, sample, config.F, opts)
     gap_w = abs(energy - direct.energy)
     gap_p = float(np.abs(sol.p - direct.p).max())
     return gap_w <= 1e-8 and gap_p <= 1e-7, f"|dW|={gap_w:.2e} |dp|={gap_p:.2e}"
@@ -701,8 +702,9 @@ def _check_single_invariants():
     n = cells_for(config.lengths[0], config.spacing)
     sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
                                    config.seed, 1)
-    sol = solve_corrector(w, sample, config.F, opts)
-    quantities = assemble(w, sample, config.F, base=sol, order=2, opts=opts)
+    block = SampleBlock(w, [sample], config.F, opts)
+    sol = solve_corrector(w, sample, config.F, opts, block=block)
+    quantities = assemble(w, sample, config.F, order=2, opts=opts, block=block)
     rows = _single_checks(w, sample, config.F, opts, sol, quantities, config.seed)
     bad = [r[0] for r in rows if r[3] == "fail"]
     return not bad, ("all pass" if not bad else "failed: " + ", ".join(bad))
@@ -817,7 +819,8 @@ def cmd_validate():
 # =====================================================================
 
 
-def _resolve_workers(args, config):
+def _workers(args):
+    """The worker count of --workers or LAMINHOM_WORKERS, or None when neither is set."""
     if args.workers is not None:
         return args.workers
     env = os.environ.get("LAMINHOM_WORKERS")
@@ -826,13 +829,16 @@ def _resolve_workers(args, config):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"LAMINHOM_WORKERS={env!r} is not an integer") from exc
-    return config.workers
+    return None
 
 
 def _prepare(args):
-    config = load_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    config = replace(config, seed=seed, workers=_resolve_workers(args, config))
+    """The config of the command line, validated once with its overrides, and the output dir."""
+    values = _config_fields(args.config)
+    for key, value in (("seed", args.seed), ("workers", _workers(args))):
+        if value is not None:
+            values[key] = value
+    config = ExperimentConfig(**values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out

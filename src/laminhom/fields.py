@@ -90,8 +90,8 @@ class CovarianceSpec:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
         # variance 0 is allowed: degenerate deterministic field
-        if not self.variance >= 0.0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance!r}")
+        if not 0.0 <= self.variance < np.inf:
+            raise ValueError(f"variance must be finite and nonnegative, got {self.variance!r}")
         if not self.correlation_length > 0.0:
             raise ValueError(f"correlation length must be positive, got {self.correlation_length!r}")
 

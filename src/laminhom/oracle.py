@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import ConvergenceError, SolverOptions, _deform
+from .cell import BACKTRACK_FACTOR, MAX_BACKTRACKS, ConvergenceError, SolverOptions, _deform
 from .energy import _gram, _inner
 
 __all__ = [
@@ -139,7 +139,7 @@ def minimize_direct(w, sample, F, opts=None):
             slope = -float(g @ g)
         step = 1.0
         noise = 1e-14 * max(1.0, abs(e))
-        for _bt in range(opts.max_backtracks + 1):
+        for _bt in range(MAX_BACKTRACKS + 1):
             cand = u + step * du
             if prob.admissible(cand):
                 ec = prob.energy(cand)
@@ -151,7 +151,7 @@ def minimize_direct(w, sample, F, opts=None):
                 if accept:
                     u, e = cand, ec
                     break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
         else:
             raise ConvergenceError("nodal line search exhausted")
     else:

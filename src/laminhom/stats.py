@@ -16,28 +16,29 @@ period failures below 1% of its planned samples, and an interrupt keeps
 the periods that completed.  The samples of one L are solved in blocks of
 at most BLOCK_CELLS cells (`cell.SampleBlock`), which are also the jobs of the
 process pool; a sample's bits do not depend on its block.  The results of
-one L are kept as columns (`SampleColumns`: one array per quantity and per
-metadata key), which read as a sequence of light per-sample records.  The estimators (`fluctuation_estimate`,
+one L are kept as columns (`cell.SampleColumns`: one array per quantity and
+per metadata key), which read as a sequence of per-sample records
+(`cell.HomogenizedQuantities`).  The estimators (`fluctuation_estimate`,
 `systematic_estimate`, `mc_total_error`, `fit_rate`) are plain
 deterministic reductions with seeded bootstrap confidence intervals.
 """
 
 from __future__ import annotations
 
-import operator
-import sys
 import time
-from collections.abc import MutableMapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cell import (
+    RUN_CONSTANTS,
     ConvergenceError,
     SampleBlock,
+    SampleColumns,
     SingularityError,
     SolverOptions,
+    _column,
     _read_only,
     assemble,
 )
@@ -49,8 +50,6 @@ __all__ = [
     "DegenerateFitError",
     "EnsemblePlan",
     "EnsembleRun",
-    "SampleColumns",
-    "SampleRecord",
     "FluctuationEstimate",
     "SystematicEstimate",
     "McRow",
@@ -70,8 +69,6 @@ __all__ = [
 ]
 
 FAILURE_BUDGET = 0.01
-# keys of the `assemble` metadata record with one value per run: kept once per period
-RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
 # cells per block of samples solved together (see _blocks)
 BLOCK_CELLS = 8192
 BOOTSTRAP_RESAMPLES = 1000
@@ -105,147 +102,6 @@ class EnsemblePlan:
     order: int = 2
     options: SolverOptions = field(default_factory=SolverOptions)
     workers: int = 1
-
-
-class SampleRecord:
-    """One solved sample of a `SampleColumns`, read from the columns.
-
-    It has the fields of `HomogenizedQuantities`; metadata is a mapping onto
-    the metadata columns, so a write to it changes the columns.
-    """
-
-    __slots__ = ("_columns", "_row")
-
-    def __init__(self, columns, row):
-        self._columns = columns
-        self._row = row
-
-    def _get(self, name):
-        column = getattr(self._columns, name)
-        return None if column is None else column[self._row]
-
-    energy = property(lambda self: float(self._columns.energy[self._row]))
-    stress = property(lambda self: self._get("stress"))
-    tangent = property(lambda self: self._get("tangent"))
-    third = property(lambda self: self._get("third"))
-    F = property(lambda self: self._columns.F)
-    period = property(lambda self: self._columns.period)
-    n = property(lambda self: self._columns.n)
-    metadata = property(lambda self: _MetadataRow(self._columns.metadata, self._row))
-
-
-class _MetadataRow(MutableMapping):
-    """Row `row` of metadata columns {key: array or run constant}: scalars
-    read as Python numbers, vectors as views; writes go to the columns, and
-    a run constant cannot be written for one sample."""
-
-    __slots__ = ("_columns", "_row")
-
-    def __init__(self, columns, row):
-        self._columns = columns
-        self._row = row
-
-    def __getitem__(self, key):
-        column = self._columns[key]
-        if not isinstance(column, np.ndarray):
-            return column
-        value = column[self._row]
-        return value.item() if np.ndim(value) == 0 else value
-
-    def __setitem__(self, key, value):
-        column = self._columns.get(key)
-        if column is None:
-            raise KeyError(f"no metadata column {key!r}")
-        if not isinstance(column, np.ndarray):
-            raise TypeError(f"metadata {key!r} is one value for the whole run")
-        column[self._row] = value
-
-    def __delitem__(self, key):
-        raise TypeError("metadata columns cannot be deleted from one sample")
-
-    def __iter__(self):
-        return iter(self._columns)
-
-    def __len__(self):
-        return len(self._columns)
-
-
-@dataclass(eq=False)
-class SampleColumns(Sequence):
-    """The solved samples of one period L, in sample-index order, as columns.
-
-    energy (N,), stress (N, d, d), tangent (N, d, d, d, d) and third
-    (N, d, d, d, d, d, d) are read-only, None above the run's order;
-    metadata holds one array per key of the `assemble` record plus "index"
-    (integer columns in the smallest unsigned type that holds them), except
-    the RUN_CONSTANTS, which it holds once as plain values.  It reads as a
-    sequence of `SampleRecord`s, built on access.
-    """
-
-    energy: np.ndarray
-    stress: np.ndarray | None
-    tangent: np.ndarray | None
-    third: np.ndarray | None
-    metadata: dict
-    F: np.ndarray
-    period: float
-    n: int
-
-    def __len__(self):
-        return len(self.energy)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"sample {i} out of range for {len(self)} samples")
-        return SampleRecord(self, i % len(self))
-
-    @classmethod
-    def of(cls, indices, rows, F, period, n):
-        """Columns of the solved samples `indices`, whose `assemble` results
-        are `rows`; with no rows, only the energy column (empty)."""
-        def stacked(name):
-            if not rows or getattr(rows[0], name) is None:
-                return None
-            return np.stack([getattr(q, name) for q in rows])
-
-        metadata = {k: (rows[0].metadata[k] if k in RUN_CONSTANTS
-                        else _column([q.metadata[k] for q in rows]))
-                    for k in (rows[0].metadata if rows else ())}
-        metadata["index"] = _column(indices)
-        return cls(energy=np.array([q.energy for q in rows], dtype=float),
-                   stress=stacked("stress"), tangent=stacked("tangent"),
-                   third=stacked("third"), metadata=metadata, F=F, period=period, n=n)
-
-    @classmethod
-    def join(cls, parts, F):
-        """Rows of several SampleColumns of one period, in order; F is shared."""
-        parts = [c for c in parts if len(c)] or parts[:1]
-        first = parts[0]
-
-        def stacked(arrays):
-            out = np.concatenate(arrays)
-            out.flags.writeable = False
-            return out
-
-        quantities = {name: (None if getattr(first, name) is None
-                             else stacked([getattr(c, name) for c in parts]))
-                      for name in ("energy", "stress", "tangent", "third")}
-        # parts unpickled from a pool bring keys of their own: keep the interned ones
-        metadata = {sys.intern(k): (v if k in RUN_CONSTANTS
-                                    else np.concatenate([c.metadata[k] for c in parts]))
-                    for k, v in first.metadata.items()}
-        return cls(**quantities, metadata=metadata, F=F, period=first.period, n=first.n)
-
-
-def _column(values):
-    """One metadata column; non-negative integers in the smallest unsigned type."""
-    column = np.array(values)
-    if column.dtype.kind == "i" and column.size and column.min() >= 0:
-        column = column.astype(np.min_scalar_type(column.max()))
-    return column
 
 
 @dataclass
@@ -359,21 +215,23 @@ def period_cells(covariance, length, spacing):
 
 
 def _solve_batch(args):
-    """Solve one block of samples of one period: (L, SampleColumns, failures)."""
+    """Solve one block of samples of one period: (L, SampleColumns, failures);
+    the columns are the solved rows of the block's, indexed by "index"."""
     plan, L, n, indices = args
     samples = [sample_periodic_field(plan.covariance, L, n, plan.seed, idx) for idx in indices]
     block = SampleBlock(plan.material, samples, plan.F, plan.options)
-    solved, rows, failures = [], [], []
-    for sample in samples:
+    solved, failures = [], []
+    for row, sample in enumerate(samples):
         try:
-            q = assemble(plan.material, sample, plan.F, order=plan.order, opts=plan.options,
-                         block=block)
+            assemble(plan.material, sample, plan.F, order=plan.order, opts=plan.options,
+                     block=block)
         except (ConvergenceError, SingularityError) as exc:
             failures.append((sample.index, f"{type(exc).__name__}: {exc}"))
         else:
-            solved.append(sample.index)
-            rows.append(q)
-    return L, SampleColumns.of(solved, rows, plan.F, float(L), n), failures
+            solved.append(row)
+    columns = block.assembled(plan.order)[0].take(solved)
+    columns.metadata["index"] = _column(np.asarray(indices)[solved])
+    return L, columns, failures
 
 
 def _blocks(count, n, workers):

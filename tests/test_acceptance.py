@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from laminhom.cell import (
+    SampleBlock,
     SolverOptions,
     assemble,
     det_identity_residual,
@@ -133,8 +134,9 @@ def test_criterion_1_oracle_equivalence(acceptance_report):
     worst_w = worst_p = 0.0
     for _ in range(50):
         w, sample, F = random_instance(rng)
-        sol = solve_corrector(w, sample, F)
-        energy = assemble(w, sample, F, base=sol, order=0).energy
+        block = SampleBlock(w, [sample], F)
+        sol = solve_corrector(w, sample, F, block=block)
+        energy = assemble(w, sample, F, order=0, block=block).energy
         direct = minimize_direct(w, sample, F)
         worst_w = max(worst_w, abs(energy - direct.energy))
         worst_p = max(worst_p, float(np.abs(sol.p - direct.p).max()))
@@ -168,8 +170,9 @@ def test_criterion_3_structural_identities(acceptance_report):
     worst_rank_one = np.inf
     for _ in range(10):
         w, sample, F = random_instance(rng)
-        sol = solve_corrector(w, sample, F)
-        quantities = assemble(w, sample, F, base=sol, order=2)
+        block = SampleBlock(w, [sample], F)
+        sol = solve_corrector(w, sample, F, block=block)
+        quantities = assemble(w, sample, F, order=2, block=block)
         det_dev = det_identity_residual(sol.p, F)
         worst_det = max(worst_det, det_dev / (sample.n * abs(np.linalg.det(F))))
         R = rotation_from_angle(float(rng.uniform(-np.pi, np.pi)), w.dim)

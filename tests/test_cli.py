@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laminhom import cli
-from laminhom.cell import SolverOptions, assemble, solve_corrector
+from laminhom import cli, stats
+from laminhom.cell import SampleBlock, SolverOptions, assemble, solve_corrector
 from laminhom.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -141,6 +141,7 @@ class TestConfigParsing:
         ({"lengths": "8 12 8"}, "distinct"),
         ({"lengths": "inf"}, "divide"),
         ({"spacing": "0"}, "positive"),
+        ({"variance": "inf"}, "variance"),
     ])
     def test_rejects_bad_values(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.cfg", **overrides)
@@ -344,8 +345,9 @@ class TestSingle:
         # a loose flux tolerance ends the Newton iteration one step after it
         # is met, well above the threshold of the default tolerance
         loose = SolverOptions(tol_inner=1e-2)
-        sol = solve_corrector(w, sample, config.F, loose)
-        quantities = assemble(w, sample, config.F, base=sol, order=2, opts=loose)
+        block = SampleBlock(w, [sample], config.F, loose)
+        sol = solve_corrector(w, sample, config.F, loose, block=block)
+        quantities = assemble(w, sample, config.F, order=2, opts=loose, block=block)
         rows = _single_checks(w, sample, config.F, SolverOptions(), sol, quantities, 7)
         status = {r[0]: r[3] for r in rows}
         assert status["flux_residual"] == "fail"
@@ -416,6 +418,24 @@ class TestSeedAndWorkers:
         assert message in capsys.readouterr().err
         assert not (out / "quantities.csv").exists()
 
+    def test_overrides_are_validated_with_one_periodization_per_period(self, tmp_path,
+                                                                       monkeypatch):
+        periodized = []
+        periodize = stats.periodize_covariance
+
+        def counted(cov, L, n):
+            periodized.append(L)
+            return periodize(cov, L, n)
+
+        monkeypatch.setattr(stats, "periodize_covariance", counted)
+        monkeypatch.setenv("LAMINHOM_WORKERS", "3")
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 12")
+        args = cli.build_parser().parse_args(
+            ["rates", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "o")])
+        config, _ = cli._prepare(args)
+        assert (config.seed, config.workers) == (9, 3)
+        assert periodized == [8.0, 12.0]
+
     def test_seed_override_changes_data_and_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -480,7 +500,6 @@ class TestRates:
         assert rows_r == []
 
     def test_tolerated_failure_is_warned_on_stderr(self, tmp_path, monkeypatch, capsys):
-        import laminhom.stats as stats
         # the 1% budget is per period: 1 failure among L = 8's 200 samples is tolerated
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12", samples="200", order="0")
         healthy = tmp_path / "healthy"

@@ -159,11 +159,9 @@ class TestSampling:
         L, n, M = 8.0, 64, 100_000
         h = L / n
         lags = [0, int(round(0.25 / h)), int(round(0.5 / h)), int(round(1.0 / h))]
-        acc = np.empty((M, len(lags)))
-        for k in range(M):
-            v = sample_periodic_field(cov, L, n, seed=2024, index=k).values
-            for c, j in enumerate(lags):
-                acc[k, c] = np.mean(v * np.roll(v, -j))
+        V = np.stack([sample_periodic_field(cov, L, n, seed=2024, index=k).values
+                      for k in range(M)])
+        acc = np.stack([np.mean(V * np.roll(V, -j, axis=1), axis=1) for j in lags], axis=1)
         for c, j in enumerate(lags):
             est = acc[:, c].mean()
             se = acc[:, c].std(ddof=1) / np.sqrt(M)

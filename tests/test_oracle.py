@@ -4,7 +4,7 @@ harmonic-mean identity for the flux-column tangent block."""
 import numpy as np
 import pytest
 
-from laminhom.cell import _deform, assemble, solve_corrector
+from laminhom.cell import SampleBlock, _deform, assemble, solve_corrector
 from laminhom.energy import EnergyDensity
 from laminhom.fields import CovarianceSpec, sample_periodic_field
 from laminhom.oracle import DiscreteEnergyProblem, linear_solve_direct, minimize_direct
@@ -90,8 +90,9 @@ class TestHarmonicMeanIdentity:
         w = svk2()
         sample = make_sample(seed=7, n=16)
         F = shear(0.05)
-        base = solve_corrector(w, sample, F)
-        q = assemble(w, sample, F, base=base, order=2)
+        block = SampleBlock(w, [sample], F)
+        base = solve_corrector(w, sample, F, block=block)
+        q = assemble(w, sample, F, order=2, block=block)
         M = w.acoustic_cells(sample.values, _deform(F, base.p.T))
         harmonic = np.linalg.inv(np.linalg.inv(np.moveaxis(M, -1, 0)).mean(axis=0))
         block = q.tangent[:, 1, :, 1]
