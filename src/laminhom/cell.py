@@ -66,9 +66,9 @@ D2W_i[G] e_d, solved in closed form,
 
 The acoustic inverses M_i^{-1} depend on the base state only, so one set of
 them serves every direction: `solve_linearized` takes a stack of directions
-and `assemble` solves all d^2 elementary directions against one M^{-1}.  The
-acoustic tensors are entries of the moduli, (M_i)_jm = K_i[j, d, m, d], so
-both read them off the one moduli evaluation they make anyway.
+against one M^{-1}.  The acoustic tensors are entries of the moduli,
+(M_i)_jm = K_i[j, d, m, d], so it and `assemble` read them off the one
+moduli evaluation they make anyway.
 
 `assemble` averages the pointwise derivatives along the corrected state to
 produce the effective energy, stress, tangent moduli and (on demand) the
@@ -82,15 +82,34 @@ third-order moduli:
 The tangent is the symmetric form avg_i D2W_i[G + q_G x e_d, H + q_H x e_d]
 reduced by orthogonality: its cross terms are b_G . q_H + b_H . q_G and its
 corrector term is q_G . M q_H = q_G . (tau_H - b_H), whose tau_H part
-averages to zero against the mean-zero q_G.  One evaluation of the moduli
-K_i (`EnergyDensity.moduli_cells`) per block gives both D2W_i[G, H] and
-b_G = D2W_i[G] e_d; the result is symmetrized so the declared tensor
-symmetries hold by construction.  The same orthogonality makes the
-third-order formula equivalent to differentiating the tangent
-representation: the terms that would involve the derivative of q (the
-second-linearized corrector) pair a mean-zero cell field with a constant
-linearized flux and vanish, so the third-order moduli need only the
-first-order correctors q.
+averages to zero against the mean-zero q_G.
+
+For a laminate the tangent needs no corrector at all (the closed form of
+layered media, Backus 1962).  Take the elementary directions E_a = e_j x e_l
+and per sample A = avg_i M_i^{-1}, B_a = avg_i M_i^{-1} b_{a,i} and
+tau_a = A^{-1} B_a.  As M^{-1} is symmetric and q_b = M^{-1} (tau_b - b_b),
+
+    avg_i b_a . q_b = B_a . tau_b - avg_i b_a . M^{-1} b_b.
+
+A normal direction (m, d) has b_(m,d) = M e_m, so M^{-1} b_(m,d) = e_m,
+B_(m,d) = e_m, tau_(m,d) = A^{-1} e_m, and K[(m,d), b] = e_m . b_b cancels
+against b_(m,d) . M^{-1} b_b.  With a, b in-plane (l < d) this leaves
+
+    tangent[(j,d), (m,d)] = (A^{-1})_jm        the harmonic mean of M
+    tangent[a, (m,d)]     = (tau_a)_m
+    tangent[a, b]         = avg_i (K_ab - b_a . M^{-1} b_b)
+                            + (tau_a . B_b + tau_b . B_a) / 2,
+
+each entry formed once and mirrored, so the tensor is symmetric by
+construction (`_laminate_tangent`).  One evaluation of the moduli K_i
+(`EnergyDensity.moduli_cells`) per block gives K_ab, the flux rows b_a and
+the acoustic tensors, and only the d(d-1) in-plane directions need a
+per-cell M^{-1} b_a.  The same orthogonality makes the third-order formula
+equivalent to differentiating the tangent representation: the terms that
+would involve the derivative of q (the second-linearized corrector) pair a
+mean-zero cell field with a constant linearized flux and vanish, so the
+third-order moduli need only the first-order correctors q, which only
+order 3 forms (`_linearized_block`).
 
 The kernels of `energy` take one layout, component-major, so the cells
 F + p_i x e_d of a block are one (d, d, N) array built straight from p
@@ -147,6 +166,9 @@ ADMISSIBLE_DIST = 1.0
 LIPSCHITZ_FACTOR = 20.0
 # bound on the Frobenius condition number of the acoustic tensors
 COND_CAP = 1e12
+# a cell flux is evaluated to within a few ulps of |M| |f| (acoustic tensor,
+# last column); residuals below this many ulps of it are rounding
+ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -388,6 +410,16 @@ def _solve_small(A, r):
         return _matvec(adj, r) / det
 
 
+def _inverses(A):
+    """Closed-form inverses of component-major matrices A (d, d, N) by the adjugate.
+
+    A singular or non-finite A_c gives non-finite entries, with no warning.
+    """
+    det, adj = adjugate(A)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.array(adj) / det
+
+
 def _capped_inverses(M, S):
     """Closed-form inverses of component-major tensors M (d, d, S n) and one error per sample.
 
@@ -395,9 +427,8 @@ def _capped_inverses(M, S):
     singular or not finite, or when its worst Frobenius condition number
     exceeds COND_CAP; None otherwise.
     """
-    det, adj = adjugate(M)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Minv = np.array(adj) / det
+    Minv = _inverses(M)
+    with np.errstate(invalid="ignore", over="ignore"):
         cond = np.sqrt((M * M).sum(axis=(0, 1)) * (Minv * Minv).sum(axis=(0, 1)))
     finite = _per_sample(np.isfinite(Minv).all(axis=(0, 1)), S).all(axis=1)
     worst = _per_sample(cond, S).max(axis=1)
@@ -453,7 +484,7 @@ def _solve_block(w, omega, F, opts):
     for every cell of the sample, so that mean(p + dp) = 0 to first order,
     and each cell backtracks on its own (Armijo on |flux - sigma+|, with the
     admissibility cap; a candidate outside the domain has a NaN flux and
-    fails).  Every candidate is evaluated once, flux and acoustic tensor
+    fails, one within tol_inner or at the rounding floor passes).  Every candidate is evaluated once, flux and acoustic tensor
     together, and an accepted candidate's values serve the next step.  A
     sample stops once its cells are within tol_inner and |mean p| is at the
     stagnation floor (or has stalled below tol_outer), but never at the
@@ -527,6 +558,7 @@ def _solve_block(w, omega, F, opts):
             new = sigma + _solve_small(_cell_mean(Minv, k),
                                        _cell_mean(_matvec(Minv, flux - sigma_cells), k) - R)
             dp = _matvec(Minv, _by_cell(new, n) - flux)
+        del Minv   # not needed by the line search
         finite = _per_sample(np.isfinite(dp).all(axis=0), k).all(axis=1)
         for j in range(k):
             if bad[j] is None and not finite[j]:
@@ -539,6 +571,12 @@ def _solve_block(w, omega, F, opts):
         sigma = np.where(ok, new, sigma)
         sigma_cells = _by_cell(sigma, n)
         tol_cells = _by_cell(opts.tol_inner * (1.0 + _norms(sigma)), n)
+        # a candidate at the rounding floor of its flux passes too, so that a
+        # tolerance below rounding runs to max_outer; with tol_inner far above
+        # the floor (the defaults) the floor decides nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            pass_cells = np.maximum(
+                tol_cells, ROUNDING_FLOOR * _norms(M.reshape(d * d, -1)) * _norms(f0 + p))
         rnorm0 = _norms(flux - sigma_cells)
         t = np.ones(len(om))
         accepted = frozen
@@ -550,7 +588,7 @@ def _solve_block(w, omega, F, opts):
             # a candidate within tol_inner passes: near the solution rounding
             # alone can fail the Armijo test
             good = (cols.gram_squared(fc_cols) <= gram_cap2) & (
-                (rcn <= (1.0 - 1e-4 * t) * rnorm0) | (rcn <= tol_cells))
+                (rcn <= (1.0 - 1e-4 * t) * rnorm0) | (rcn <= pass_cells))
             take = good & ~accepted
             p = np.where(take, cand, p)
             flux = np.where(take, fc, flux)
@@ -628,6 +666,39 @@ def _linearized_block(Minv, b, S):
     return q - _by_cell(_cell_mean(q, S), n), tau, errors
 
 
+def _laminate_tangent(K, b, Minv, S):
+    """D2W_L (d^2, d^2, S) of S samples in closed form, and one error per sample.
+
+    K (d^2, d^2, N) are the moduli of the solved cells, b (d^2, d, N) their
+    flux rows b_a = D2W[E_a] e_d and Minv (d, d, N) the acoustic inverses.
+    With A = avg M^{-1}, B_a = avg M^{-1} b_a and tau_a = A^{-1} B_a per
+    sample, the entries are A^{-1} in the normal block, tau_a in the mixed
+    one, and avg (K_ab - b_a . M^{-1} b_b) + (tau_a . B_b + tau_b . B_a)/2
+    for in-plane a <= b, mirrored (see the module docstring).  The error of
+    a sample whose A is singular is a SingularityError.
+    """
+    k, d = b.shape[:2]
+    normal = slice(d - 1, None, d)
+    plane = [a for a in range(k) if a % d != d - 1]
+    Ainv = _inverses(_cell_mean(Minv, S))
+    # M^{-1} b_a of the in-plane directions, in the order of `plane`
+    Mb = _matvec(Minv, b.reshape(d, d, d, -1)[:, :d - 1]).reshape(len(plane), d, -1)
+    B = _cell_mean(Mb, S)
+    tau = _matvec(Ainv, B)
+    errors = [None if ok else SingularityError("harmonic-mean matrix singular")
+              for ok in np.isfinite(tau).all(axis=(0, 1))]
+    mat = np.empty((k, k, S))
+    mat[normal, normal] = Ainv
+    for x, a in enumerate(plane):
+        mat[a, normal] = mat[normal, a] = tau[x]
+        for y in range(x, len(plane)):
+            c = plane[y]
+            cells = K[a, c] - sum(b[a, j] * Mb[y, j] for j in range(d))
+            mat[a, c] = mat[c, a] = _cell_mean(cells, S) + 0.5 * (
+                (tau[x] * B[y]).sum(axis=0) + (tau[y] * B[x]).sum(axis=0))
+    return mat, errors
+
+
 def _flux_rows(w, om, Fc, S):
     """(K, b, Minv, errors) of the cells Fc (d, d, S n): the moduli K[a, c] =
     D2W[E_a, E_c] for E_(j d + l) = e_j x e_l, the flux rows b[a] = D2W[E_a] e_d,
@@ -681,7 +752,8 @@ def _assemble_block(w, omega, F, p, order):
 
     Returns (quantities, errors): quantities maps each of QUANTITIES to
     per-sample arrays (S,), (S,d,d), ... (None above `order`); errors[s] is
-    the error of sample s in the linearized solve.  A failed sample's
+    the error of sample s in its tangent (a singular acoustic tensor or
+    harmonic mean), or None.  A failed sample's
     quantities are not defined.  Every per-sample reduction is a mean along
     the cell axis.
     """
@@ -702,11 +774,10 @@ def _assemble_block(w, omega, F, p, order):
     K, b_all, Minv, errors = _flux_rows(w, om, Fc, S)
     # non-finite inverses belong to samples that fail here
     with np.errstate(**({"all": "ignore"} if any(errors) else {})):
-        q, _, errs = _linearized_block(Minv, b_all, S)
+        mat, errs = _laminate_tangent(K, b_all, Minv, S)
+        if order >= 3:
+            q = _linearized_block(Minv, b_all, S)[0]
     errors = [a or b for a, b in zip(errors, errs)]
-    # D2W_L[a, b] = avg_c (K_c[a, b] + b_{a,c} . q_{b,c}), summed in a fixed order
-    mat = _cell_mean(K + sum(b_all[:, None, j] * q[None, :, j] for j in range(d)), S)
-    mat = 0.5 * (mat + mat.transpose(1, 0, 2))
     out["tangent"] = np.moveaxis(mat, -1, 0).reshape(S, d, d, d, d)
     if order >= 3:
         A_all = np.stack([_deform(E, q[a]) for a, E in enumerate(np.eye(k).reshape(k, d, d))])
@@ -795,8 +866,8 @@ class SampleBlock:
 def assemble(w, sample, F, order=2, opts=None, block=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
-    order 0: energy only; 1: + stress; 2: + tangent moduli (d^2 linearized
-    directions in one stacked solve); 3: + third-order moduli.  The sample
+    order 0: energy only; 1: + stress; 2: + tangent moduli (the laminate
+    closed form, see the module docstring); 3: + third-order moduli.  The sample
     is solved (`solve_corrector`) and assembled inside `block`, or as the
     block of one.  Returns its row of the block's columns, a
     HomogenizedQuantities; raises the error of its solve or its assembly.

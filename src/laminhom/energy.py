@@ -22,8 +22,8 @@ All batched kernels (`EnergyDensity.*_cells`) take their cells
 component-major: the deformation gradients as one (d, d, n) array, entry
 (j, l) of cell i at [j, l, i], and directions likewise as (d, d, n), or as a
 stack (k, d, d, n) of k of them.  Each formula is then a handful of
-elementwise operations on contiguous length-n component arrays; the matrix
-products of the stress and of D3W are `np.matmul` over the first two axes.
+elementwise operations on contiguous length-n component arrays; only the
+matrix products of D3W are `np.matmul` over the first two axes.
 Determinants and inverses of the small (2x2 or 3x3) matrices are the
 closed-form adjugate over the determinant (`adjugate`).
 
@@ -55,11 +55,12 @@ one (d, d, d, d, n) array, built elementwise (no batched matrix products):
 * neo-Hookean, X = F^{-1} (`adjugate`), beta = lam ln J - mu:
   K = m [mu delta_jm delta_lr + lam X_lj X_rm - beta X_lm X_rj].
 
-Each entry sums the same terms in the same order as its partner K_mrjl, so
-the major symmetry holds exactly.  The tangent is a contraction of the
-moduli, (D2W[A])_jl = sum_mr K_jlmr A_mr (`tangent_apply_cells`), and the
-acoustic tensor is an entry of them, M_jk = K_jdkd (`acoustic_cells`), so
-D2W has this one home.
+Each of the d^2 (d^2 + 1)/2 entries with (j, l) <= (m, r) is formed once as
+one length-n array, multiplied by m(omega) once, and stored also as its
+partner K_mrjl, so the major symmetry holds exactly.  The tangent is a
+contraction of the moduli, (D2W[A])_jl = sum_mr K_jlmr A_mr
+(`tangent_apply_cells`), and the acoustic tensor is an entry of them,
+M_jk = K_jdkd (`acoustic_cells`), so D2W has this one home.
 
 Each family is one small class (`_SaintVenantKirchhoff`, `_NeoHookean`)
 holding only the unmodulated W0 and its derivatives.  `EnergyDensity` picks
@@ -164,11 +165,24 @@ def _matvec(A, x):
     do not depend on N, which BLAS does not promise for A @ x.
     """
     A = np.asarray(A)
-    products = (A if A.ndim == 3 else A[..., None]) * x[..., None, :, :]
-    out = products[..., 0, :]
-    for j in range(1, products.shape[-2]):
-        out = out + products[..., j, :]
+    if A.ndim == 2:
+        A = A[..., None]
+    out = A[:, 0] * x[..., None, 0, :]
+    for j in range(1, A.shape[1]):
+        out = out + A[:, j] * x[..., None, j, :]
     return out
+
+
+def _mirrored(entry, m, d):
+    """Moduli (d, d, d, d, n) with the major symmetry by construction: each
+    entry K_jlir with (j, l) <= (i, r) is entry(j, l, i, r) (n,) times m,
+    formed once and also stored as K_irjl."""
+    pairs = [(j, l) for j in range(d) for l in range(d)]
+    K = np.empty((d, d, d, d, len(m)))
+    for a, (j, l) in enumerate(pairs):
+        for i, r in pairs[a:]:
+            K[j, l, i, r] = K[i, r, j, l] = m * entry(j, l, i, r)
+    return K
 
 
 def adjugate(m):
@@ -273,7 +287,9 @@ class _SaintVenantKirchhoff:
         flux = s * f + _matvec(self.mu * cols.CCt, f)
         if not acoustic:
             return flux, None
-        M = (self.lam + 2.0 * self.mu) * (f[:, None] * f[None]) + (self.mu * cols.CCt)[:, :, None]
+        M = f[:, None] * f[None]
+        M *= self.lam + 2.0 * self.mu
+        M += (self.mu * cols.CCt)[:, :, None]
         _diagonal(M)[...] += s
         return flux, M
 
@@ -283,24 +299,27 @@ class _SaintVenantKirchhoff:
         return 0.5 * self.lam * tr * tr + self.mu * _inner(E, E)
 
     def stress(self, F):
-        # np.matmul's products, not elementwise sums as in `energy`, which
-        # round differently: the assembled DW_L keeps its bits
-        E = 0.5 * (_product(F, F, transpose=True) - np.eye(self.dim)[:, :, None])
-        return self.lam * _trace(E) * F + 2.0 * self.mu * _product(F, E)
+        E = 0.5 * (_gram(F) - np.eye(self.dim)[:, :, None])
+        FE = sum(F[:, k, None] * E[None, k] for k in range(self.dim))
+        return self.lam * _trace(E) * F + 2.0 * self.mu * FE
 
-    def moduli(self, F):
+    def moduli(self, F, m):
         d = self.dim
-        FtF = _gram(F)
-        FFt = sum(F[:, None, k] * F[None, :, k] for k in range(d))
-        trE = 0.5 * (_trace(FtF) - d)
-        D = self.mu * FtF
+        muFFt = self.mu * sum(F[:, None, k] * F[None, :, k] for k in range(d))
+        D = _gram(F)
+        trE = 0.5 * (_trace(D) - d)
+        D *= self.mu
         _diagonal(D)[...] += self.lam * trE - self.mu   # 2 mu E + lam tr E Id
-        K = self.lam * (F[:, :, None, None] * F[None, None])
-        K += self.mu * (F[:, None, None, :] * F.transpose(1, 0, 2)[None, :, :, None])
-        for l in range(d):
-            K[:, l, :, l] += self.mu * FFt
-            K[l, :, l, :] += D
-        return K
+
+        def entry(j, l, i, r):
+            K = self.lam * (F[j, l] * F[i, r]) + self.mu * (F[j, r] * F[i, l])
+            if l == r:
+                K += muFFt[j, i]
+            if j == i:
+                K += D[l, r]
+            return K
+
+        return _mirrored(entry, m, d)
 
     def third(self, F, A, B):
         def sym(X, Y):   # sym(X^T Y)
@@ -329,7 +348,8 @@ class _NeoHookean:
         flux = self.mu * f + beta * g
         if not acoustic:
             return flux, None
-        M = (self.lam - beta) * (g[:, None] * g[None])
+        M = g[:, None] * g[None]
+        M *= self.lam - beta
         _diagonal(M)[...] += self.mu
         return flux, M
 
@@ -341,16 +361,17 @@ class _NeoHookean:
         X, lnJ = self._inverse_log(F)
         return self.mu * F + (self.lam * lnJ - self.mu) * X.transpose(1, 0, 2)
 
-    def moduli(self, F):
-        d = self.dim
+    def moduli(self, F, m):
         X, lnJ = self._inverse_log(F)
-        XT = np.ascontiguousarray(X.transpose(1, 0, 2))
-        K = self.lam * (XT[:, :, None, None] * XT[None, None])
-        K -= (self.lam * lnJ - self.mu) * (XT[:, None, None, :] * X[None, :, :, None])
-        for j in range(d):
-            for l in range(d):
-                K[j, l, j, l] += self.mu
-        return K
+        beta = self.lam * lnJ - self.mu
+
+        def entry(j, l, i, r):
+            K = self.lam * (X[l, j] * X[r, i]) - beta * (X[l, i] * X[r, j])
+            if j == i and l == r:
+                K += self.mu
+            return K
+
+        return _mirrored(entry, m, self.dim)
 
     def third(self, F, A, B):
         X, lnJ = self._inverse_log(F)
@@ -432,7 +453,7 @@ class EnergyDensity:
         """Tangent moduli of the cells as (d, d, d, d, n), see
         `tangent_apply_cells`.  A neo-Hookean cell with J <= 0 raises
         DomainError."""
-        return self.factor(omega) * self._law.moduli(np.asarray(F, dtype=float))
+        return self._law.moduli(np.asarray(F, dtype=float), self.factor(omega))
 
     def tangent_apply_cells(self, omega, F, A):
         """Matrices D2W(omega_i, F_i)[A_i] over cells; A is one direction (d,d),
@@ -469,7 +490,10 @@ class EnergyDensity:
         """
         m = self.factor(omega)
         flux, M = self._law.column(cols, np.asarray(f, dtype=float), acoustic)
-        return m * flux, (None if M is None else m * M)
+        flux *= m
+        if M is not None:
+            M *= m
+        return flux, M
 
     def acoustic_cells(self, omega, F):
         """Acoustic tensors (M_i)_jk = D2W(omega_i,F_i)[e_j x e_d, e_k x e_d] over

@@ -26,7 +26,6 @@ deterministic reductions with seeded bootstrap confidence intervals.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,7 +160,7 @@ class SystematicEstimate:
     reference: np.ndarray
     biases: dict               # L -> |mean_L - reference|
     ses: dict                  # L -> propagated standard error of the bias
-    underpowered: dict         # L -> bias < 3 * SE
+    underpowered: dict         # L -> not bias >= 3 * SE (also for a NaN SE)
     excluded: tuple            # lengths that served as reference (skip in fits)
 
 
@@ -294,6 +293,9 @@ def run_ensemble(plan):
     over = None
     try:
         if plan.workers > 1:
+            # the pool machinery (about 2 MiB) loads only when a pool starts
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=plan.workers) as pool:
                 futures = [pool.submit(_solve_batch, job) for job in jobs]
                 try:
@@ -324,8 +326,11 @@ def run_ensemble(plan):
 
 
 def _sd(values):
-    """Unbiased sample SD with Frobenius norm over components: (N, k) -> float."""
+    """Unbiased sample SD with Frobenius norm over components: (N, k) -> float;
+    NaN for a single row, without a warning."""
     N = len(values)
+    if N < 2:
+        return float("nan")
     dev = values - values.mean(axis=0)
     return float(np.sqrt((dev * dev).sum() / (N - 1)))
 
@@ -333,22 +338,27 @@ def _sd(values):
 def _bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
     """SDs of `resamples` bootstrap resamples of the rows of values (N, k).
 
-    The index draws come in blocks of up to 2e6 elements; the arithmetic
-    runs over row sub-blocks of at most 2e5 elements, which bounds the
-    temporaries without changing a bit of the result.
+    The index draws come in blocks of up to 2e6 elements.  Each block
+    becomes a resample-count matrix c (b, N), c_ri = how often resample r
+    drew row i, so no resample is built: with the rows y_i centred once,
+    resample r has the squared deviation
+    sum_i c_ri |y_i|^2 - |sum_i c_ri y_i|^2 / N (clipped at 0 against
+    rounding).
     """
     N = len(values)
+    y = values - values.mean(axis=0)
+    y2 = (y * y).sum(axis=1)
     out = np.empty(resamples)
     block = max(1, min(resamples, int(2e6 // max(1, values.size))))
-    rows = max(1, int(2e5 // max(1, values.size)))
     done = 0
     while done < resamples:
         b = min(block, resamples - done)
         idx = rng.integers(0, N, size=(b, N))
-        for lo in range(0, b, rows):
-            x = values[idx[lo:lo + rows]]
-            dev = x - x.mean(axis=1, keepdims=True)
-            out[done + lo:done + lo + len(x)] = np.sqrt((dev * dev).sum(axis=(1, 2)) / (N - 1))
+        idx += N * np.arange(b)[:, None]
+        counts = np.bincount(idx.reshape(-1), minlength=b * N).reshape(b, N).astype(float)
+        s1 = counts @ y
+        ss = counts @ y2 - (s1 * s1).sum(axis=1) / N
+        out[done:done + b] = np.sqrt(np.maximum(ss, 0.0) / (N - 1))
         done += b
     return out
 
@@ -415,7 +425,8 @@ def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=N
     The reference is the mean at the largest L (excluded from fits), a
     Richardson extrapolation from the two largest (both excluded), or the
     largest-L mean of a separate reference run.  An L is flagged
-    underpowered when its bias does not exceed 3 standard errors.
+    underpowered unless its bias is at least 3 standard errors, so also
+    when its SE is NaN (one sample at L or at the reference).
     """
     ref, se_ref, excluded, name = _reference(run, order, strategy, reference_run)
     biases, ses, weak = {}, {}, {}
@@ -425,7 +436,8 @@ def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=N
         se = float(np.sqrt(_sd(vals) ** 2 / len(vals) + se_ref ** 2))
         biases[L] = bias
         ses[L] = se
-        weak[L] = bias < 3.0 * se
+        # an SE that is not a number (one sample) powers nothing
+        weak[L] = not bias >= 3.0 * se
     return SystematicEstimate(order=order, strategy=name, reference=ref,
                               biases=biases, ses=ses, underpowered=weak,
                               excluded=excluded)

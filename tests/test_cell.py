@@ -1,6 +1,8 @@
 """Cell-problem solver tests: frozen two-phase values, oracle equivalence,
 structural identities, derivative consistency."""
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from laminhom.cell import (
     rank_one_minimum,
     solve_corrector,
     solve_linearized,
+    _assemble_block,
     _deform,
     _capped_inverses,
     _elementary,
@@ -520,3 +523,42 @@ class TestReducedTangent:
         quantities = assemble_in_block(w, samples, stretch(2, *BACKTRACKING[family]), order=2)
         assert all(q.tangent is not None for q in quantities)
         assert calls == {"moduli_cells": 1, "tangent_apply_cells": 0}
+
+
+class TestLaminateTangent:
+    """The closed form of D2W_L: the normal block is the harmonic mean
+    avg(M^{-1})^{-1} and the mixed block the linearized fluxes tau."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["saint-venant-kirchhoff", "neo-hookean"])
+    def test_normal_and_mixed_blocks(self, family, dim):
+        w, samples = contrast_block(family, dim, count=6)
+        F = stretch(dim, *BACKTRACKING[family])
+        t = dim - 1
+        E = np.stack([_elementary(dim, j, l) for j in range(dim) for l in range(dim)])
+        for sample, q in zip(samples, assemble_in_block(w, samples, F, order=2)):
+            sol = solve_corrector(w, sample, F)
+            M = np.moveaxis(w.acoustic_cells(sample.values, _deform(F, sol.p.T)), -1, 0)
+            harmonic = np.linalg.inv(np.linalg.inv(M).mean(axis=0))
+            normal = q.tangent[:, t, :, t]
+            assert np.abs(normal - harmonic).max() <= 1e-13 * np.abs(harmonic).max()
+            _, tau = solve_linearized(w, sample, F, sol, E)
+            mixed = q.tangent[:, :, :, t].reshape(dim * dim, dim)
+            assert np.abs(mixed - tau).max() <= 1e-13 * np.abs(tau).max()
+
+    def test_peak_memory_of_one_block(self):
+        # 16 samples of 512 cells, SVK at d = 2; with per-cell correctors q it peaked at 4.0 MiB
+        w = svk2()
+        cov = CovarianceSpec("triangle", 1.0, 1.0)
+        omega = np.stack([sample_periodic_field(cov, 64.0, 512, 1, i).values for i in range(16)])
+        F = shear(2, 0.05)
+        p = _solve_block(w, omega, F, SolverOptions()).p
+        _assemble_block(w, omega, F, p, 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _assemble_block(w, omega, F, p, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

@@ -23,7 +23,7 @@ from laminhom.cli import (
     load_config,
     main,
 )
-from laminhom.energy import NEO_HOOKEAN, rotation_from_angle
+from laminhom.energy import NEO_HOOKEAN, EnergyDensity, rotation_from_angle
 from laminhom.fields import sample_periodic_field
 from laminhom.stats import cells_for
 
@@ -367,12 +367,26 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
-    def test_unreachable_tolerance_exits_two(self, tmp_path, capsys):
+    def test_unreachable_tolerance_exits_two(self, tmp_path, capsys, monkeypatch):
         # only an exactly zero flux residual in every cell meets this tolerance
         cfg = write_config(tmp_path / "a.cfg", extra_run="tol_inner = 1e-30")
         out = tmp_path / "o"
+        calls = []
+        flux_cells = EnergyDensity.flux_cells
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return flux_cells(self, *args, **kwargs)
+
+        monkeypatch.setattr(EnergyDensity, "flux_cells", counted)
         assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
-        assert "laminhom-error code=2 kind=solver" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "laminhom-error code=2 kind=solver" in err
+        # candidates at the rounding floor pass the line search: the sample
+        # takes every step, and fails for the right reason
+        max_outer = SolverOptions().max_outer
+        assert f"not converged after {max_outer} steps" in err
+        assert len(calls) <= max_outer + 5
         assert not (out / "quantities.csv").exists()
 
     @pytest.mark.parametrize("command,overrides,fragment", [
@@ -498,6 +512,16 @@ class TestRates:
         # rates.csv has a fluctuation fit only if >= 4 lengths; here 3 -> none
         _, _, rows_r = read_table(out / "rates.csv")
         assert rows_r == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_per_length_is_underpowered(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 16 32", samples="1", order="0",
+                           extra_run="reference_strategy = extrapolated")
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_table(out / "systematic.csv")
+        assert len(rows) == 3
+        assert all(r[4] == "nan" and r[5] == "1" for r in rows)
 
     def test_tolerated_failure_is_warned_on_stderr(self, tmp_path, monkeypatch, capsys):
         # the 1% budget is per period: 1 failure among L = 8's 200 samples is tolerated

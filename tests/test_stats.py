@@ -303,14 +303,36 @@ def one_block_bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
     return out
 
 
+def traced_peak(call):
+    """Peak bytes allocated while call() runs (earlier allocations are not traced)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBootstrap:
     @pytest.mark.parametrize("N,k", [(9, 1), (63, 16), (1001, 3), (5001, 1)])
-    def test_row_blocks_are_bit_identical(self, N, k):
+    def test_counts_match_resampled_rows(self, N, k):
         # (1001, 3) and (5001, 1) draw the 1000 resamples in two and three blocks
         values = np.random.default_rng(N).standard_normal((N, k))
         got = _bootstrap_sds(values, np.random.default_rng(5))
         ref = one_block_bootstrap_sds(values, np.random.default_rng(5))
-        assert np.array_equal(got, ref)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [9, 1001, 5001])
+    def test_constant_values_give_exactly_zero(self, N):
+        values = np.full((N, 3), 0.1)
+        assert not _bootstrap_sds(values, np.random.default_rng(5)).any()
+
+    def test_peak_memory(self):
+        # resample counts instead of resampled rows, which peaked at 5.2 MiB
+        values = np.random.default_rng(0).standard_normal((64, 16))
+        _bootstrap_sds(values, np.random.default_rng(1))
+        assert traced_peak(lambda: _bootstrap_sds(values, np.random.default_rng(1))) < 2 * 2**20
 
 
 class TestFluctuationEstimate:
@@ -387,6 +409,13 @@ class TestSystematicEstimate:
         far = fake_run({8: list(10.0 + 0.01 * rng.standard_normal(16))})
         est2 = systematic_estimate(far, reference_run=ref)
         assert not est2.underpowered[8]
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_has_no_error_bar_and_is_underpowered(self):
+        run = fake_run({8: [1.5], 16: [1.2], 32: [1.0]})
+        est = systematic_estimate(run, order=0, strategy="extrapolated")
+        assert all(np.isnan(est.ses[L]) for L in run.lengths)
+        assert all(est.underpowered[L] for L in run.lengths)
 
     def test_unknown_strategy(self):
         run = fake_run({8: [1.0, 1.1]})
