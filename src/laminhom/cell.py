@@ -416,8 +416,23 @@ def _inverses(A):
     A singular or non-finite A_c gives non-finite entries, with no warning.
     """
     det, adj = adjugate(A)
+    d = len(adj)
+    inv = np.empty((d, d, *np.shape(det)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.array(adj) / det
+        for j in range(d):
+            for m in range(d):
+                np.divide(adj[j][m], det, out=inv[j, m])
+    return inv
+
+
+def _square_sums(A):
+    """Squared Frobenius norms of component-major matrices A (d, d, N) -> (N,),
+    the entries summed in row-major order (the order of A.sum(axis=(0, 1)))."""
+    entries = [x for row in A for x in row]
+    total = entries[0] * entries[0]
+    for x in entries[1:]:
+        total += x * x
+    return total
 
 
 def _capped_inverses(M, S):
@@ -425,22 +440,21 @@ def _capped_inverses(M, S):
 
     A sample's error is a SingularityError when one of its tensors is
     singular or not finite, or when its worst Frobenius condition number
-    exceeds COND_CAP; None otherwise.
+    exceeds COND_CAP; None otherwise.  A condition number is finite only
+    where the inverse is, so only the samples above the cap (or NaN) are
+    looked at again.
     """
     Minv = _inverses(M)
     with np.errstate(invalid="ignore", over="ignore"):
-        cond = np.sqrt((M * M).sum(axis=(0, 1)) * (Minv * Minv).sum(axis=(0, 1)))
-    finite = _per_sample(np.isfinite(Minv).all(axis=(0, 1)), S).all(axis=1)
+        cond = np.sqrt(_square_sums(M) * _square_sums(Minv))
     worst = _per_sample(cond, S).max(axis=1)
-    errors = []
-    for ok, c in zip(finite, worst):
-        if not ok:
-            errors.append(SingularityError("acoustic tensor singular or not finite"))
-        elif c > COND_CAP:
-            errors.append(SingularityError(
-                f"acoustic tensor condition {c:.3e} above cap {COND_CAP:.1e}"))
+    errors = [None] * S
+    for s in np.flatnonzero(~(worst <= COND_CAP)):
+        if not np.isfinite(_per_sample(Minv, S)[:, :, s]).all():
+            errors[s] = SingularityError("acoustic tensor singular or not finite")
         else:
-            errors.append(None)
+            errors[s] = SingularityError(
+                f"acoustic tensor condition {worst[s]:.3e} above cap {COND_CAP:.1e}")
     return Minv, errors
 
 
@@ -484,13 +498,19 @@ def _solve_block(w, omega, F, opts):
     for every cell of the sample, so that mean(p + dp) = 0 to first order,
     and each cell backtracks on its own (Armijo on |flux - sigma+|, with the
     admissibility cap; a candidate outside the domain has a NaN flux and
-    fails, one within tol_inner or at the rounding floor passes).  Every candidate is evaluated once, flux and acoustic tensor
-    together, and an accepted candidate's values serve the next step.  A
-    sample stops once its cells are within tol_inner and |mean p| is at the
-    stagnation floor (or has stalled below tol_outer), but never at the
-    state where its cells first met tol_inner: one more step takes the
-    residuals down to rounding.  A sample leaves the block when it stops or
-    fails; it fails alone, with the error it raises when solved by itself.
+    fails, one within tol_inner or at the rounding floor passes).  Every
+    candidate is evaluated once, flux and acoustic tensor together, and an
+    accepted candidate's flux, tensor and residual norm serve the next
+    convergence test and step.  The full step is tried on every cell and,
+    when all pass (the common case), taken as a whole; otherwise each
+    halving evaluates only the cells still waiting and writes back those it
+    accepts.  The start p = 0 is one column F e_d shared by every cell, so
+    it is evaluated once and scaled by m(omega).  A sample stops once its
+    cells are within tol_inner and |mean p| is at the stagnation floor (or
+    has stalled below tol_outer), but never at the state where its cells
+    first met tol_inner: one more step takes the residuals down to
+    rounding.  A sample leaves the block when it stops or fails; it fails
+    alone, with the error it raises when solved by itself.
     Raises DomainError when dist(F, SO(d)) >= delta_bar.
     """
     F = np.asarray(F, dtype=float)
@@ -504,23 +524,34 @@ def _solve_block(w, omega, F, opts):
     f0 = F[:, d - 1:].copy()
     gram_cap2 = (ADMISSIBLE_DIST * (2.0 + ADMISSIBLE_DIST)) ** 2
     errors = [None] * S
+    failed = np.zeros(S, dtype=bool)
     steps = np.zeros(S, dtype=int)
     backtracks = np.zeros(S, dtype=int)
     best = np.full(S, np.inf)
     met = np.zeros(S, dtype=bool)    # cells within tol_inner at an earlier state
     solved = np.zeros((d, S, n))     # a failed sample keeps p = 0
 
-    # the state of the samples in `live`
+    def fail(s, error):
+        errors[s] = error
+        failed[s] = True
+
+    def trial(cand, om, sigma_cells):
+        """(flux, M, |flux - sigma|, admissible) of the candidate cells cand (d, m)."""
+        f = f0 + cand
+        flux, M = w.flux_cells(om, cols, f, acoustic=True)
+        return flux, M, _norms(flux - sigma_cells), cols.gram_squared(f) <= gram_cap2
+
+    # the state of the samples in `live`: p, flux, M and res = |flux - sigma|
     live = np.arange(S)
     om = omega.reshape(-1)
     p = np.zeros((d, S * n))
-    flux, M = w.flux_cells(om, cols, f0 + p, acoustic=True)
+    flux, M = w.flux_cells(om, cols, f0 + p[:, :1], acoustic=True)
     sigma = _cell_mean(flux, S)
+    res = _norms(flux - _by_cell(sigma, n))
     while True:
         k = live.size
-        sigma_cells = _by_cell(sigma, n)
         tol = opts.tol_inner * (1.0 + _norms(sigma))
-        rnorm = _per_sample(_norms(flux - sigma_cells), k).max(axis=1)
+        rnorm = _per_sample(res, k).max(axis=1)
         within = rnorm <= tol
         R = _cell_mean(p, k)
         rn = _norms(R)
@@ -530,18 +561,17 @@ def _solve_block(w, omega, F, opts):
         # run to the stagnation floor so the exact recentering below is a
         # no-op at working precision
         floor = rn <= 1e-14 * (1.0 + _per_sample(np.abs(p).max(axis=0), k).max(axis=1))
-        failed = np.array([errors[s] is not None for s in live], dtype=bool)
-        stop = ~failed & within & met[live] & (floor | (~improved & (rn <= opts.tol_outer)))
+        stop = ~failed[live] & within & met[live] & (floor | (~improved & (rn <= opts.tol_outer)))
         met[live] |= within
         for j in np.flatnonzero(stop & (rn > opts.tol_outer)):
-            errors[live[j]] = ConvergenceError(
-                f"Newton stalled at |mean p| = {rn[j]:.3e} > tol_outer = {opts.tol_outer:.1e}")
-        for j in np.flatnonzero(~failed & ~stop & (steps[live] >= opts.max_outer)):
-            errors[live[j]] = ConvergenceError(
+            fail(live[j], ConvergenceError(
+                f"Newton stalled at |mean p| = {rn[j]:.3e} > tol_outer = {opts.tol_outer:.1e}"))
+        for j in np.flatnonzero(~failed[live] & ~stop & (steps[live] >= opts.max_outer)):
+            fail(live[j], ConvergenceError(
                 f"Newton not converged after {opts.max_outer} steps (flux residual "
-                f"{rnorm[j]:.3e}, tol {tol[j]:.1e}; |mean p| = {rn[j]:.3e})")
+                f"{rnorm[j]:.3e}, tol {tol[j]:.1e}; |mean p| = {rn[j]:.3e})"))
         solved[:, live[stop]] = _per_sample(p, k)[:, stop]
-        keep = np.array([errors[s] is None for s in live], dtype=bool) & ~stop
+        keep = ~failed[live] & ~stop
         if not keep.all():
             cells = _by_cell(keep, n)
             p, flux, M, om = p[:, cells], flux[:, cells], M[:, :, cells], om[cells]
@@ -549,62 +579,79 @@ def _solve_block(w, omega, F, opts):
             k = live.size
             if not k:
                 break
-            sigma_cells = _by_cell(sigma, n)
 
         # the Newton step
         steps[live] += 1
         Minv, bad = _capped_inverses(M, k)
         with np.errstate(invalid="ignore", over="ignore"):
-            new = sigma + _solve_small(_cell_mean(Minv, k),
-                                       _cell_mean(_matvec(Minv, flux - sigma_cells), k) - R)
+            new = sigma + _solve_small(
+                _cell_mean(Minv, k), _cell_mean(_matvec(Minv, flux - _by_cell(sigma, n)), k) - R)
             dp = _matvec(Minv, _by_cell(new, n) - flux)
         del Minv   # not needed by the line search
         finite = _per_sample(np.isfinite(dp).all(axis=0), k).all(axis=1)
-        for j in range(k):
-            if bad[j] is None and not finite[j]:
-                bad[j] = SingularityError("flux Jacobian singular")
-            errors[live[j]] = bad[j]
-        # failed samples stand still and count as accepted
-        ok = np.array([e is None for e in bad], dtype=bool)
-        frozen = _by_cell(~ok, n)
-        dp[:, frozen] = 0.0
-        sigma = np.where(ok, new, sigma)
+        frozen = None
+        if any(bad) or not finite.all():
+            # failed samples stand still and count as accepted
+            for j in np.flatnonzero(~finite):
+                bad[j] = bad[j] or SingularityError("flux Jacobian singular")
+            ok = np.array([e is None for e in bad], dtype=bool)
+            for j in np.flatnonzero(~ok):
+                fail(live[j], bad[j])
+            frozen = _by_cell(~ok, n)
+            dp[:, frozen] = 0.0
+            new = np.where(ok, new, sigma)
+        sigma = new
         sigma_cells = _by_cell(sigma, n)
         tol_cells = _by_cell(opts.tol_inner * (1.0 + _norms(sigma)), n)
+        rnorm0 = _norms(flux - sigma_cells)
+        cand = p + dp
+        fc, Mc, rcn, inside = trial(cand, om, sigma_cells)
+        # a candidate within tol_inner passes: near the solution rounding
+        # alone can fail the Armijo test
+        good = inside & ((rcn <= (1.0 - 1e-4) * rnorm0) | (rcn <= tol_cells))
+        if frozen is not None:
+            good |= frozen
+        if good.all():
+            p, flux, M, res = cand, fc, Mc, rcn
+            continue
+
         # a candidate at the rounding floor of its flux passes too, so that a
         # tolerance below rounding runs to max_outer; with tol_inner far above
         # the floor (the defaults) the floor decides nothing
         with np.errstate(over="ignore", invalid="ignore"):
             pass_cells = np.maximum(
-                tol_cells, ROUNDING_FLOOR * _norms(M.reshape(d * d, -1)) * _norms(f0 + p))
-        rnorm0 = _norms(flux - sigma_cells)
-        t = np.ones(len(om))
-        accepted = frozen
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = p + t * dp
-            fc_cols = f0 + cand
-            fc, Mc = w.flux_cells(om, cols, fc_cols, acoustic=True)
-            rcn = _norms(fc - sigma_cells)
-            # a candidate within tol_inner passes: near the solution rounding
-            # alone can fail the Armijo test
-            good = (cols.gram_squared(fc_cols) <= gram_cap2) & (
-                (rcn <= (1.0 - 1e-4 * t) * rnorm0) | (rcn <= pass_cells))
-            take = good & ~accepted
-            p = np.where(take, cand, p)
-            flux = np.where(take, fc, flux)
-            M = np.where(take, Mc, M)
-            accepted = accepted | good
-            waiting = ~_per_sample(accepted, k).all(axis=1)
+                tol_cells, ROUNDING_FLOOR * np.sqrt(_square_sums(M)) * _norms(f0 + p))
+        good |= inside & (rcn <= pass_cells)
+        # the waiting cells halve their steps; only they are evaluated again
+        wait = np.flatnonzero(~good)
+        base, step, om_w, sigma_w = p[:, wait], dp[:, wait], om[wait], sigma_cells[:, wait]
+        rnorm0_w, pass_w = rnorm0[wait], pass_cells[wait]
+        p, flux, M, res = cand, fc, Mc, rcn
+        t = 1.0
+        for halving in range(MAX_BACKTRACKS + 1):
+            waiting = ~_per_sample(good, k).all(axis=1)
             if not waiting.any():
                 break
-            t = np.where(accepted, t, t * BACKTRACK_FACTOR)
             backtracks[live] += waiting
-        else:
-            worst = _per_sample(rnorm0, k).max(axis=1)
-            for j in np.flatnonzero(waiting):
-                errors[live[j]] = ConvergenceError(
-                    f"Newton line search exhausted {MAX_BACKTRACKS} halvings "
-                    f"(worst residual {worst[j]:.3e})")
+            if halving == MAX_BACKTRACKS:
+                worst = _per_sample(rnorm0, k).max(axis=1)
+                for j in np.flatnonzero(waiting):
+                    fail(live[j], ConvergenceError(
+                        f"Newton line search exhausted {MAX_BACKTRACKS} halvings "
+                        f"(worst residual {worst[j]:.3e})"))
+                break
+            t *= BACKTRACK_FACTOR
+            cand = base + t * step
+            fc, Mc, rcn, inside = trial(cand, om_w, sigma_w)
+            take = inside & ((rcn <= (1.0 - 1e-4 * t) * rnorm0_w) | (rcn <= pass_w))
+            at = wait[take]
+            p[:, at], flux[:, at], M[:, :, at], res[at] = (
+                cand[:, take], fc[:, take], Mc[:, :, take], rcn[take])
+            good[at] = True
+            rest = ~take
+            wait, base, step, om_w, sigma_w = (
+                wait[rest], base[:, rest], step[:, rest], om_w[rest], sigma_w[:, rest])
+            rnorm0_w, pass_w = rnorm0_w[rest], pass_w[rest]
 
     p = solved - solved.mean(axis=-1, keepdims=True)
     flux = _per_sample(w.flux_cells(omega.reshape(-1), cols, f0 + p.reshape(d, -1))[0], S)
@@ -821,6 +868,7 @@ class SampleBlock:
         self.period = periods.pop()
         self._rows = {id(s): r for r, s in enumerate(self.samples)}
         self._solved = None
+        self._stats = None
         self._assembled = {}
 
     def row(self, w, sample, F, opts):
@@ -836,6 +884,8 @@ class SampleBlock:
     def _solution(self):
         if self._solved is None:
             self._solved = _solve_block(self.w, self.omega, self.F, self.opts)
+            # each statistic as a list of Python numbers, made once for all rows
+            self._stats = {k: v.tolist() for k, v in self._solved.stats.items()}
         return self._solved
 
     def corrector(self, row):
@@ -844,7 +894,7 @@ class SampleBlock:
         if solved.errors[row] is not None:
             raise solved.errors[row]
         return CorrectorSolution(p=solved.p[:, row].T.copy(), sigma=solved.sigma[:, row].copy(),
-                                 stats={k: v[row].item() for k, v in solved.stats.items()})
+                                 stats={k: v[row] for k, v in self._stats.items()})
 
     def assembled(self, order):
         """(SampleColumns, errors) of every sample of the block up to `order`:

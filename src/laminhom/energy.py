@@ -482,14 +482,16 @@ class EnergyDensity:
         """Flux DW(omega_i, F_i) e_d of the cells F_i = [C | f_i], in column form.
 
         cols are the `FixedColumns` of C and f the last columns,
-        component-major (d, n).  Returns (flux, M): the fluxes (d, n) and,
-        when `acoustic` is set, the acoustic tensors (d, d, n) (None
-        otherwise); see the module docstring for the formulas.  A
-        neo-Hookean cell with J <= 0 gets NaN in both, with no warning and
-        no DomainError.
+        component-major (d, n), or one column (d, 1) that every cell shares,
+        evaluated once.  Returns (flux, M): the fluxes (d, n) and, when
+        `acoustic` is set, the acoustic tensors (d, d, n) (None otherwise);
+        see the module docstring for the formulas.  A neo-Hookean cell with
+        J <= 0 gets NaN in both, with no warning and no DomainError.
         """
         m = self.factor(omega)
         flux, M = self._law.column(cols, np.asarray(f, dtype=float), acoustic)
+        if flux.shape[-1] != m.shape[-1]:
+            return flux * m, (None if M is None else M * m)
         flux *= m
         if M is not None:
             M *= m

@@ -21,6 +21,8 @@ correlation_length; the periodized covariance then agrees with C for all
 the unperiodized distribution.  Sampling uses the circulant spectral method:
 the DFT of the covariance entries is the (nonnegative) circulant spectrum,
 and shaping complex white noise with its square root yields an exact sample.
+The square root depends on (covariance, L, n) only, so it is formed once per
+grid and cached (read-only); every sample of an ensemble period reuses it.
 
 Streams are counter-based (numpy Philox keyed through SeedSequence by
 (seed, fixed-point L, index)), so every sample is a pure function of
@@ -29,6 +31,7 @@ Streams are counter-based (numpy Philox keyed through SeedSequence by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,16 +219,31 @@ def _stream(seed, *keys):
     return np.random.Generator(np.random.Philox(seed=seq))
 
 
+@functools.lru_cache(maxsize=32)
+def _spectral_root(cov, period, n):
+    """Square root of the periodized spectrum of (cov, period, n), read-only.
+
+    Cached per grid; a grid that does not suit the covariance raises on
+    every call, since an exception is never cached.
+    """
+    root = np.sqrt(periodize_covariance(cov, period, n).spectrum)
+    root.flags.writeable = False
+    return root
+
+
 def sample_periodic_field(cov, period, n, seed, index):
     """Draw one periodic field sample; pure function of (seed, period, index).
 
     Circulant spectral synthesis: with spectrum lambda and complex standard
     normals z, sqrt(n) * Re ifft(sqrt(lambda) * z) has covariance matrix
-    circulant(entries) exactly.
+    circulant(entries) exactly.  sqrt(lambda) comes from the per-grid cache
+    (`_spectral_root`), so the covariance is periodized once per (cov, period,
+    n), not once per sample.
     """
-    per = periodize_covariance(cov, period, n)
+    period, n = float(period), int(n)
+    root = _spectral_root(cov, period, n)
     rng = _stream(seed, _length_key(period), index)
-    z = rng.standard_normal(2 * per.n)
-    noise = z[: per.n] + 1j * z[per.n:]
-    values = np.sqrt(per.n) * np.fft.ifft(np.sqrt(per.spectrum) * noise).real
-    return MaterialSample(values=values, period=per.period, seed=int(seed), index=int(index))
+    z = rng.standard_normal(2 * n)
+    noise = z[:n] + 1j * z[n:]
+    values = np.sqrt(n) * np.fft.ifft(root * noise).real
+    return MaterialSample(values=values, period=period, seed=int(seed), index=int(index))

@@ -483,6 +483,49 @@ class TestBlocks:
             assert same_quantities(inside[s], expected[s])
 
 
+class TestLineSearchWork:
+    # contrast_block cases with backtracking, and the flux cells their block
+    # evaluated when every halving evaluated every cell of the block again
+    CASES = [
+        pytest.param("saint-venant-kirchhoff", 2, (-0.1, -0.1), 93_760, id="svk-2-compressed"),
+        pytest.param("saint-venant-kirchhoff", 3, (-0.1, -0.1), 99_008, id="svk-3-compressed"),
+        pytest.param("saint-venant-kirchhoff", 2, BACKTRACKING["saint-venant-kirchhoff"], 10_464,
+                     id="svk-2-backtracking"),
+        pytest.param("neo-hookean", 2, (0.1, 0.1), 25_536, id="nh-2-stretched"),
+    ]
+
+    @pytest.mark.parametrize("family,dim,deformation,whole_block", CASES)
+    def test_halvings_evaluate_only_the_waiting_cells(self, monkeypatch, family, dim,
+                                                      deformation, whole_block):
+        w, samples = contrast_block(family, dim)
+        column = w.flux_cells
+        evaluated = []
+
+        def counted(om, cols, f, acoustic=False):
+            evaluated.append(np.shape(f)[-1])
+            return column(om, cols, f, acoustic)
+
+        monkeypatch.setattr(w, "flux_cells", counted)
+        omega = np.stack([s.values for s in samples])
+        block = _solve_block(w, omega, stretch(dim, *deformation), SolverOptions())
+        assert block.stats["backtracks"].sum() > 0
+        # p = 0 is one column for all cells; halvings evaluate single cells
+        assert evaluated[0] == 1 and any(m % 32 for m in evaluated[1:])
+        assert sum(evaluated) <= whole_block // 2
+
+    @pytest.mark.parametrize("family,dim,deformation,whole_block", CASES)
+    def test_block_members_match_solo_solves(self, family, dim, deformation, whole_block):
+        w, samples = contrast_block(family, dim)
+        F = stretch(dim, *deformation)
+        for sample, q in zip(samples, assemble_in_block(w, samples, F, order=2)):
+            if isinstance(q, Exception):
+                with pytest.raises(type(q)) as alone:
+                    assemble(w, sample, F, order=2)
+                assert str(alone.value) == str(q)
+            else:
+                assert same_quantities(q, assemble(w, sample, F, order=2))
+
+
 def symmetric_form(w, sample, F, sol):
     """avg_i D2W_i[E_a + q_a x e_d, E_b + q_b x e_d], symmetrized, over the
     elementary directions E_a with their linearized correctors q_a."""

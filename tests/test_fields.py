@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import laminhom.fields as fields
 from laminhom.fields import (
     CovarianceSpec,
     MaterialSample,
@@ -122,17 +123,19 @@ class TestPeriodization:
     def test_non_positive_definite_covariance_raises(self):
         """A rectangle pulse is not a covariance: Dirichlet spectrum goes
         negative far beyond the roundoff clamp."""
-
-        class Rectangle:
-            variance = 1.0
-            correlation_length = 1.0
-            support_radius = 0.5
-
-            def __call__(self, s):
-                return np.where(np.abs(np.asarray(s, dtype=float)) < 0.5, 1.0, 0.0)
-
         with pytest.raises(SpectrumError):
             periodize_covariance(Rectangle(), 8.0, 64)
+
+
+class Rectangle:
+    """Indicator of |s| < 1/2: not positive semidefinite."""
+
+    variance = 1.0
+    correlation_length = 1.0
+    support_radius = 0.5
+
+    def __call__(self, s):
+        return np.where(np.abs(np.asarray(s, dtype=float)) < 0.5, 1.0, 0.0)
 
 
 # ===================================================================
@@ -170,3 +173,56 @@ class TestSampling:
     def test_material_sample_grid(self):
         s = MaterialSample(values=np.zeros(4), period=2.0, seed=0, index=0)
         np.testing.assert_allclose(s.grid(), [0.0, 0.5, 1.0, 1.5])
+
+
+# ===================================================================
+# the per-grid spectral cache
+# ===================================================================
+
+
+def uncached_draw(cov, period, n, seed, index):
+    """The circulant synthesis of sample_periodic_field, its spectrum formed afresh."""
+    per = periodize_covariance(cov, period, n)
+    z = fields._stream(seed, fields._length_key(period), index).standard_normal(2 * n)
+    return np.sqrt(n) * np.fft.ifft(np.sqrt(per.spectrum) * (z[:n] + 1j * z[n:])).real
+
+
+class TestSpectralCache:
+    @pytest.mark.parametrize("kind", ["triangle", "cosine-bump"])
+    def test_cold_and_warm_draws_are_bit_identical(self, kind):
+        cov = CovarianceSpec(kind, 1.3, 1.0)
+        fields._spectral_root.cache_clear()
+        cold = sample_periodic_field(cov, 8.0, 64, seed=11, index=3)
+        warm = sample_periodic_field(cov, 8, 64, seed=11, index=3)
+        info = fields._spectral_root.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cold.values.tobytes() == warm.values.tobytes()
+        assert cold.values.tobytes() == uncached_draw(cov, 8.0, 64, 11, 3).tobytes()
+        assert warm.period == 8.0 and isinstance(warm.period, float)
+
+    def test_cached_root_is_read_only(self):
+        root = fields._spectral_root(CovarianceSpec("triangle", 1.0, 1.0), 8.0, 64)
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0] = 0.0
+
+    @pytest.mark.parametrize("cov,L,n,error", [
+        (CovarianceSpec("triangle", 1.0, 1.0), 3.9, 64, PeriodizationError),
+        (CovarianceSpec("triangle", 1.0, 1.0), 64.0, 64, PeriodizationError),
+        (Rectangle(), 8.0, 64, SpectrumError),
+    ])
+    def test_errors_are_raised_on_every_call(self, cov, L, n, error):
+        for index in range(3):
+            with pytest.raises(error):
+                sample_periodic_field(cov, L, n, seed=1, index=index)
+
+    def test_distinct_grids_never_share_a_spectrum(self):
+        covs = [CovarianceSpec("triangle", 1.0, 1.0), CovarianceSpec("triangle", 2.0, 1.0),
+                CovarianceSpec("triangle", 1.0, 2.0), CovarianceSpec("cosine-bump", 1.0, 1.0)]
+        keys = [(cov, L, n) for cov in covs for L, n in [(8.0, 64), (16.0, 64), (8.0, 128)]]
+        roots = [fields._spectral_root(*key) for key in keys]
+        for key, root in zip(keys, roots):
+            assert np.array_equal(root, np.sqrt(periodize_covariance(*key).spectrum))
+        assert len({id(root) for root in roots}) == len(keys)
+        # an equal specification is the same key
+        assert fields._spectral_root(CovarianceSpec("Triangle", 1.0, 1.0), 8.0, 64) is roots[0]

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import laminhom.cell as cell
 import laminhom.stats as stats
 from laminhom.cell import SolverOptions, assemble
 from laminhom.energy import EnergyDensity
@@ -136,6 +137,21 @@ class TestRunEnsemble:
         interrupt_at(8)
         with pytest.raises(KeyboardInterrupt):
             run_ensemble(make_plan([8, 12, 16], count=5))
+
+    def test_one_draw_assembly_and_solve_per_sample(self, monkeypatch):
+        # perfbench/run.py traces these module attributes and counts one call
+        # of each per sample; a refactor that went round them would break its
+        # contract line
+        calls = {}
+        for owner, name in ((stats, "sample_periodic_field"), (stats, "assemble"),
+                            (cell, "solve_corrector")):
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        run = run_ensemble(make_plan([8, 16], count=5, order=2))
+        assert run.count(8) + run.count(16) == 10
+        assert calls == {"sample_periodic_field": 10, "assemble": 10, "solve_corrector": 10}
 
     def test_order_guard(self):
         run = run_ensemble(make_plan([8], count=2, order=1))
