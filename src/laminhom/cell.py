@@ -425,14 +425,20 @@ def _inverses(A):
     return inv
 
 
+def _sum_of_squares(entries):
+    """The sum of x * x over the arrays `entries`, in their order, accumulated in place."""
+    entries = iter(entries)
+    first = next(entries)
+    total = first * first
+    for x in entries:
+        total += x * x
+    return total
+
+
 def _square_sums(A):
     """Squared Frobenius norms of component-major matrices A (d, d, N) -> (N,),
     the entries summed in row-major order (the order of A.sum(axis=(0, 1)))."""
-    entries = [x for row in A for x in row]
-    total = entries[0] * entries[0]
-    for x in entries[1:]:
-        total += x * x
-    return total
+    return _sum_of_squares(x for row in A for x in row)
 
 
 def _capped_inverses(M, S):
@@ -459,8 +465,16 @@ def _capped_inverses(M, S):
 
 
 def _norms(x):
-    """Euclidean norms of component-major vectors (d, ...) -> (...)."""
-    return np.sqrt((x * x).sum(axis=0))
+    """Euclidean norms of component-major vectors (d, ...) -> (...), the squares
+    summed in place in row order: the bits of np.sqrt((x * x).sum(axis=0))."""
+    total = _sum_of_squares(x)
+    return np.sqrt(total, out=total)
+
+
+def _residual(x, s):
+    """x - _by_cell(s, n) for cells x (..., S n) and per-sample values s (..., S),
+    bit for bit: s is broadcast over the (..., S, n) view of x, never repeated."""
+    return (_per_sample(x, s.shape[-1]) - s[..., None]).reshape(x.shape)
 
 
 # =====================================================================
@@ -535,11 +549,11 @@ def _solve_block(w, omega, F, opts):
         errors[s] = error
         failed[s] = True
 
-    def trial(cand, om, sigma_cells):
-        """(flux, M, |flux - sigma|, admissible) of the candidate cells cand (d, m)."""
+    def trial(cand, om):
+        """(flux, M, admissible) of the candidate cells cand (d, m)."""
         f = f0 + cand
         flux, M = w.flux_cells(om, cols, f, acoustic=True)
-        return flux, M, _norms(flux - sigma_cells), cols.gram_squared(f) <= gram_cap2
+        return flux, M, cols.gram_squared(f) <= gram_cap2
 
     # the state of the samples in `live`: p, flux, M and res = |flux - sigma|
     live = np.arange(S)
@@ -547,7 +561,7 @@ def _solve_block(w, omega, F, opts):
     p = np.zeros((d, S * n))
     flux, M = w.flux_cells(om, cols, f0 + p[:, :1], acoustic=True)
     sigma = _cell_mean(flux, S)
-    res = _norms(flux - _by_cell(sigma, n))
+    res = _norms(_residual(flux, sigma))
     while True:
         k = live.size
         tol = opts.tol_inner * (1.0 + _norms(sigma))
@@ -585,8 +599,8 @@ def _solve_block(w, omega, F, opts):
         Minv, bad = _capped_inverses(M, k)
         with np.errstate(invalid="ignore", over="ignore"):
             new = sigma + _solve_small(
-                _cell_mean(Minv, k), _cell_mean(_matvec(Minv, flux - _by_cell(sigma, n)), k) - R)
-            dp = _matvec(Minv, _by_cell(new, n) - flux)
+                _cell_mean(Minv, k), _cell_mean(_matvec(Minv, _residual(flux, sigma)), k) - R)
+            dp = _matvec(Minv, (new[..., None] - _per_sample(flux, k)).reshape(d, -1))
         del Minv   # not needed by the line search
         finite = _per_sample(np.isfinite(dp).all(axis=0), k).all(axis=1)
         frozen = None
@@ -601,14 +615,15 @@ def _solve_block(w, omega, F, opts):
             dp[:, frozen] = 0.0
             new = np.where(ok, new, sigma)
         sigma = new
-        sigma_cells = _by_cell(sigma, n)
-        tol_cells = _by_cell(opts.tol_inner * (1.0 + _norms(sigma)), n)
-        rnorm0 = _norms(flux - sigma_cells)
+        tol = opts.tol_inner * (1.0 + _norms(sigma))
+        rnorm0 = _norms(_residual(flux, sigma))
         cand = p + dp
-        fc, Mc, rcn, inside = trial(cand, om, sigma_cells)
+        fc, Mc, inside = trial(cand, om)
+        rcn = _norms(_residual(fc, sigma))
         # a candidate within tol_inner passes: near the solution rounding
         # alone can fail the Armijo test
-        good = inside & ((rcn <= (1.0 - 1e-4) * rnorm0) | (rcn <= tol_cells))
+        good = inside & ((rcn <= (1.0 - 1e-4) * rnorm0)
+                         | (_per_sample(rcn, k) <= tol[:, None]).reshape(-1))
         if frozen is not None:
             good |= frozen
         if good.all():
@@ -620,11 +635,11 @@ def _solve_block(w, omega, F, opts):
         # the floor (the defaults) the floor decides nothing
         with np.errstate(over="ignore", invalid="ignore"):
             pass_cells = np.maximum(
-                tol_cells, ROUNDING_FLOOR * np.sqrt(_square_sums(M)) * _norms(f0 + p))
+                _by_cell(tol, n), ROUNDING_FLOOR * np.sqrt(_square_sums(M)) * _norms(f0 + p))
         good |= inside & (rcn <= pass_cells)
         # the waiting cells halve their steps; only they are evaluated again
         wait = np.flatnonzero(~good)
-        base, step, om_w, sigma_w = p[:, wait], dp[:, wait], om[wait], sigma_cells[:, wait]
+        base, step, om_w, sigma_w = p[:, wait], dp[:, wait], om[wait], sigma[:, wait // n]
         rnorm0_w, pass_w = rnorm0[wait], pass_cells[wait]
         p, flux, M, res = cand, fc, Mc, rcn
         t = 1.0
@@ -642,7 +657,8 @@ def _solve_block(w, omega, F, opts):
                 break
             t *= BACKTRACK_FACTOR
             cand = base + t * step
-            fc, Mc, rcn, inside = trial(cand, om_w, sigma_w)
+            fc, Mc, inside = trial(cand, om_w)
+            rcn = _norms(fc - sigma_w)
             take = inside & ((rcn <= (1.0 - 1e-4 * t) * rnorm0_w) | (rcn <= pass_w))
             at = wait[take]
             p[:, at], flux[:, at], M[:, :, at], res[at] = (

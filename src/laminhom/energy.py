@@ -161,7 +161,8 @@ def _matvec(A, x):
     """A x per column, as elementwise products summed in a fixed order.
 
     A is r x d: a matrix, or per-column matrices (r, d, N) (also as nested
-    rows of arrays); x is (..., d, N); returns (..., r, N).  A column's bits
+    rows of arrays); x is (..., d, N); returns (..., r, N).  The products
+    accumulate in place into the array the first one makes.  A column's bits
     do not depend on N, which BLAS does not promise for A @ x.
     """
     A = np.asarray(A)
@@ -169,7 +170,7 @@ def _matvec(A, x):
         A = A[..., None]
     out = A[:, 0] * x[..., None, 0, :]
     for j in range(1, A.shape[1]):
-        out = out + A[:, j] * x[..., None, j, :]
+        out += A[:, j] * x[..., None, j, :]
     return out
 
 

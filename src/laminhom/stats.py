@@ -41,7 +41,12 @@ from .cell import (
     _read_only,
     assemble,
 )
-from .fields import check_grid, periodize_covariance, sample_periodic_field
+from .fields import (
+    _spectral_root,
+    check_grid,
+    periodize_covariance,  # noqa: F401 (the benchmark traces stats.periodize_covariance)
+    sample_periodic_field,
+)
 
 __all__ = [
     "EnsembleError",
@@ -70,6 +75,9 @@ __all__ = [
 FAILURE_BUDGET = 0.01
 # cells per block of samples solved together (see _blocks)
 BLOCK_CELLS = 8192
+# the heap hint of run_ensemble, in (d, d) float matrices per cell of a full
+# block: at least half of one block's Newton working memory
+HEAP_HINT_MATRICES = 5
 BOOTSTRAP_RESAMPLES = 1000
 # references of systematic_estimate made from the run itself (see reference_lengths)
 REFERENCE_STRATEGIES = ("largest_L_mean", "extrapolated")
@@ -206,10 +214,12 @@ def period_cells(covariance, length, spacing):
     any sample is drawn: the grid must suit the covariance (`check_grid`,
     first, so a coarse spacing reads as coarse whether or not it divides
     the period), the spacing must divide the period (`cells_for`), and the
-    periodized spectrum must be nonnegative (`periodize_covariance`)."""
+    periodized spectrum must be nonnegative (`periodize_covariance`).  The
+    spectrum is checked through the cache that `sample_periodic_field`
+    draws from, under its key, so each grid is periodized once."""
     check_grid(covariance, length, spacing)
     n = cells_for(length, spacing)
-    periodize_covariance(covariance, length, n)
+    _spectral_root(covariance, float(length), n)
     return n
 
 
@@ -259,7 +269,20 @@ def run_ensemble(plan):
     propagates.  Results and all downstream reductions are ordered by
     sample index, and a sample's bits do not depend on its block, so the
     output is independent of the block size and the worker count.
+
+    Before any block is solved, and before a pool forks, it allocates
+    HEAP_HINT_MATRICES (d, d) float matrices per cell of a full block
+    without touching them, and frees them at once.  glibc serves so large a
+    request by mmap, and freeing that chunk raises its mmap threshold to the
+    chunk's size and its trim threshold to twice that (mallopt(3),
+    M_MMAP_THRESHOLD), above one block's Newton working memory.  The
+    temporaries each Newton step frees then stay on the heap instead of
+    going back to the kernel and faulting in again on the next step.
+    Other allocators ignore the hint, and forked workers inherit the
+    thresholds.
     """
+    d = plan.material.dim
+    np.empty((HEAP_HINT_MATRICES, d, d, BLOCK_CELLS))
     # one read-only F, shared by every sample's result
     plan = replace(plan, F=_read_only(plan.F))
     lengths = tuple(plan.lengths)

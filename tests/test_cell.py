@@ -270,6 +270,36 @@ class TestColumnNewton:
         np.testing.assert_allclose(step.T, -np.linalg.solve(M, r[..., None])[..., 0],
                                    rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_broadcast_residual_bits(self, dim, n):
+        # three samples of n cells; a -0.0 column and a NaN column in x, a
+        # -0.0 and a NaN sample value in s
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((dim, 3 * n))
+        s = rng.standard_normal((dim, 3))
+        x[:, 0] = -0.0
+        x[:, -1] = np.nan
+        s[0, 1] = -0.0
+        s[1, 2] = np.nan
+        expected = x - cell._by_cell(s, n)
+        got = cell._residual(x, s)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    def test_in_place_norms_bits(self, dim, N):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((dim, 3, N)) * np.logspace(-8, 8, dim)[:, None, None]
+        x[:, 0, 0] = -0.0
+        x[0, -1, -1] = np.nan
+        for xs in (x, x[:, 0], x[:, :, 0]):
+            expected = np.sqrt((xs * xs).sum(axis=0))
+            got = cell._norms(xs)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_neo_hookean_candidates_outside_domain_are_masked(self):
         # one soft cell among stiff ones under compression: a full Newton step
         # takes J = det(F + p x e_2) of the soft cell below zero, where the

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laminhom import cli, stats
+from laminhom import cli, fields, stats
 from laminhom.cell import SampleBlock, SolverOptions, assemble, solve_corrector
 from laminhom.cli import (
     EXIT_CONFIG,
@@ -434,20 +434,25 @@ class TestSeedAndWorkers:
 
     def test_overrides_are_validated_with_one_periodization_per_period(self, tmp_path,
                                                                        monkeypatch):
+        # every periodization, counted where it happens, from a cold spectral cache
         periodized = []
-        periodize = stats.periodize_covariance
+        periodize = fields.periodize_covariance
 
         def counted(cov, L, n):
             periodized.append(L)
             return periodize(cov, L, n)
 
-        monkeypatch.setattr(stats, "periodize_covariance", counted)
+        monkeypatch.setattr(fields, "periodize_covariance", counted)
+        fields._spectral_root.cache_clear()
         monkeypatch.setenv("LAMINHOM_WORKERS", "3")
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12")
         args = cli.build_parser().parse_args(
             ["rates", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "o")])
         config, _ = cli._prepare(args)
         assert (config.seed, config.workers) == (9, 3)
+        assert periodized == [8.0, 12.0]
+        # the ensemble checks its grids and draws its samples from the same cache
+        stats.run_ensemble(dataclasses.replace(config.plan(), workers=1))
         assert periodized == [8.0, 12.0]
 
     def test_seed_override_changes_data_and_metadata(self, tmp_path):

@@ -8,10 +8,14 @@ estimator algebra where solver output would only add noise.
 import dataclasses
 import gc
 import multiprocessing
+import os
 import pickle
+import platform
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +284,38 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             cells_for(10.0, 0.3)
         assert cells_for(8.0, 0.25) == 32
+
+
+# a second order-0 ensemble of four full 8192-cell SVK blocks at d = 2, in a
+# fresh interpreter whose malloc thresholds no other test has moved
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from laminhom import stats
+from laminhom.energy import EnergyDensity
+from laminhom.fields import CovarianceSpec
+plan = stats.EnsemblePlan(
+    material=EnergyDensity("svk", (1.2, 0.8), 0.3, 2),
+    covariance=CovarianceSpec("triangle", 1.0, 1.0), F=np.array([[1.0, 0.05], [0.05, 1.0]]),
+    spacing=0.125, lengths=(64.0,), counts={64.0: 4 * stats.BLOCK_CELLS // 512}, seed=3, order=0)
+stats.run_ensemble(plan)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+stats.run_ensemble(plan)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap hint acts through glibc's dynamic malloc thresholds")
+def test_newton_steps_keep_their_heap():
+    # without the heap hint each Newton step returned its temporaries to the
+    # kernel and faulted them in again: about 300 minor faults per block
+    src = str(Path(stats.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert int(done.stdout) < 100
 
 
 class TestHighContrast:
