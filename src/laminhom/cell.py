@@ -71,13 +71,11 @@ against one M^{-1}.  The acoustic tensors are entries of the moduli,
 moduli evaluation they make anyway.
 
 `assemble` averages the pointwise derivatives along the corrected state to
-produce the effective energy, stress, tangent moduli and (on demand) the
-third-order moduli:
+produce the effective energy, stress and tangent moduli:
 
     energy   = avg_i W_i
     stress   = avg_i DW_i
     tangent[G,H] = avg_i D2W_i[G, H] + avg_i b_{G,i} . q_{H,i}
-    third[G,H,K] = avg_i D3W_i[G + q_G x e_d, H + q_H x e_d, K + q_K x e_d]
 
 The tangent is the symmetric form avg_i D2W_i[G + q_G x e_d, H + q_H x e_d]
 reduced by orthogonality: its cross terms are b_G . q_H + b_H . q_G and its
@@ -104,12 +102,7 @@ each entry formed once and mirrored, so the tensor is symmetric by
 construction (`_laminate_tangent`).  One evaluation of the moduli K_i
 (`EnergyDensity.moduli_cells`) per block gives K_ab, the flux rows b_a and
 the acoustic tensors, and only the d(d-1) in-plane directions need a
-per-cell M^{-1} b_a.  The same orthogonality makes the third-order formula
-equivalent to differentiating the tangent representation: the terms that
-would involve the derivative of q (the second-linearized corrector) pair a
-mean-zero cell field with a constant linearized flux and vanish, so the
-third-order moduli need only the first-order correctors q, which only
-order 3 forms (`_linearized_block`).
+per-cell M^{-1} b_a.
 
 The kernels of `energy` take one layout, component-major, so the cells
 F + p_i x e_d of a block are one (d, d, N) array built straight from p
@@ -217,7 +210,7 @@ class CorrectorSolution:
 # results as columns
 # =====================================================================
 
-QUANTITIES = ("energy", "stress", "tangent", "third")
+QUANTITIES = ("energy", "stress", "tangent")
 # metadata with one value per run, kept once per SampleColumns
 RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
 # corrector statistics kept as metadata columns, one value per sample
@@ -228,9 +221,8 @@ _STATISTICS = ("outer_iterations", "inner_iterations", "flux_residual", "mean_re
 class HomogenizedQuantities:
     """Effective quantities of one solved sample, a row of its SampleColumns.
 
-    energy W_L (a float), stress DW_L (d, d), tangent D2W_L (d, d, d, d;
-    pair-major symmetric by construction) and the third-order moduli (fully
-    symmetric in the three directions), None above the assembled order.  F
+    energy W_L (a float), stress DW_L (d, d) and tangent D2W_L (d, d, d, d;
+    pair-major symmetric by construction), None above the assembled order.  F
     is read-only and shared by the samples of a block or an ensemble.
     metadata is a mapping onto the metadata columns, so a write to it
     changes the columns.
@@ -249,7 +241,6 @@ class HomogenizedQuantities:
     energy = property(lambda self: float(self._columns.energy[self._row]))
     stress = property(lambda self: self._get("stress"))
     tangent = property(lambda self: self._get("tangent"))
-    third = property(lambda self: self._get("third"))
     F = property(lambda self: self._columns.F)
     period = property(lambda self: self._columns.period)
     n = property(lambda self: self._columns.n)
@@ -294,8 +285,8 @@ class _MetadataRow(MutableMapping):
 class SampleColumns(Sequence):
     """Effective quantities of solved samples of one period, as columns.
 
-    energy (N,), stress (N, d, d), tangent (N, d, d, d, d) and third
-    (N, d, d, d, d, d, d) are read-only, None above the assembled order.
+    energy (N,), stress (N, d, d) and tangent (N, d, d, d, d) are
+    read-only, None above the assembled order.
     metadata holds the flux sigma (N, d) and one array per corrector
     statistic (integer columns in the smallest unsigned type that holds
     them), in an ensemble also "index", and the RUN_CONSTANTS once as plain
@@ -306,7 +297,6 @@ class SampleColumns(Sequence):
     energy: np.ndarray
     stress: np.ndarray | None
     tangent: np.ndarray | None
-    third: np.ndarray | None
     metadata: dict
     F: np.ndarray
     period: float
@@ -710,25 +700,6 @@ def solve_corrector(w, sample, F, opts=None, block=None):
 # =====================================================================
 
 
-def _linearized_block(Minv, b, S):
-    """Linearized correctors of S samples in k directions, all closed form.
-
-    Minv (d, d, N) are the acoustic inverses of the solved cells and b
-    (k, d, N) the columns b_c = D2W_c[G] e_d of the directions G.  Per sample:
-
-        tau = (sum_c M_c^{-1})^{-1} sum_c M_c^{-1} b_c,   q_c = M_c^{-1} (tau - b_c),
-
-    recentered to exactly mean zero.  Returns q (k, d, N), tau (k, d, S) and
-    one error per sample (SingularityError for a singular harmonic mean).
-    """
-    n = b.shape[-1] // S
-    tau = _solve_small(_cell_mean(Minv, S), _cell_mean(_matvec(Minv, b), S))
-    errors = [None if ok else SingularityError("harmonic-mean matrix singular")
-              for ok in np.isfinite(tau).all(axis=(0, 1))]
-    q = _matvec(Minv, _by_cell(tau, n) - b)
-    return q - _by_cell(_cell_mean(q, S), n), tau, errors
-
-
 def _laminate_tangent(K, b, Minv, S):
     """D2W_L (d^2, d^2, S) of S samples in closed form, and one error per sample.
 
@@ -779,23 +750,31 @@ def solve_linearized(w, sample, F, base, G):
     """Linearized correctors in the directions G around a solved base state.
 
     G is one direction (d,d) or a stack (k,d,d); all directions share one
-    set of acoustic inverses.  Returns (q, tau): per-cell gradients q_i
-    (exactly mean zero) and the constant linearized flux tau with
-    M_i q_i + D2W_i[G] e_d = tau, shaped (n,d) and (d,) for one direction,
-    (k,n,d) and (k,d) for a stack.
+    set of acoustic inverses.  With the flux columns b_i = D2W_i[G] e_d,
+
+        tau = (sum_i M_i^{-1})^{-1} sum_i M_i^{-1} b_i,   q_i = M_i^{-1} (tau - b_i),
+
+    q recentered to exactly mean zero.  Returns (q, tau): the per-cell
+    gradients q_i and the constant linearized flux tau with M_i q_i + b_i =
+    tau, shaped (n,d) and (d,) for one direction, (k,n,d) and (k,d) for a
+    stack.  Raises SingularityError on a singular acoustic tensor or
+    harmonic mean.
     """
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     omega = np.asarray(sample.values, dtype=float)
     d = w.dim
     _, b_all, Minv, errors = _flux_rows(w, omega, _deform(F, base.p.T), 1)
-    if errors[0] is None:
-        # the flux column of D2W[G] is sum_a G_a D2W[E_a] e_d
-        b = _matvec(np.moveaxis(b_all, 0, 1), G.reshape(-1, d * d, 1))
-        q, tau, errors = _linearized_block(Minv, b, 1)
     if errors[0] is not None:
         raise errors[0]
-    q, tau = np.moveaxis(q, 1, -1), tau[..., 0]
+    # the flux column of D2W[G] is sum_a G_a D2W[E_a] e_d
+    b = _matvec(np.moveaxis(b_all, 0, 1), G.reshape(-1, d * d, 1))
+    # one sample: the per-sample means (k, d, 1) broadcast over its cells
+    tau = _solve_small(_cell_mean(Minv, 1), _cell_mean(_matvec(Minv, b), 1))
+    if not np.isfinite(tau).all():
+        raise SingularityError("harmonic-mean matrix singular")
+    q = _matvec(Minv, tau - b)
+    q, tau = np.moveaxis(q - _cell_mean(q, 1), 1, -1), tau[..., 0]
     return (q[0], tau[0]) if G.ndim == 2 else (q, tau)
 
 
@@ -824,8 +803,7 @@ def _assemble_block(w, omega, F, p, order):
     S, n = omega.shape
     om = omega.reshape(-1)
     Fc = _deform(F, p.reshape(d, -1))
-    out = {"energy": _cell_mean(w.energy_cells(om, Fc), S),
-           "stress": None, "tangent": None, "third": None}
+    out = {"energy": _cell_mean(w.energy_cells(om, Fc), S), "stress": None, "tangent": None}
     errors = [None] * S
     if order >= 1:
         # each sample's cells summed one after another in cell order
@@ -833,29 +811,12 @@ def _assemble_block(w, omega, F, p, order):
         out["stress"] = np.moveaxis(stress, -1, 0)
     if order < 2:
         return out, errors
-    k = d * d
     K, b_all, Minv, errors = _flux_rows(w, om, Fc, S)
     # non-finite inverses belong to samples that fail here
     with np.errstate(**({"all": "ignore"} if any(errors) else {})):
         mat, errs = _laminate_tangent(K, b_all, Minv, S)
-        if order >= 3:
-            q = _linearized_block(Minv, b_all, S)[0]
     errors = [a or b for a, b in zip(errors, errs)]
     out["tangent"] = np.moveaxis(mat, -1, 0).reshape(S, d, d, d, d)
-    if order >= 3:
-        A_all = np.stack([_deform(E, q[a]) for a, E in enumerate(np.eye(k).reshape(k, d, d))])
-        Ac = A_all.reshape(k, k, -1)
-        cube = np.empty((k, k, k, S))
-        for a in range(k):
-            for b in range(a, k):
-                U = w.third_apply_cells(om, Fc, A_all[a], A_all[b]).reshape(k, -1)
-                row = _cell_mean(sum(U[c] * Ac[:, c] for c in range(k)), S)
-                cube[a, b] = row
-                cube[b, a] = row
-        cube = (cube + np.transpose(cube, (0, 2, 1, 3)) + np.transpose(cube, (1, 0, 2, 3))
-                + np.transpose(cube, (1, 2, 0, 3)) + np.transpose(cube, (2, 0, 1, 3))
-                + np.transpose(cube, (2, 1, 0, 3))) / 6.0
-        out["third"] = np.moveaxis(cube, -1, 0).reshape(S, *(d,) * 6)
     return out, errors
 
 
@@ -914,7 +875,7 @@ class SampleBlock:
 
     def assembled(self, order):
         """(SampleColumns, errors) of every sample of the block up to `order`:
-        errors[s] is the error of sample s in its linearized solve, or None.
+        errors[s] is the error of sample s in its tangent, or None.
         The row of a sample whose solve failed is not defined."""
         if order not in self._assembled:
             solved = self._solution()
@@ -933,14 +894,14 @@ def assemble(w, sample, F, order=2, opts=None, block=None):
     """Effective quantities of one sample at F, up to derivative `order`.
 
     order 0: energy only; 1: + stress; 2: + tangent moduli (the laminate
-    closed form, see the module docstring); 3: + third-order moduli.  The sample
-    is solved (`solve_corrector`) and assembled inside `block`, or as the
-    block of one.  Returns its row of the block's columns, a
+    closed form, see the module docstring); any other order is a ValueError.
+    The sample is solved (`solve_corrector`) and assembled inside `block`, or
+    as the block of one.  Returns its row of the block's columns, a
     HomogenizedQuantities; raises the error of its solve or its assembly.
     """
     opts = opts or SolverOptions()
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0..2, got {order!r}")
     block = block or SampleBlock(w, [sample], F, opts)
     solve_corrector(w, sample, F, opts, block=block)
     columns, errors = block.assembled(order)
@@ -984,7 +945,7 @@ def quadratic_expansion_table(w, sample, G, scales, opts=None):
 
     At the identity the corrector vanishes and the energy is exactly zero, so
     the ratio isolates the quadratic-expansion remainder; it decays linearly
-    in t when the third-order term is the leading correction.
+    in t when the cubic term of the expansion is the leading correction.
     """
     opts = opts or SolverOptions()
     G = np.asarray(G, dtype=float)

@@ -15,15 +15,14 @@ modulation of the density,
     W(omega, F) = m(omega) * W0(F),      m(omega) = 1 + a*tanh(omega),
 
 with amplitude a in [0, 1), so W inherits all structural properties of W0
-uniformly in omega.  Derivatives in F up to third order are implemented in
+uniformly in omega.  W, DW and the tangent moduli D2W are implemented in
 closed form.
 
 All batched kernels (`EnergyDensity.*_cells`) take their cells
 component-major: the deformation gradients as one (d, d, n) array, entry
 (j, l) of cell i at [j, l, i], and directions likewise as (d, d, n), or as a
 stack (k, d, d, n) of k of them.  Each formula is then a handful of
-elementwise operations on contiguous length-n component arrays; only the
-matrix products of D3W are `np.matmul` over the first two axes.
+elementwise operations on contiguous length-n component arrays.
 Determinants and inverses of the small (2x2 or 3x3) matrices are the
 closed-form adjugate over the determinant (`adjugate`).
 
@@ -71,8 +70,7 @@ rather than a Python loop over cells.
 
 Conventions: matrices are numpy arrays of shape (d, d); the colon product
 A:B is sum_ij A_ij B_ij; D2W[A] denotes the matrix (D2W[A])_jk =
-D2W[A, e_j x e_k], similarly D3W[A,B]; the laminate axis is the last
-coordinate e_d.
+D2W[A, e_j x e_k]; the laminate axis is the last coordinate e_d.
 """
 
 from __future__ import annotations
@@ -134,12 +132,6 @@ def _gram(F):
 def _trace(A):
     """Per-cell traces of component-major matrices (d, d, n) -> (n,)."""
     return sum(A[j, j] for j in range(len(A)))
-
-
-def _product(A, B, transpose=False):
-    """Per-cell matrix products A B, or A^T B with `transpose`, of
-    component-major matrices (d, d, n) -> (d, d, n)."""
-    return np.matmul(A, B, axes=[(1, 0) if transpose else (0, 1), (0, 1), (0, 1)])
 
 
 def _directions(A, F):
@@ -322,15 +314,6 @@ class _SaintVenantKirchhoff:
 
         return _mirrored(entry, m, d)
 
-    def third(self, F, A, B):
-        def sym(X, Y):   # sym(X^T Y)
-            P = _product(X, Y, transpose=True)
-            return 0.5 * (P + P.transpose(1, 0, 2))
-
-        return (self.lam * (A * _inner(F, B) + B * _inner(F, A) + F * _inner(A, B))
-                + 2.0 * self.mu * (_product(A, sym(F, B)) + _product(B, sym(F, A))
-                                   + _product(F, sym(A, B))))
-
 
 class _NeoHookean:
     """W0(F) = mu/2 (|F|^2 - d) - mu ln J + lam/2 (ln J)^2 and its F-derivatives over cells."""
@@ -373,18 +356,6 @@ class _NeoHookean:
             return K
 
         return _mirrored(entry, m, self.dim)
-
-    def third(self, F, A, B):
-        X, lnJ = self._inverse_log(F)
-        XT = X.transpose(1, 0, 2)
-        XAX = _product(_product(X, A), X)
-        XBX = _product(_product(X, B), X)
-        # the transpose of D3W[A, B], tr(X A) = X^T : A
-        T = (-self.lam * (_inner(XT, B) * XAX + _inner(XT, A) * XBX
-                          + _inner(XAX.transpose(1, 0, 2), B) * X)
-             + (self.lam * lnJ - self.mu) * (_product(XAX, _product(B, X))
-                                             + _product(XBX, _product(A, X))))
-        return T.transpose(1, 0, 2)
 
     def _inverse_log(self, F):
         """F^{-1} and ln J of cells inside the domain; DomainError otherwise."""
@@ -472,12 +443,6 @@ class EnergyDensity:
         """
         F = np.asarray(F, dtype=float)
         return np.einsum("jlmrn,...mrn->...jln", self.moduli_cells(omega, F), _directions(A, F))
-
-    def third_apply_cells(self, omega, F, A, B):
-        """Matrices D3W(omega_i, F_i)[A_i, B_i] over cells (symmetric in A, B);
-        A and B are (d,d) or (d,d,n)."""
-        F = np.asarray(F, dtype=float)
-        return self.factor(omega) * self._law.third(F, _directions(A, F), _directions(B, F))
 
     def flux_cells(self, omega, cols, f, acoustic=False):
         """Flux DW(omega_i, F_i) e_d of the cells F_i = [C | f_i], in column form.

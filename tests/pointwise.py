@@ -19,7 +19,7 @@ def evaluate(w, omega, F):
 def derivative(w, omega, F, order=1):
     """Full derivative tensor of W in F at a single point.
 
-    order 1 -> (d,d); order 2 -> (d,d,d,d); order 3 -> (d,d,d,d,d,d).
+    order 1 -> (d,d); order 2 -> (d,d,d,d).
     Entries are D^kW contracted with elementary matrices e_j x e_k, so
     e.g. derivative(...,2)[j,k,l,m] = D2W[e_j x e_k, e_l x e_m].
     """
@@ -36,19 +36,7 @@ def derivative(w, omega, F, order=1):
                 E[l, m] = 1.0
                 T[:, :, l, m] = w.tangent_apply_cells(om, Fc, E)[..., 0]
         return T
-    if order == 3:
-        T = np.empty((d, d, d, d, d, d))
-        for l in range(d):
-            for m in range(d):
-                A = np.zeros((d, d))
-                A[l, m] = 1.0
-                for u in range(d):
-                    for v in range(d):
-                        B = np.zeros((d, d))
-                        B[u, v] = 1.0
-                        T[:, :, l, m, u, v] = w.third_apply_cells(om, Fc, A, B)[..., 0]
-        return T
-    raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
+    raise ValueError(f"derivative order must be 1 or 2, got {order!r}")
 
 
 def tangent_reference(w, omega, Fc, A):

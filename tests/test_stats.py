@@ -67,7 +67,7 @@ def make_plan(lengths, count, seed=7, order=0, workers=1, variance=1.0,
 def fake_run(values_by_L, seed=0):
     """EnsembleRun around plain scalar sample values (order-0 estimators)."""
     samples = {L: SampleColumns(energy=np.array(vals, dtype=float), stress=None, tangent=None,
-                                third=None, metadata={}, F=np.eye(2), period=float(L), n=1)
+                                metadata={}, F=np.eye(2), period=float(L), n=1)
                for L, vals in values_by_L.items()}
     lengths = tuple(values_by_L)
     return EnsembleRun(lengths=lengths,
@@ -212,7 +212,7 @@ class TestRunEnsemble:
         assert q.metadata["index"] == 2 and q.F is run.F and q.n == 32 and q.period == 8.0
         assert q.energy == run.values(8, 0)[2, 0]
         assert np.array_equal(q.tangent.reshape(-1), run.values(8, 2)[2])
-        assert q.stress.shape == (2, 2) and q.third is None
+        assert q.stress.shape == (2, 2)
         assert not run.values(8, 1).flags.writeable
         assert [r.metadata["index"] for r in columns[1:4]] == [1, 2, 3]
         q.metadata["flux_residual"] = 1e-6
