@@ -152,9 +152,10 @@ class SingularityError(RuntimeError):
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
 # line-search iterates stay within this distance from the rotations, measured
-# through the Gram deviation |F^T F - Id|_F, which bounds the rotation
-# distance from above without per-step SVDs
+# through the Gram deviation |F^T F - Id|_F <= GRAM_CAP, which bounds the
+# rotation distance from above without per-step SVDs
 ADMISSIBLE_DIST = 1.0
+GRAM_CAP = ADMISSIBLE_DIST * (2.0 + ADMISSIBLE_DIST)
 # solutions with max_i |p_i| > LIPSCHITZ_FACTOR dist(F, SO(d)) are flagged, never failed
 LIPSCHITZ_FACTOR = 20.0
 # bound on the Frobenius condition number of the acoustic tensors
@@ -222,10 +223,11 @@ class HomogenizedQuantities:
     """Effective quantities of one solved sample, a row of its SampleColumns.
 
     energy W_L (a float), stress DW_L (d, d) and tangent D2W_L (d, d, d, d;
-    pair-major symmetric by construction), None above the assembled order.  F
-    is read-only and shared by the samples of a block or an ensemble.
+    pair-major symmetric by construction), None above the assembled order.
     metadata is a mapping onto the metadata columns, so a write to it
-    changes the columns.
+    changes the columns.  F and the period are not kept: they are the
+    caller's (in an ensemble `EnsembleRun.F` and the key of
+    `EnsembleRun.samples`).
     """
 
     __slots__ = ("_columns", "_row")
@@ -241,9 +243,6 @@ class HomogenizedQuantities:
     energy = property(lambda self: float(self._columns.energy[self._row]))
     stress = property(lambda self: self._get("stress"))
     tangent = property(lambda self: self._get("tangent"))
-    F = property(lambda self: self._columns.F)
-    period = property(lambda self: self._columns.period)
-    n = property(lambda self: self._columns.n)
     metadata = property(lambda self: _MetadataRow(self._columns.metadata, self._row))
 
 
@@ -283,7 +282,7 @@ class _MetadataRow(MutableMapping):
 
 @dataclass(eq=False)
 class SampleColumns(Sequence):
-    """Effective quantities of solved samples of one period, as columns.
+    """Effective quantities of solved samples of one period and F, as columns.
 
     energy (N,), stress (N, d, d) and tangent (N, d, d, d, d) are
     read-only, None above the assembled order.
@@ -291,16 +290,14 @@ class SampleColumns(Sequence):
     statistic (integer columns in the smallest unsigned type that holds
     them), in an ensemble also "index", and the RUN_CONSTANTS once as plain
     values.  It reads as a sequence of HomogenizedQuantities, built on
-    access.
+    access.  Only per-sample values are kept: F and the period belong to
+    whoever holds the columns.
     """
 
     energy: np.ndarray
     stress: np.ndarray | None
     tangent: np.ndarray | None
     metadata: dict
-    F: np.ndarray
-    period: float
-    n: int
 
     def __post_init__(self):
         for name in QUANTITIES:
@@ -319,18 +316,18 @@ class SampleColumns(Sequence):
 
     def take(self, rows):
         """The samples `rows` (indices into these columns), as new columns."""
-        return self._map(lambda get: get(self)[rows], self.F)
+        return self._map(lambda get: get(self)[rows])
 
     @classmethod
-    def join(cls, parts, F):
-        """The samples of several SampleColumns of one period, in order; F is shared."""
+    def join(cls, parts):
+        """The samples of several SampleColumns of one period and F, in order."""
         parts = [c for c in parts if len(c)] or parts[:1]
-        return parts[0]._map(lambda get: np.concatenate([get(c) for c in parts]), F)
+        return parts[0]._map(lambda get: np.concatenate([get(c) for c in parts]))
 
-    def _map(self, combine, F):
+    def _map(self, combine):
         """Columns with the keys of these, each array made by combine(get),
-        where get(c) reads that array of columns c; the run constants, the
-        period and n are these columns'."""
+        where get(c) reads that array of columns c; the run constants are
+        these columns'."""
         quantities = {name: (None if getattr(self, name) is None
                              else combine(operator.attrgetter(name)))
                       for name in QUANTITIES}
@@ -338,7 +335,7 @@ class SampleColumns(Sequence):
         metadata = {sys.intern(k): (v if k in RUN_CONSTANTS
                                     else combine(lambda c, k=k: c.metadata[k]))
                     for k, v in self.metadata.items()}
-        return SampleColumns(**quantities, metadata=metadata, F=F, period=self.period, n=self.n)
+        return SampleColumns(**quantities, metadata=metadata)
 
 
 def _column(values):
@@ -526,7 +523,7 @@ def _solve_block(w, omega, F, opts):
     S, n = omega.shape
     cols = FixedColumns.of(F)
     f0 = F[:, d - 1:].copy()
-    gram_cap2 = (ADMISSIBLE_DIST * (2.0 + ADMISSIBLE_DIST)) ** 2
+    gram_cap2 = GRAM_CAP ** 2
     errors = [None] * S
     failed = np.zeros(S, dtype=bool)
     steps = np.zeros(S, dtype=int)
@@ -821,7 +818,7 @@ def _assemble_block(w, omega, F, p, order):
 
 
 class SampleBlock:
-    """Samples of one period and cell count, solved and assembled together at one F.
+    """Samples of one cell count, solved and assembled together at one F.
 
     Pass it as `block` to `solve_corrector` or `assemble` for each of its
     samples.  The first call that needs the correctors solves every sample
@@ -835,14 +832,10 @@ class SampleBlock:
         self.w = w
         # held, so that no other object takes the id of a sample in _rows
         self.samples = list(samples)
-        # read-only: the rows of the block's columns share it
+        # read-only: every solve and assembly of the block reads it
         self.F = _read_only(F)
         self.opts = opts or SolverOptions()
         self.omega = np.stack([np.asarray(s.values, dtype=float) for s in self.samples])
-        periods = {s.period for s in self.samples}
-        if len(periods) != 1:
-            raise ValueError(f"the samples of a block share one period, got {sorted(periods)}")
-        self.period = periods.pop()
         self._rows = {id(s): r for r, s in enumerate(self.samples)}
         self._solved = None
         self._stats = None
@@ -884,9 +877,7 @@ class SampleBlock:
             metadata = {"sigma": solved.sigma.T, "dist_F": float(solved.stats["dist_F"][0]),
                         **{k: _column(solved.stats[k]) for k in _STATISTICS},
                         "tol_inner": self.opts.tol_inner, "tol_outer": self.opts.tol_outer}
-            columns = SampleColumns(**quantities, metadata=metadata, F=self.F,
-                                    period=self.period, n=self.omega.shape[1])
-            self._assembled[order] = columns, errors
+            self._assembled[order] = SampleColumns(**quantities, metadata=metadata), errors
         return self._assembled[order]
 
 
@@ -962,8 +953,9 @@ def quadratic_expansion_table(w, sample, G, scales, opts=None):
 
 
 def fd_derivative_errors(w, sample, F, opts=None, step=1e-4):
-    """Relative Frobenius errors of the assembled stress/tangent against
-    central finite differences of the energy/stress on the same sample."""
+    """{"stress_rel_error", "tangent_rel_error"}: relative Frobenius errors
+    of the assembled stress/tangent against central finite differences of
+    the energy/stress on the same sample."""
     opts = opts or SolverOptions()
     F = np.asarray(F, dtype=float)
     d = w.dim
@@ -981,5 +973,4 @@ def fd_derivative_errors(w, sample, F, opts=None, step=1e-4):
                        / np.linalg.norm(quantities.stress))
     err_tangent = float(np.linalg.norm((tangent_fd - quantities.tangent).reshape(-1))
                         / np.linalg.norm(quantities.tangent.reshape(-1)))
-    return {"stress_rel_error": err_stress, "tangent_rel_error": err_tangent,
-            "quantities": quantities}
+    return {"stress_rel_error": err_stress, "tangent_rel_error": err_tangent}

@@ -450,15 +450,25 @@ def _single_checks(w, sample, F, opts, sol, quantities, seed):
     return [(name, val, thr, "pass" if ok else "fail") for name, val, thr, ok in rows]
 
 
-def cmd_single(config, out_dir):
-    w = config.material()
-    opts = config.solver_options()
+def _sample(config, index):
+    """Sample `index` of the first length of `config`."""
     L = config.lengths[0]
-    n = cells_for(L, config.spacing)
-    sample = sample_periodic_field(config.covariance(), L, n, config.seed, 0)
+    return sample_periodic_field(config.covariance(), L, cells_for(L, config.spacing),
+                                 config.seed, index)
+
+
+def _solve(config, sample, order):
+    """(CorrectorSolution, HomogenizedQuantities up to `order`) of `sample`
+    at config.F under the config's solver options, solved once in a block of one."""
+    w, opts = config.material(), config.solver_options()
     block = SampleBlock(w, [sample], config.F, opts)
-    sol = solve_corrector(w, sample, config.F, opts, block=block)
-    quantities = assemble(w, sample, config.F, order=2, opts=opts, block=block)
+    return (solve_corrector(w, sample, config.F, opts, block=block),
+            assemble(w, sample, config.F, order=order, opts=opts, block=block))
+
+
+def cmd_single(config, out_dir):
+    sample = _sample(config, 0)
+    sol, quantities = _solve(config, sample, order=2)
 
     d = config.dimension
     qrows = [("W", "", quantities.energy)]
@@ -469,22 +479,18 @@ def cmd_single(config, out_dir):
         qrows.append(("D2W", _component_label(idx), quantities.tangent[idx]))
 
     sigma = quantities.metadata["sigma"]
-    meta_extra = [("L", fmt(L)), ("cells", fmt(n))]
-    meta_extra += [(f"sigma_{k + 1}", fmt(sigma[k])) for k in range(d)]
-    write_csv(out_dir, "quantities.csv", "quantities", qrows,
-              base_metadata(config, "single", meta_extra))
+    meta = base_metadata(config, "single", [("L", fmt(sample.period)), ("cells", fmt(sample.n))]
+                         + [(f"sigma_{k + 1}", fmt(sigma[k])) for k in range(d)])
+    write_csv(out_dir, "quantities.csv", "quantities", qrows, meta)
 
     grid = sample.grid()
-    crows = []
-    for i in range(n):
-        for k in range(d):
-            crows.append((i, grid[i], sample.values[i], f"p{k + 1}", sol.p[i, k]))
-    write_csv(out_dir, "corrector.csv", "corrector", crows,
-              base_metadata(config, "single", meta_extra))
+    crows = [(i, grid[i], sample.values[i], f"p{k + 1}", sol.p[i, k])
+             for i in range(sample.n) for k in range(d)]
+    write_csv(out_dir, "corrector.csv", "corrector", crows, meta)
 
-    checks = _single_checks(w, sample, config.F, opts, sol, quantities, config.seed)
-    write_csv(out_dir, "checks.csv", "checks", checks,
-              base_metadata(config, "single", meta_extra))
+    checks = _single_checks(config.material(), sample, config.F, config.solver_options(), sol,
+                            quantities, config.seed)
+    write_csv(out_dir, "checks.csv", "checks", checks, meta)
     failed = [c[0] for c in checks if c[3] == "fail"]
     if failed:
         _error_line(EXIT_INVARIANT, "invariant", f"checks failed: {', '.join(failed)}")
@@ -652,13 +658,11 @@ def cmd_mc(config, out_dir):
 
 
 def cmd_dump_field(config, out_dir):
-    L = config.lengths[0]
-    n = cells_for(L, config.spacing)
-    sample = sample_periodic_field(config.covariance(), L, n, config.seed, 0)
+    sample = _sample(config, 0)
     grid = sample.grid()
-    rows = [(i, grid[i], sample.values[i]) for i in range(n)]
-    write_csv(out_dir, "field.csv", "field", rows,
-              base_metadata(config, "dump-field", [("L", fmt(L)), ("cells", fmt(n))]))
+    rows = [(i, grid[i], sample.values[i]) for i in range(sample.n)]
+    meta = [("L", fmt(sample.period)), ("cells", fmt(sample.n))]
+    write_csv(out_dir, "field.csv", "field", rows, base_metadata(config, "dump-field", meta))
     return EXIT_OK
 
 
@@ -681,43 +685,35 @@ def _builtin_config(dim=2, family="saint-venant-kirchhoff", lengths=(8.0,), samp
 
 def _check_oracle(dim, family):
     config = _builtin_config(dim=dim, family=family)
-    w = config.material()
-    opts = config.solver_options()
-    n = cells_for(config.lengths[0], config.spacing)
-    sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
-                                   config.seed, 0)
-    block = SampleBlock(w, [sample], config.F, opts)
-    sol = solve_corrector(w, sample, config.F, opts, block=block)
-    energy = assemble(w, sample, config.F, order=0, opts=opts, block=block).energy
-    direct = minimize_direct(w, sample, config.F, opts)
-    gap_w = abs(energy - direct.energy)
+    sample = _sample(config, 0)
+    sol, quantities = _solve(config, sample, order=0)
+    direct = minimize_direct(config.material(), sample, config.F, config.solver_options())
+    gap_w = abs(quantities.energy - direct.energy)
     gap_p = float(np.abs(sol.p - direct.p).max())
     return gap_w <= 1e-8 and gap_p <= 1e-7, f"|dW|={gap_w:.2e} |dp|={gap_p:.2e}"
 
 
 def _check_single_invariants():
     config = _builtin_config()
-    w = config.material()
-    opts = config.solver_options()
-    n = cells_for(config.lengths[0], config.spacing)
-    sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
-                                   config.seed, 1)
-    block = SampleBlock(w, [sample], config.F, opts)
-    sol = solve_corrector(w, sample, config.F, opts, block=block)
-    quantities = assemble(w, sample, config.F, order=2, opts=opts, block=block)
-    rows = _single_checks(w, sample, config.F, opts, sol, quantities, config.seed)
+    sample = _sample(config, 1)
+    sol, quantities = _solve(config, sample, order=2)
+    rows = _single_checks(config.material(), sample, config.F, config.solver_options(), sol,
+                          quantities, config.seed)
     bad = [r[0] for r in rows if r[3] == "fail"]
     return not bad, ("all pass" if not bad else "failed: " + ", ".join(bad))
 
 
 def _check_spectra():
+    # the one-point variance C_L(0) = C(0), read off the entries and off the
+    # clamped spectrum, whose mean is the inverse DFT at lag 0
     for kind in ("triangle", "cosine-bump"):
         cov = CovarianceSpec(kind, 1.7, 1.0)
         for L, n in ((8.0, 64), (16.0, 96)):
             per = periodize_covariance(cov, L, n)
-            if float(per.spectrum.min()) < 0.0:
-                return False, f"negative spectrum for {kind} at L={L}"
-    return True, "spectra nonnegative"
+            mean = float(per.spectrum.mean())
+            if per.entries[0] != cov.variance or abs(mean - cov.variance) > 1e-12 * cov.variance:
+                return False, f"C_L(0) != C(0) for {kind} at L={L}: spectrum mean {mean!r}"
+    return True, "C_L(0) = C(0) on 4 grids"
 
 
 def _check_determinism():
@@ -754,15 +750,10 @@ def _check_determinism():
 def _check_negative_control():
     # a deliberately miscalibrated solve must trip the flux-constancy check
     config = _builtin_config()
-    w = config.material()
-    n = cells_for(config.lengths[0], config.spacing)
-    sample = sample_periodic_field(config.covariance(), config.lengths[0], n,
-                                   config.seed, 2)
     # a loose flux tolerance ends the Newton iteration one step after it is met
     loose = SolverOptions(tol_inner=1e-2)
-    sol = solve_corrector(w, sample, config.F, loose)
-    sigma = sol.sigma
-    threshold = 10.0 * SolverOptions().tol_inner * (1.0 + float(np.linalg.norm(sigma)))
+    sol = solve_corrector(config.material(), _sample(config, 2), config.F, loose)
+    threshold = 10.0 * SolverOptions().tol_inner * (1.0 + float(np.linalg.norm(sol.sigma)))
     tripped = sol.stats["flux_residual"] > threshold
     return tripped, f"flux residual {sol.stats['flux_residual']:.2e} vs {threshold:.2e}"
 
@@ -772,10 +763,12 @@ def _check_golden_headers():
     mc_config = _builtin_config(lengths=(8.0, 16.0), samples=2)
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
-            cmd_single(config, tmp)
-            cmd_dump_field(config, tmp)
-            cmd_rates(config, tmp, synthetic="powerlaw:-0.5")
-            cmd_mc(mc_config, tmp)
+            codes = {"single": cmd_single(config, tmp), "dump-field": cmd_dump_field(config, tmp),
+                     "rates": cmd_rates(config, tmp, synthetic="powerlaw:-0.5"),
+                     "mc": cmd_mc(mc_config, tmp)}
+        failed = [f"{name} exited {code}" for name, code in codes.items() if code != EXIT_OK]
+        if failed:
+            return False, ", ".join(failed)
         expect = {"quantities.csv": "quantities", "corrector.csv": "corrector",
                   "checks.csv": "checks", "field.csv": "field",
                   "fluctuations.csv": "fluctuations", "systematic.csv": "systematic",

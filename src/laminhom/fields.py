@@ -120,10 +120,6 @@ class PeriodizedCovariance:
     period: float
     n: int
 
-    @property
-    def spacing(self):
-        return self.period / self.n
-
 
 @dataclass(frozen=True)
 class MaterialSample:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import BACKTRACK_FACTOR, MAX_BACKTRACKS, ConvergenceError, SolverOptions, _deform
+from .cell import (
+    BACKTRACK_FACTOR,
+    GRAM_CAP,
+    MAX_BACKTRACKS,
+    ConvergenceError,
+    SolverOptions,
+    _deform,
+)
 from .energy import _gram, _inner
 
 __all__ = [
@@ -34,11 +41,9 @@ def _gram_deviation(Fc):
 
 @dataclass
 class OracleSolution:
-    phi: np.ndarray        # (n, d) nodal values, phi[0] = 0
-    p: np.ndarray          # (n, d) per-cell gradients
+    p: np.ndarray          # (n, d) per-cell gradients, mean zero
     energy: float
     gradient_norm: float
-    iterations: int
 
 
 class DiscreteEnergyProblem:
@@ -107,9 +112,9 @@ class DiscreteEnergyProblem:
 
     def admissible(self, u):
         Fc = self.deformations(u)
-        gram_cap = 3.0  # generous: line-search guard only
+        # the line-search guard of the cell solver
         return bool(self.w.admissible_cells(Fc).all()
-                    and (_gram_deviation(Fc) <= gram_cap).all())
+                    and (_gram_deviation(Fc) <= GRAM_CAP).all())
 
 
 def minimize_direct(w, sample, F, opts=None):
@@ -121,13 +126,11 @@ def minimize_direct(w, sample, F, opts=None):
     t0 = prob.tractions(u)
     tol = 2.0 * opts.tol_inner * (1.0 + float(np.abs(t0).max())) / (prob.n * prob.h)
     e = prob.energy(u)
-    iterations = 0
     for _ in range(opts.max_outer * 4):
         g = prob.gradient(u)
         gnorm = float(np.abs(g).max()) if g.size else 0.0
         if gnorm <= tol:
             break
-        iterations += 1
         K = prob.hessian(u)
         try:
             du = -np.linalg.solve(K, g)
@@ -157,13 +160,11 @@ def minimize_direct(w, sample, F, opts=None):
     else:
         raise ConvergenceError(
             f"nodal Newton not converged (|grad| = {gnorm:.3e}, tol = {tol:.1e})")
-    phi = prob.phi_from(u)
-    p = prob.cell_gradients(phi)
+    p = prob.cell_gradients(prob.phi_from(u))
     p = p - p.mean(axis=0)
     g = prob.gradient(u)
-    return OracleSolution(phi=phi, p=p, energy=prob.energy(u),
-                          gradient_norm=float(np.abs(g).max()) if g.size else 0.0,
-                          iterations=iterations)
+    return OracleSolution(p=p, energy=prob.energy(u),
+                          gradient_norm=float(np.abs(g).max()) if g.size else 0.0)
 
 
 def linear_solve_direct(w, sample, F, p, G):

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cell import (
-    RUN_CONSTANTS,
     ConvergenceError,
     SampleBlock,
     SampleColumns,
@@ -190,7 +189,6 @@ class RateFit:
     ci_low: float
     ci_high: float
     count: int
-    residuals: np.ndarray
 
 
 # =====================================================================
@@ -283,7 +281,7 @@ def run_ensemble(plan):
     """
     d = plan.material.dim
     np.empty((HEAP_HINT_MATRICES, d, d, BLOCK_CELLS))
-    # one read-only F, shared by every sample's result
+    # the run's one read-only F: a later write to the plan's F changes no result
     plan = replace(plan, F=_read_only(plan.F))
     lengths = tuple(plan.lengths)
     counts = {L: int(plan.counts[L]) for L in lengths}
@@ -339,7 +337,7 @@ def run_ensemble(plan):
     completed = tuple(L for L in lengths if L in timing)
     return EnsembleRun(lengths=completed, counts={L: counts[L] for L in completed}, F=plan.F,
                        order=plan.order, seed=plan.seed,
-                       samples={L: SampleColumns.join(parts[L], plan.F) for L in completed},
+                       samples={L: SampleColumns.join(parts[L]) for L in completed},
                        failures={L: sorted(failures[L]) for L in completed}, timing=timing)
 
 
@@ -423,23 +421,19 @@ def reference_lengths(strategy, lengths):
 def _reference(run, order, strategy, reference_run):
     """Reference vector, its standard error, and lengths to exclude from fits."""
     if reference_run is not None:
-        Lref = max(reference_run.lengths)
-        vals = reference_run.values(Lref, order)
-        ref = vals.mean(axis=0)
-        se = _sd(vals) / np.sqrt(len(vals))
-        return ref, se, (), "external"
-    excluded = reference_lengths(strategy, run.lengths)
-    if strategy == "largest_L_mean":
+        vals = reference_run.values(max(reference_run.lengths), order)
+        excluded, name = (), "external"
+    else:
+        excluded, name = reference_lengths(strategy, run.lengths), strategy
         vals = run.values(excluded[0], order)
-        ref = vals.mean(axis=0)
-        se = _sd(vals) / np.sqrt(len(vals))
-        return ref, se, excluded, strategy
-    v1 = run.values(excluded[0], order)
-    v2 = run.values(excluded[1], order)
-    # Richardson step assuming first-order bias decay
-    ref = 2.0 * v1.mean(axis=0) - v2.mean(axis=0)
-    se = float(np.sqrt(4.0 * _sd(v1) ** 2 / len(v1) + _sd(v2) ** 2 / len(v2)))
-    return ref, se, excluded, strategy
+        if strategy == "extrapolated":
+            v2 = run.values(excluded[1], order)
+            # Richardson step assuming first-order bias decay
+            ref = 2.0 * vals.mean(axis=0) - v2.mean(axis=0)
+            se = float(np.sqrt(4.0 * _sd(vals) ** 2 / len(vals) + _sd(v2) ** 2 / len(v2)))
+            return ref, se, excluded, name
+    # the mean of one ensemble: the external run's largest L, or this run's
+    return vals.mean(axis=0), _sd(vals) / np.sqrt(len(vals)), excluded, name
 
 
 def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=None):
@@ -558,4 +552,4 @@ def fit_rate(xs, ys, resamples=BOOTSTRAP_RESAMPLES, seed=0):
     slopes = (Yc @ xc) / sxx
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return RateFit(slope=slope, intercept=intercept, ci_low=float(lo), ci_high=float(hi),
-                   count=len(xs), residuals=residuals)
+                   count=len(xs))

@@ -643,6 +643,35 @@ class TestValidate:
         assert "golden_headers: pass" in out
         assert "FAIL" not in out
 
+    def test_spectral_mass_fails_validate(self, monkeypatch, capsys):
+        # mass added to every spectral value breaks C_L(0) = C(0), though none is negative
+        periodize = cli.periodize_covariance
+
+        def heavier(cov, period, n):
+            per = periodize(cov, period, n)
+            return dataclasses.replace(per, spectrum=per.spectrum + 1e-3 * cov.variance)
+
+        monkeypatch.setattr(cli, "periodize_covariance", heavier)
+        assert main(["validate"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert "covariance_spectra: FAIL" in out and out.count("FAIL") == 1
+        errors = [line for line in err.splitlines() if "laminhom-error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("laminhom-error code=1 kind=invariant")
+        assert "covariance_spectra" in errors[0]
+
+    def test_failing_command_fails_golden_headers(self, monkeypatch):
+        single = cli.cmd_single
+
+        def failing(config, out_dir):
+            # writes every file with its golden header, then reports a failure
+            single(config, out_dir)
+            return EXIT_INVARIANT
+
+        monkeypatch.setattr(cli, "cmd_single", failing)
+        ok, detail = cli._check_golden_headers()
+        assert not ok and detail == f"single exited {EXIT_INVARIANT}"
+
 
 class TestBuiltinConfigGuard:
     def test_experiment_config_validates_directly(self):
