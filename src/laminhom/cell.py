@@ -215,8 +215,7 @@ QUANTITIES = ("energy", "stress", "tangent")
 # metadata with one value per run, kept once per SampleColumns
 RUN_CONSTANTS = ("dist_F", "tol_inner", "tol_outer")
 # corrector statistics kept as metadata columns, one value per sample
-_STATISTICS = ("outer_iterations", "inner_iterations", "flux_residual", "mean_residual",
-               "lipschitz_ok")
+_STATISTICS = ("outer_iterations", "flux_residual", "mean_residual", "lipschitz_ok")
 
 
 class HomogenizedQuantities:

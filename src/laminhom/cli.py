@@ -221,9 +221,9 @@ class ExperimentConfig:
     samples: int
     seed: int
     order: int = 2
-    tol_inner: float = 1e-12
-    tol_outer: float = 1e-10
-    delta_bar: float = 0.2
+    tol_inner: float = SolverOptions.tol_inner
+    tol_outer: float = SolverOptions.tol_outer
+    delta_bar: float = SolverOptions.delta_bar
     workers: int = 1
     reference_strategy: str = "largest_L_mean"
     reference_length: float | None = None
@@ -264,8 +264,10 @@ class ExperimentConfig:
         if self.reference_length is not None:
             periods += (self.reference_length,)
         try:
-            self.material()
+            # the canonical names, so equivalent spellings hash alike
+            self.family = self.material().family
             covariance = self.covariance()
+            self.kind = covariance.kind
             for L in periods:
                 period_cells(covariance, L, self.spacing)
             self.solver_options().check_deformation(self.F)
@@ -338,13 +340,9 @@ def _deformation(keys):
     raise ConfigError(f"deformation.mode must be matrix or identity_plus, got {mode!r}")
 
 
-def load_config(path):
-    """Parse and validate a config file into an ExperimentConfig."""
-    return ExperimentConfig(**_config_fields(path))
-
-
-def _config_fields(path):
-    """The ExperimentConfig fields a config file sets, parsed but not yet validated."""
+def load_config(path, seed=None, workers=None):
+    """Parse and validate a config file into an ExperimentConfig; a seed or
+    worker count that is not None overrides the file's run.seed or run.workers."""
     # ';' separates matrix rows, so only '#' may start an inline comment
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
@@ -376,7 +374,10 @@ def _config_fields(path):
             (deformation if section == "deformation" else values)[_FIELD.get(key, key)] = value
         elif _FIELD.get(key, key) in required:
             raise ConfigError(f"missing {section}.{key}")
-    return {"F": _deformation(deformation), **values}
+    for key, value in (("seed", seed), ("workers", workers)):
+        if value is not None:
+            values[key] = value
+    return ExperimentConfig(F=_deformation(deformation), **values)
 
 
 # =====================================================================
@@ -396,8 +397,9 @@ def base_metadata(config, command, extra=()):
     return items
 
 
-def write_csv(out_dir, name, schema, rows, metadata):
-    path = Path(out_dir) / name
+def write_csv(out_dir, schema, rows, metadata):
+    """<schema>.csv in out_dir: the metadata lines, the golden header, the rows."""
+    path = Path(out_dir) / f"{schema}.csv"
     lines = [f"#{k}={v}" for k, v in metadata]
     lines.append(GOLDEN_HEADERS[schema])
     lines.extend(",".join(fmt(c) for c in row) for row in rows)
@@ -481,16 +483,16 @@ def cmd_single(config, out_dir):
     sigma = quantities.metadata["sigma"]
     meta = base_metadata(config, "single", [("L", fmt(sample.period)), ("cells", fmt(sample.n))]
                          + [(f"sigma_{k + 1}", fmt(sigma[k])) for k in range(d)])
-    write_csv(out_dir, "quantities.csv", "quantities", qrows, meta)
+    write_csv(out_dir, "quantities", qrows, meta)
 
     grid = sample.grid()
     crows = [(i, grid[i], sample.values[i], f"p{k + 1}", sol.p[i, k])
              for i in range(sample.n) for k in range(d)]
-    write_csv(out_dir, "corrector.csv", "corrector", crows, meta)
+    write_csv(out_dir, "corrector", crows, meta)
 
     checks = _single_checks(config.material(), sample, config.F, config.solver_options(), sol,
                             quantities, config.seed)
-    write_csv(out_dir, "checks.csv", "checks", checks, meta)
+    write_csv(out_dir, "checks", checks, meta)
     failed = [c[0] for c in checks if c[3] == "fail"]
     if failed:
         _error_line(EXIT_INVARIANT, "invariant", f"checks failed: {', '.join(failed)}")
@@ -563,9 +565,9 @@ def _write_rates(config, out_dir, counts, fluct, syst, meta):
             rate_rows.append((name, order, fit.slope, fit.intercept,
                               fit.ci_low, fit.ci_high, fit.count))
 
-    write_csv(out_dir, "fluctuations.csv", "fluctuations", fl_rows, meta)
-    write_csv(out_dir, "systematic.csv", "systematic", sy_rows, meta)
-    write_csv(out_dir, "rates.csv", "rates", rate_rows, meta)
+    write_csv(out_dir, "fluctuations", fl_rows, meta)
+    write_csv(out_dir, "systematic", sy_rows, meta)
+    write_csv(out_dir, "rates", rate_rows, meta)
 
 
 def _warn_failures(config, run):
@@ -648,7 +650,7 @@ def cmd_mc(config, out_dir):
     meta_tail = [("envelope_scale", fmt(scale))]
     if interrupted:
         meta_tail.append(("interrupted", "1"))
-    write_csv(out_dir, "mc.csv", "mc", out_rows, base_metadata(config, "mc", meta_tail))
+    write_csv(out_dir, "mc", out_rows, base_metadata(config, "mc", meta_tail))
     return 130 if interrupted else EXIT_OK
 
 
@@ -662,7 +664,7 @@ def cmd_dump_field(config, out_dir):
     grid = sample.grid()
     rows = [(i, grid[i], sample.values[i]) for i in range(sample.n)]
     meta = [("L", fmt(sample.period)), ("cells", fmt(sample.n))]
-    write_csv(out_dir, "field.csv", "field", rows, base_metadata(config, "dump-field", meta))
+    write_csv(out_dir, "field", rows, base_metadata(config, "dump-field", meta))
     return EXIT_OK
 
 
@@ -738,7 +740,7 @@ def _check_determinism():
         inside = [assemble(w, s, config.F, order=1, block=block) for s in samples]
     except (ConvergenceError, SingularityError):
         return False, "a block sample failed"
-    iters = [q.metadata["inner_iterations"] for q in inside]
+    iters = [q.metadata["outer_iterations"] for q in inside]
     s = int(np.argmin(iters))
     if not max(iters) > iters[s]:
         return False, "no sample in the block needs more iterations"
@@ -769,16 +771,12 @@ def _check_golden_headers():
         failed = [f"{name} exited {code}" for name, code in codes.items() if code != EXIT_OK]
         if failed:
             return False, ", ".join(failed)
-        expect = {"quantities.csv": "quantities", "corrector.csv": "corrector",
-                  "checks.csv": "checks", "field.csv": "field",
-                  "fluctuations.csv": "fluctuations", "systematic.csv": "systematic",
-                  "rates.csv": "rates", "mc.csv": "mc"}
-        for name, schema in expect.items():
-            lines = (Path(tmp) / name).read_text().splitlines()
+        for schema, golden in GOLDEN_HEADERS.items():
+            lines = (Path(tmp) / f"{schema}.csv").read_text().splitlines()
             header = next(line for line in lines if not line.startswith("#"))
-            if header != GOLDEN_HEADERS[schema]:
-                return False, f"{name} header drifted: {header!r}"
-    return True, f"{len(expect)} headers match"
+            if header != golden:
+                return False, f"{schema}.csv header drifted: {header!r}"
+    return True, f"{len(GOLDEN_HEADERS)} headers match"
 
 
 def cmd_validate():
@@ -827,23 +825,18 @@ def _workers(args):
 
 def _prepare(args):
     """The config of the command line, validated once with its overrides, and the output dir."""
-    values = _config_fields(args.config)
-    for key, value in (("seed", args.seed), ("workers", _workers(args))):
-        if value is not None:
-            values[key] = value
-    config = ExperimentConfig(**values)
+    config = load_config(args.config, seed=args.seed, workers=_workers(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
 
 
-def _add_common(sub, out_required=True):
+def _add_common(sub):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--seed", type=int, default=None, help="override run.seed")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: LAMINHOM_WORKERS or config)")
-    sub.add_argument("--out", required=out_required, default=".",
-                     help="output directory")
+    sub.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser():

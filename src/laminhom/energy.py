@@ -96,15 +96,9 @@ NEO_HOOKEAN = "neo-hookean"
 _FAMILY_ALIASES = {
     "svk": SAINT_VENANT_KIRCHHOFF,
     "saint-venant-kirchhoff": SAINT_VENANT_KIRCHHOFF,
-    "saint_venant_kirchhoff": SAINT_VENANT_KIRCHHOFF,
-    "saintvenantkirchhoff": SAINT_VENANT_KIRCHHOFF,
     "neo-hookean": NEO_HOOKEAN,
     "nh": NEO_HOOKEAN,
-    "neo_hookean": NEO_HOOKEAN,
-    "neohookean": NEO_HOOKEAN,
     "compressible-neo-hookean": NEO_HOOKEAN,
-    "compressible_neo_hookean": NEO_HOOKEAN,
-    "compressibleneohookean": NEO_HOOKEAN,
 }
 
 

@@ -57,15 +57,7 @@ SPECTRUM_CLAMP = 1e-10
 TRIANGLE = "triangle"
 COSINE_BUMP = "cosine-bump"
 
-_KIND_ALIASES = {
-    "triangle": TRIANGLE,
-    "cosine-bump": COSINE_BUMP,
-    "cosine_bump": COSINE_BUMP,
-    "cosinebump": COSINE_BUMP,
-    "truncated-cosine-bump": COSINE_BUMP,
-    "truncated_cosine_bump": COSINE_BUMP,
-    "truncatedcosinebump": COSINE_BUMP,
-}
+_KIND_ALIASES = {"triangle": TRIANGLE, "cosine-bump": COSINE_BUMP}
 
 
 class PeriodizationError(ValueError):
@@ -117,15 +109,13 @@ class PeriodizedCovariance:
 
     entries: np.ndarray      # (n,) C_L(j*h)
     spectrum: np.ndarray     # (n,) DFT of entries, clamped to >= 0
-    period: float
-    n: int
 
 
 @dataclass(frozen=True)
 class MaterialSample:
     """One realization of the material field on a uniform grid.
 
-    values[i] is omega at x_i = i*spacing, held constant on the cell
+    values[i] is omega at x_i = i*period/n, held constant on the cell
     [x_i, x_{i+1}); the field continues period-L periodically.  seed/index
     identify the stream that generated the sample (PRNG recorded in `prng`).
     """
@@ -140,12 +130,8 @@ class MaterialSample:
     def n(self):
         return len(self.values)
 
-    @property
-    def spacing(self):
-        return self.period / self.n
-
     def grid(self):
-        return np.arange(self.n) * self.spacing
+        return np.arange(self.n) * (self.period / self.n)
 
 
 # =====================================================================
@@ -197,7 +183,7 @@ def periodize_covariance(cov, period, n):
             f"covariance spectrum has value {smin:.3e} below {floor:.3e}: "
             "not positive semidefinite")
     spectrum = np.where(spectrum < 0.0, 0.0, spectrum)
-    return PeriodizedCovariance(entries=entries, spectrum=spectrum, period=period, n=n)
+    return PeriodizedCovariance(entries=entries, spectrum=spectrum)
 
 
 # =====================================================================

@@ -316,7 +316,7 @@ class TestAssembledRecord:
     def test_assembled_record_is_slotted(self):
         q = assemble(svk2(), two_phase_sample(), shear(2, 0.05), order=0)
         assert not hasattr(q, "__dict__")
-        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations", "inner_iterations",
+        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations",
                                    "flux_residual", "mean_residual", "lipschitz_ok",
                                    "tol_inner", "tol_outer"}
 

@@ -183,6 +183,34 @@ class TestConfigParsing:
         assert load_config(cfg).material().family == NEO_HOOKEAN
         assert main(["single", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    @pytest.mark.parametrize("key,spellings", [
+        ("family", ("svk", "saint-venant-kirchhoff")),
+        ("kind", ("Cosine-Bump", "cosine-bump")),
+    ])
+    def test_equivalent_spellings_write_one_resolved_config(self, tmp_path, key, spellings):
+        metas = []
+        for i, spelling in enumerate(spellings):
+            cfg = write_config(tmp_path / f"{i}.cfg", **{key: spelling})
+            out = tmp_path / f"o{i}"
+            assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            metas.append(read_table(out / "quantities.csv")[0])
+        for name in ("config_sha256", "config.material.family", "config.covariance.kind"):
+            assert metas[0][name] == metas[1][name], name
+        assert metas[0]["config.material.family"] == "saint-venant-kirchhoff"
+
+    def test_single_loads_through_load_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        load = cli.load_config
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_config", counted)
+        cfg = write_config(tmp_path / "a.cfg")
+        assert main(["single", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == [(str(cfg),)]
+
     @pytest.mark.parametrize("dimension,strain,fragment", [
         ("3", "0 1 ; 1 0", "3x3"),
         ("1", "0.5", "dimension"),
@@ -361,6 +389,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("laminhom-error code=3 kind=config")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", [{"family": "neo_hookean"},
+                                           {"kind": "truncated-cosine-bump"}])
+    def test_undocumented_spelling_exits_three(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "a.cfg", **overrides)
+        out = tmp_path / "o"
+        assert main(["single", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("laminhom-error code=3 kind=config")
+        assert err.count("\n") == 1 and "unknown" in err
+        assert not (out / "quantities.csv").exists()
 
     def test_missing_config_exits_three(self, tmp_path):
         code = main(["single", "--config", str(tmp_path / "nope.cfg"),

@@ -56,7 +56,7 @@ class TestCovarianceSpec:
 
     def test_kind_aliases_and_validation(self):
         assert CovarianceSpec("Triangle", 1.0, 1.0).kind == "triangle"
-        assert CovarianceSpec("TruncatedCosineBump", 1.0, 1.0).kind == "cosine-bump"
+        assert CovarianceSpec("Cosine-Bump", 1.0, 1.0).kind == "cosine-bump"
         with pytest.raises(ValueError):
             CovarianceSpec("gaussian", 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ class TestSampling:
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
         assert not np.array_equal(a.values, d.values)
-        assert a.n == 64 and a.spacing == pytest.approx(0.125)
+        assert a.n == 64 and a.grid()[1] == pytest.approx(0.125)
         assert a.prng == "philox4x64(numpy)"
 
     def test_empirical_covariance_periodic(self):

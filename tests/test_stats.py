@@ -206,7 +206,7 @@ class TestRunEnsemble:
         run = run_ensemble(make_plan([8], count=5, order=2))
         columns = run.samples[8]
         q = columns[2]
-        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations", "inner_iterations",
+        assert set(q.metadata) == {"sigma", "dist_F", "outer_iterations",
                                    "flux_residual", "mean_residual", "lipschitz_ok",
                                    "tol_inner", "tol_outer", "index"}
         assert q.metadata["index"] == 2
@@ -236,7 +236,7 @@ class TestRunEnsemble:
             assert columns[4].metadata[key] == columns[0].metadata[key] == columns.metadata[key]
             with pytest.raises(TypeError):
                 columns[0].metadata[key] = 1.0
-        for key in ("outer_iterations", "inner_iterations", "index"):
+        for key in ("outer_iterations", "index"):
             assert columns.metadata[key].dtype == np.uint8
         assert [q.metadata["index"] for q in columns] == [0, 1, 2, 3, 4]
         assert all(sys.intern(key) is key for key in columns.metadata)
