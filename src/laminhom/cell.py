@@ -133,7 +133,6 @@ __all__ = [
     "assemble",
     "SampleBlock",
     "det_identity_residual",
-    "quadratic_expansion_table",
     "fd_derivative_errors",
     "rank_one_minimum",
 ]
@@ -148,7 +147,9 @@ class SingularityError(RuntimeError):
 
 
 # Fixed guards of the Newton solvers (`_solve_block`, `oracle.minimize_direct`).
-# A line search halves the step (BACKTRACK_FACTOR) at most MAX_BACKTRACKS times.
+# A sample takes at most MAX_STEPS Newton steps (the oracle four times as many);
+# a line search halves the step (BACKTRACK_FACTOR) at most MAX_BACKTRACKS times.
+MAX_STEPS = 50
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
 # line-search iterates stay within this distance from the rotations, measured
@@ -173,14 +174,13 @@ class SolverOptions:
     |DW e_d - sigma| <= tol_inner * (1 + |sigma|).  tol_outer is the
     acceptance threshold on |mean p|; the iteration actually continues to
     the stagnation floor (near machine precision) so that the final exact
-    recentering of p stays within tol_inner.  max_outer caps the Newton
-    steps of a sample.  delta_bar gates the input deformation
-    (`check_deformation`: dist(F, SO(d)) < delta_bar).
+    recentering of p stays within tol_inner.  delta_bar gates the input
+    deformation (`check_deformation`: dist(F, SO(d)) < delta_bar).  The
+    Newton step budget is the constant MAX_STEPS.
     """
 
     tol_inner: float = 1e-12
     tol_outer: float = 1e-10
-    max_outer: int = 50
     delta_bar: float = 0.2
 
     def check_deformation(self, F):
@@ -474,13 +474,14 @@ class _Block(NamedTuple):
     p (d, S, n) has exactly mean zero per sample and sigma (d, S) is the
     constant flux; stats maps each statistic to an (S,) array; errors[s]
     is the exception sample s raised, or None.  A failed sample's p, sigma
-    and stats are not defined.
+    and stats are not defined.  dist_F is dist(F, SO(d)), one for the block.
     """
 
     p: np.ndarray
     sigma: np.ndarray
     stats: dict
     errors: list
+    dist_F: float
 
 
 def _solve_block(w, omega, F, opts):
@@ -566,9 +567,9 @@ def _solve_block(w, omega, F, opts):
         for j in np.flatnonzero(stop & (rn > opts.tol_outer)):
             fail(live[j], ConvergenceError(
                 f"Newton stalled at |mean p| = {rn[j]:.3e} > tol_outer = {opts.tol_outer:.1e}"))
-        for j in np.flatnonzero(~failed[live] & ~stop & (steps[live] >= opts.max_outer)):
+        for j in np.flatnonzero(~failed[live] & ~stop & (steps[live] >= MAX_STEPS)):
             fail(live[j], ConvergenceError(
-                f"Newton not converged after {opts.max_outer} steps (flux residual "
+                f"Newton not converged after {MAX_STEPS} steps (flux residual "
                 f"{rnorm[j]:.3e}, tol {tol[j]:.1e}; |mean p| = {rn[j]:.3e})"))
         solved[:, live[stop]] = _per_sample(p, k)[:, stop]
         keep = ~failed[live] & ~stop
@@ -617,7 +618,7 @@ def _solve_block(w, omega, F, opts):
             continue
 
         # a candidate at the rounding floor of its flux passes too, so that a
-        # tolerance below rounding runs to max_outer; with tol_inner far above
+        # tolerance below rounding runs to MAX_STEPS; with tol_inner far above
         # the floor (the defaults) the floor decides nothing
         with np.errstate(over="ignore", invalid="ignore"):
             pass_cells = np.maximum(
@@ -659,21 +660,15 @@ def _solve_block(w, omega, F, opts):
     flux = _per_sample(w.flux_cells(omega.reshape(-1), cols, f0 + p.reshape(d, -1))[0], S)
     sigma = flux.mean(axis=-1)
     pmax = _norms(p).max(axis=-1)
-    if dist_F > 0.0:
-        ratio = pmax / dist_F
-    else:
-        ratio = np.where(pmax <= 1e-12, 0.0, np.inf)
     stats = {
         "outer_iterations": steps,
         "inner_iterations": steps,
         "backtracks": backtracks,
         "mean_residual": _norms(p.mean(axis=-1)),
         "flux_residual": _norms(flux - sigma[..., None]).max(axis=-1),
-        "dist_F": np.full(S, dist_F),
-        "lipschitz_ratio": ratio,
         "lipschitz_ok": pmax <= LIPSCHITZ_FACTOR * dist_F + 1e-12,
     }
-    return _Block(p, sigma, stats, errors)
+    return _Block(p, sigma, stats, errors, dist_F)
 
 
 def solve_corrector(w, sample, F, opts=None, block=None):
@@ -873,7 +868,7 @@ class SampleBlock:
             solved = self._solution()
             # a failed sample's p is zero: assembling it is harmless
             quantities, errors = _assemble_block(self.w, self.omega, self.F, solved.p, order)
-            metadata = {"sigma": solved.sigma.T, "dist_F": float(solved.stats["dist_F"][0]),
+            metadata = {"sigma": solved.sigma.T, "dist_F": solved.dist_F,
                         **{k: _column(solved.stats[k]) for k in _STATISTICS},
                         "tol_inner": self.opts.tol_inner, "tol_outer": self.opts.tol_outer}
             self._assembled[order] = SampleColumns(**quantities, metadata=metadata), errors
@@ -905,6 +900,10 @@ def assemble(w, sample, F, order=2, opts=None, block=None):
 # structural checks
 # =====================================================================
 
+# random rank-one directions of rank_one_minimum; step of fd_derivative_errors
+RANK_ONE_DIRECTIONS = 100
+FD_STEP = 1e-4
+
 
 def det_identity_residual(p, F):
     """|avg_i det(F + p_i x e_d) - det F|.
@@ -917,11 +916,11 @@ def det_identity_residual(p, F):
     return float(abs(dets.mean() - adjugate(F)[0]))
 
 
-def rank_one_minimum(tangent, rng, count=100):
-    """min over random rank-one directions of D2W_L[a x b, a x b]/|a x b|^2."""
+def rank_one_minimum(tangent, rng):
+    """min over RANK_ONE_DIRECTIONS random rank-one directions of D2W_L[a x b, a x b]/|a x b|^2."""
     d = tangent.shape[0]
     worst = np.inf
-    for _ in range(count):
+    for _ in range(RANK_ONE_DIRECTIONS):
         a = rng.standard_normal(d)
         b = rng.standard_normal(d)
         G = np.outer(a, b)
@@ -930,31 +929,10 @@ def rank_one_minimum(tangent, rng, count=100):
     return worst
 
 
-def quadratic_expansion_table(w, sample, G, scales, opts=None):
-    """Remainder ratios |W_L(Id + tG) - t^2/2 D2W_L(Id)[G,G]| / t^2 per scale t.
-
-    At the identity the corrector vanishes and the energy is exactly zero, so
-    the ratio isolates the quadratic-expansion remainder; it decays linearly
-    in t when the cubic term of the expansion is the leading correction.
-    """
-    opts = opts or SolverOptions()
-    G = np.asarray(G, dtype=float)
-    d = w.dim
-    eye = np.eye(d)
-    basequad = assemble(w, sample, eye, order=2, opts=opts)
-    quad = 0.5 * float(np.einsum("jklm,jk,lm->", basequad.tangent, G, G))
-    rows = []
-    for t in scales:
-        t = float(t)
-        qt = assemble(w, sample, eye + t * G, order=0, opts=opts)
-        rows.append((t, abs(qt.energy - t * t * quad) / (t * t)))
-    return rows
-
-
-def fd_derivative_errors(w, sample, F, opts=None, step=1e-4):
+def fd_derivative_errors(w, sample, F, opts=None):
     """{"stress_rel_error", "tangent_rel_error"}: relative Frobenius errors
-    of the assembled stress/tangent against central finite differences of
-    the energy/stress on the same sample."""
+    of the assembled stress/tangent against central finite differences
+    (step FD_STEP) of the energy/stress on the same sample."""
     opts = opts or SolverOptions()
     F = np.asarray(F, dtype=float)
     d = w.dim
@@ -964,10 +942,10 @@ def fd_derivative_errors(w, sample, F, opts=None, step=1e-4):
     for j in range(d):
         for k in range(d):
             E = _elementary(d, j, k)
-            hi = assemble(w, sample, F + step * E, order=1, opts=opts)
-            lo = assemble(w, sample, F - step * E, order=1, opts=opts)
-            stress_fd[j, k] = (hi.energy - lo.energy) / (2.0 * step)
-            tangent_fd[:, :, j, k] = (hi.stress - lo.stress) / (2.0 * step)
+            hi = assemble(w, sample, F + FD_STEP * E, order=1, opts=opts)
+            lo = assemble(w, sample, F - FD_STEP * E, order=1, opts=opts)
+            stress_fd[j, k] = (hi.energy - lo.energy) / (2.0 * FD_STEP)
+            tangent_fd[:, :, j, k] = (hi.stress - lo.stress) / (2.0 * FD_STEP)
     err_stress = float(np.linalg.norm(stress_fd - quantities.stress)
                        / np.linalg.norm(quantities.stress))
     err_tangent = float(np.linalg.norm((tangent_fd - quantities.tangent).reshape(-1))

@@ -275,6 +275,9 @@ class ExperimentConfig:
                 reference_lengths(self.reference_strategy, self.lengths)
         except (ValueError, StatisticsError) as exc:
             raise ConfigError(str(exc)) from exc
+        if self.reference_length in self.lengths:
+            raise ConfigError(f"reference_length {self.reference_length:g} is one of the "
+                              "lengths; its ensemble would redraw their samples")
 
     def material(self):
         return EnergyDensity(self.family, lame=(self.lam, self.mu), modulation=self.modulation,
@@ -288,12 +291,11 @@ class ExperimentConfig:
                              delta_bar=self.delta_bar)
 
     def plan(self, lengths=None, counts=None, order=None):
-        lengths = tuple(lengths if lengths is not None else self.lengths)
-        if counts is None:
-            counts = {L: self.samples for L in lengths}
+        """Ensemble of `lengths` (default: the config's), counts[L] (default: samples) each."""
+        counts = {L: self.samples if counts is None else counts[L]
+                  for L in (self.lengths if lengths is None else lengths)}
         return EnsemblePlan(material=self.material(), covariance=self.covariance(),
-                            F=self.F, spacing=self.spacing, lengths=lengths,
-                            counts=counts, seed=self.seed,
+                            F=self.F, spacing=self.spacing, counts=counts, seed=self.seed,
                             order=self.order if order is None else order,
                             options=self.solver_options(), workers=self.workers)
 
@@ -425,7 +427,7 @@ def _component_label(index_tuple):
 def _single_checks(w, sample, F, opts, sol, quantities, seed):
     """Named (check, value, threshold, passed) rows for checks.csv."""
     d = w.dim
-    report = fd_derivative_errors(w, sample, F, opts=opts, step=1e-4)
+    report = fd_derivative_errors(w, sample, F, opts=opts)
     det_dev = det_identity_residual(sol.p, F)
     det_thr = 1e-12 * sample.n * abs(adjugate(F)[0])
     R = rotation_from_angle(0.7, d)
@@ -643,7 +645,7 @@ def cmd_mc(config, out_dir):
         schedule = [(L, N) for L, N in schedule if L in run.lengths]
     est = systematic_estimate(run, order=0, strategy=config.reference_strategy,
                               reference_run=reference_run)
-    rows = mc_total_error(run, schedule, est.reference, order=0)
+    rows = mc_total_error(run, schedule, est.reference)
     scale = fit_envelope_scale(rows)
     out_rows = [(r.L, r.N, r.groups, r.total, r.scatter, r.bias, r.envelope,
                  scale * r.envelope, r.total / (scale * r.envelope)) for r in rows]

@@ -117,14 +117,13 @@ class MaterialSample:
 
     values[i] is omega at x_i = i*period/n, held constant on the cell
     [x_i, x_{i+1}); the field continues period-L periodically.  seed/index
-    identify the stream that generated the sample (PRNG recorded in `prng`).
+    identify the PRNG_NAME stream that generated the sample.
     """
 
     values: np.ndarray
     period: float
     seed: int
     index: int
-    prng: str = PRNG_NAME
 
     @property
     def n(self):

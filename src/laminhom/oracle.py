@@ -19,6 +19,7 @@ from .cell import (
     BACKTRACK_FACTOR,
     GRAM_CAP,
     MAX_BACKTRACKS,
+    MAX_STEPS,
     ConvergenceError,
     SolverOptions,
     _deform,
@@ -126,7 +127,7 @@ def minimize_direct(w, sample, F, opts=None):
     t0 = prob.tractions(u)
     tol = 2.0 * opts.tol_inner * (1.0 + float(np.abs(t0).max())) / (prob.n * prob.h)
     e = prob.energy(u)
-    for _ in range(opts.max_outer * 4):
+    for _ in range(MAX_STEPS * 4):
         g = prob.gradient(u)
         gnorm = float(np.abs(g).max()) if g.size else 0.0
         if gnorm <= tol:

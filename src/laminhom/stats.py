@@ -102,8 +102,7 @@ class EnsemblePlan:
     covariance: object
     F: np.ndarray
     spacing: float
-    lengths: tuple
-    counts: dict               # L -> number of samples
+    counts: dict               # L -> number of samples; its keys are the periods, in solve order
     seed: int
     order: int = 2
     options: SolverOptions = field(default_factory=SolverOptions)
@@ -140,9 +139,9 @@ class EnsembleRun:
     def values(self, L, order):
         """Per-sample quantities of one derivative order, flattened: a
         read-only (N, k) view of the columns."""
-        if order > self.order:
+        if not 0 <= order <= self.order:
             raise StatisticsError(
-                f"run holds derivatives up to order {self.order}, asked for {order}")
+                f"run holds derivatives of order 0 to {self.order}, asked for {order}")
         columns = self.samples[L]
         N = len(columns)
         if not N:
@@ -257,16 +256,17 @@ def _blocks(count, n, workers):
 def run_ensemble(plan):
     """Solve counts[L] independent samples per L; returns an EnsembleRun.
 
-    The periods are solved in plan order, the samples of each in blocks
-    (`_blocks`, `SampleBlock`).  Per-sample solver failures are recorded
-    and tolerated while they stay below 1% of the period's planned
-    samples counts[L]; once a period reaches 1% the run stops after that
-    block and raises EnsembleError.  On KeyboardInterrupt the run returns
-    the periods that completed, with all their samples and failures (its
-    lengths are those periods); if none completed, the interrupt
-    propagates.  Results and all downstream reductions are ordered by
-    sample index, and a sample's bits do not depend on its block, so the
-    output is independent of the block size and the worker count.
+    The periods, the keys of plan.counts, are solved in that order, the
+    samples of each in blocks (`_blocks`, `SampleBlock`).  Per-sample
+    solver failures are recorded and tolerated while they stay below 1% of
+    the period's planned samples counts[L]; once a period reaches 1% the
+    run stops after that block and raises EnsembleError.  On
+    KeyboardInterrupt the run returns the periods that completed, with all
+    their samples and failures (its lengths are those periods); if none
+    completed, the interrupt propagates.  Results and all downstream
+    reductions are ordered by sample index, and a sample's bits do not
+    depend on its block, so the output is independent of the block size
+    and the worker count.
 
     Before any block is solved, and before a pool forks, it allocates
     HEAP_HINT_MATRICES (d, d) float matrices per cell of a full block
@@ -283,8 +283,8 @@ def run_ensemble(plan):
     np.empty((HEAP_HINT_MATRICES, d, d, BLOCK_CELLS))
     # the run's one read-only F: a later write to the plan's F changes no result
     plan = replace(plan, F=_read_only(plan.F))
-    lengths = tuple(plan.lengths)
-    counts = {L: int(plan.counts[L]) for L in lengths}
+    counts = {L: int(n) for L, n in plan.counts.items()}
+    lengths = tuple(counts)
     grids = {}
     for L in lengths:
         if counts[L] < 1:
@@ -356,8 +356,8 @@ def _sd(values):
     return float(np.sqrt((dev * dev).sum() / (N - 1)))
 
 
-def _bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
-    """SDs of `resamples` bootstrap resamples of the rows of values (N, k).
+def _bootstrap_sds(values, rng):
+    """SDs of BOOTSTRAP_RESAMPLES bootstrap resamples of the rows of values (N, k).
 
     The index draws come in blocks of up to 2e6 elements.  Each block
     becomes a resample-count matrix c (b, N), c_ri = how often resample r
@@ -369,11 +369,11 @@ def _bootstrap_sds(values, rng, resamples=BOOTSTRAP_RESAMPLES):
     N = len(values)
     y = values - values.mean(axis=0)
     y2 = (y * y).sum(axis=1)
-    out = np.empty(resamples)
-    block = max(1, min(resamples, int(2e6 // max(1, values.size))))
+    out = np.empty(BOOTSTRAP_RESAMPLES)
+    block = max(1, min(BOOTSTRAP_RESAMPLES, int(2e6 // max(1, values.size))))
     done = 0
-    while done < resamples:
-        b = min(block, resamples - done)
+    while done < BOOTSTRAP_RESAMPLES:
+        b = min(block, BOOTSTRAP_RESAMPLES - done)
         idx = rng.integers(0, N, size=(b, N))
         idx += N * np.arange(b)[:, None]
         counts = np.bincount(idx.reshape(-1), minlength=b * N).reshape(b, N).astype(float)
@@ -489,18 +489,18 @@ def envelope(L, N):
     return 1.0 / np.sqrt(N * L) + np.log(L) / L
 
 
-def mc_total_error(run, schedule, reference, order=0):
-    """Empirical total error of N-sample averages along an (L, N) schedule.
+def mc_total_error(run, schedule, reference):
+    """Empirical total error of N-sample energy averages along an (L, N) schedule.
 
     Splits the run's samples at L into consecutive groups of N, measures the
-    root mean squared deviation of the group means from the reference, and
-    tabulates it against the unscaled envelope.  total^2 = scatter^2 + bias^2
-    exactly per row.
+    root mean squared deviation of the group means of W_L from the
+    reference, and tabulates it against the unscaled envelope.  total^2 =
+    scatter^2 + bias^2 exactly per row.
     """
     ref = np.asarray(reference, dtype=float).reshape(-1)
     rows = []
     for L, N in schedule:
-        vals = run.values(L, order)
+        vals = run.values(L, 0)
         groups = len(vals) // int(N)
         if groups < 2:
             raise StatisticsError(
@@ -523,8 +523,8 @@ def fit_envelope_scale(rows):
     return float(t @ e) / denom
 
 
-def fit_rate(xs, ys, resamples=BOOTSTRAP_RESAMPLES, seed=0):
-    """Ordinary least squares in log-log with residual-bootstrap slope CI.
+def fit_rate(xs, ys, seed=0):
+    """Ordinary least squares in log-log, slope CI from BOOTSTRAP_RESAMPLES residual resamples.
 
     Needs >= 4 distinct abscissae and strictly positive ordinates; raises
     DegenerateFitError otherwise.
@@ -546,7 +546,7 @@ def fit_rate(xs, ys, resamples=BOOTSTRAP_RESAMPLES, seed=0):
     fitted = intercept + slope * lx
     residuals = ly - fitted
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 202]))
-    idx = rng.integers(0, len(xs), size=(resamples, len(xs)))
+    idx = rng.integers(0, len(xs), size=(BOOTSTRAP_RESAMPLES, len(xs)))
     Y = fitted[None, :] + residuals[idx]
     Yc = Y - Y.mean(axis=1, keepdims=True)
     slopes = (Yc @ xc) / sxx

@@ -1,5 +1,6 @@
 """Single-point evaluation of an EnergyDensity through its batched kernels,
-and random deformation gradients near SO(d).
+random deformation gradients near SO(d), and the quadratic-expansion
+remainders of the effective energy.
 
 Test helper: the frozen symbolic values and the finite-difference checks
 compare W and its full derivative tensors at one deformation gradient.
@@ -7,6 +8,7 @@ compare W and its full derivative tensors at one deformation gradient.
 
 import numpy as np
 
+from laminhom.cell import SolverOptions, assemble
 from laminhom.energy import SAINT_VENANT_KIRCHHOFF
 
 
@@ -85,3 +87,24 @@ def random_near_identity(rng, dim, dist):
     S = 0.5 * (S + S.T)
     S /= np.linalg.norm(S)
     return random_rotation(rng, dim) @ (np.eye(dim) + dist * S)
+
+
+def quadratic_expansion_table(w, sample, G, scales, opts=None):
+    """Remainder ratios |W_L(Id + tG) - t^2/2 D2W_L(Id)[G,G]| / t^2 per scale t.
+
+    At the identity the corrector vanishes and the energy is exactly zero, so
+    the ratio isolates the quadratic-expansion remainder; it decays linearly
+    in t when the cubic term of the expansion is the leading correction.
+    """
+    opts = opts or SolverOptions()
+    G = np.asarray(G, dtype=float)
+    d = w.dim
+    eye = np.eye(d)
+    basequad = assemble(w, sample, eye, order=2, opts=opts)
+    quad = 0.5 * float(np.einsum("jklm,jk,lm->", basequad.tangent, G, G))
+    rows = []
+    for t in scales:
+        t = float(t)
+        qt = assemble(w, sample, eye + t * G, order=0, opts=opts)
+        rows.append((t, abs(qt.energy - t * t * quad) / (t * t)))
+    return rows

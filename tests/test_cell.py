@@ -17,7 +17,6 @@ from laminhom.cell import (
     assemble,
     det_identity_residual,
     fd_derivative_errors,
-    quadratic_expansion_table,
     rank_one_minimum,
     solve_corrector,
     solve_linearized,
@@ -30,7 +29,7 @@ from laminhom.cell import (
 from laminhom.energy import DomainError, EnergyDensity, FixedColumns, _matvec, rotation_from_angle
 from laminhom.fields import CovarianceSpec, MaterialSample, sample_periodic_field
 from laminhom.oracle import linear_solve_direct, minimize_direct
-from pointwise import derivative, evaluate
+from pointwise import derivative, evaluate, quadratic_expansion_table
 
 LAME = (1.2, 0.8)
 
@@ -48,8 +47,7 @@ TWO_PHASE_TANGENT_0101 = 0.769245831153654964036026152496  # FD, O(1e-12)
 
 
 def two_phase_sample():
-    return MaterialSample(values=np.array([-1.0, 1.0]), period=2.0,
-                          seed=0, index=0, prng="frozen")
+    return MaterialSample(values=np.array([-1.0, 1.0]), period=2.0, seed=0, index=0)
 
 
 def svk2():
@@ -180,14 +178,13 @@ class TestStructure:
         assert rank_one_minimum(q.tangent, np.random.default_rng(1)) > 0.0
         sol = solve_corrector(w, sample, shear(2, 0.05))
         assert sol.stats["lipschitz_ok"]
-        assert np.isfinite(sol.stats["lipschitz_ratio"])
 
 
 class TestDerivativeConsistency:
     def test_fd_stress_and_tangent(self):
         w = svk2()
         sample = random_sample(seed=8, n=16)
-        report = fd_derivative_errors(w, sample, shear(2, 0.05), step=1e-4)
+        report = fd_derivative_errors(w, sample, shear(2, 0.05))
         assert report["stress_rel_error"] <= 1e-6
         assert report["tangent_rel_error"] <= 1e-6
 
@@ -294,7 +291,7 @@ class TestColumnNewton:
         cols = FixedColumns.of(F)
         omega = np.full(32, 3.0)
         omega[0] = -3.0
-        sample = MaterialSample(omega, 16.0, 0, 0, prng="frozen")
+        sample = MaterialSample(omega, 16.0, 0, 0)
         column = w.flux_cells
         outside = []
 
@@ -371,12 +368,12 @@ class TestErrors:
         with pytest.raises(SingularityError):
             solve_corrector(w, sample, F)
 
-    def test_inner_budget_exhausted(self):
+    def test_inner_budget_exhausted(self, monkeypatch):
         # one Newton step from p = 0 leaves the flux residuals above tol_inner
         w = svk2()
-        opts = SolverOptions(max_outer=1)
+        monkeypatch.setattr(cell, "MAX_STEPS", 1)
         with pytest.raises(ConvergenceError):
-            solve_corrector(w, two_phase_sample(), shear(2, 0.05), opts)
+            solve_corrector(w, two_phase_sample(), shear(2, 0.05))
 
 
 def contrast_block(family, dim, count=16):
@@ -456,7 +453,7 @@ class TestBlocks:
         # a block answers only for its own samples, material, F and options
         stranger = MaterialSample(samples[0].values.copy(), 16.0, 7, 0)
         for args in ((w, stranger, F, SolverOptions()), (w, samples[0], np.eye(2), None),
-                     (w, samples[0], F, SolverOptions(max_outer=3)),
+                     (w, samples[0], F, SolverOptions(tol_inner=1e-10)),
                      (EnergyDensity("saint-venant-kirchhoff", lame=LAME, modulation=0.85),
                       samples[0], F, None)):
             with pytest.raises(ValueError, match="sample block"):

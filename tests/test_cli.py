@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laminhom import cli, fields, stats
+from laminhom import cell, cli, fields, stats
 from laminhom.cell import SampleBlock, SolverOptions, assemble, solve_corrector
 from laminhom.cli import (
     EXIT_CONFIG,
@@ -75,13 +75,13 @@ def write_config(path, **overrides):
 
 @pytest.fixture
 def ensemble_calls(monkeypatch):
-    """The lengths of every plan the commands pass to cli.run_ensemble."""
+    """The periods of every plan the commands pass to cli.run_ensemble."""
     import laminhom.cli as cli
     calls = []
     run_ensemble = cli.run_ensemble
 
     def counted(plan):
-        calls.append(plan.lengths)
+        calls.append(tuple(plan.counts))
         return run_ensemble(plan)
 
     monkeypatch.setattr(cli, "run_ensemble", counted)
@@ -423,9 +423,8 @@ class TestExitCodes:
         assert "laminhom-error code=2 kind=solver" in err
         # candidates at the rounding floor pass the line search: the sample
         # takes every step, and fails for the right reason
-        max_outer = SolverOptions().max_outer
-        assert f"not converged after {max_outer} steps" in err
-        assert len(calls) <= max_outer + 5
+        assert f"not converged after {cell.MAX_STEPS} steps" in err
+        assert len(calls) <= cell.MAX_STEPS + 5
         assert not (out / "quantities.csv").exists()
 
     @pytest.mark.parametrize("command,overrides,fragment", [
@@ -435,8 +434,10 @@ class TestExitCodes:
          "ratio 2"),
         ("mc", {"lengths": "4 8 12 16", "extra_run": "reference_strategy = extrapolated"},
          "ratio 2"),
+        ("rates", {"lengths": "8 12 16", "extra_run": "reference_length = 16"},
+         "reference_length 16 is one of the lengths"),
     ], ids=["zero_reference_length", "mc_length_one", "rates_extrapolated_ratio",
-            "mc_extrapolated_ratio"])
+            "mc_extrapolated_ratio", "reference_length_in_lengths"])
     def test_unrunnable_config_exits_three_before_any_ensemble(
             self, tmp_path, capsys, ensemble_calls, command, overrides, fragment):
         cfg = write_config(tmp_path / "a.cfg", samples="8", order="0", **overrides)
@@ -493,6 +494,15 @@ class TestSeedAndWorkers:
         # the ensemble checks its grids and draws its samples from the same cache
         stats.run_ensemble(dataclasses.replace(config.plan(), workers=1))
         assert periodized == [8.0, 12.0]
+
+    def test_plan_names_each_period_once(self, tmp_path):
+        # a repeated length must not solve its samples twice, as if independent
+        config = load_config(write_config(tmp_path / "a.cfg", lengths="8 12"))
+        assert config.plan().counts == {8.0: 1, 12.0: 1}
+        plan = config.plan(lengths=(12.0, 8.0, 12.0), counts={8.0: 3, 12.0: 2})
+        assert plan.counts == {12.0: 2, 8.0: 3} and list(plan.counts) == [12.0, 8.0]
+        run = stats.run_ensemble(dataclasses.replace(plan, workers=1))
+        assert [list(run.samples[L].metadata["index"]) for L in run.lengths] == [[0, 1], [0, 1, 2]]
 
     def test_seed_override_changes_data_and_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg")

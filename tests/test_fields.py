@@ -154,7 +154,6 @@ class TestSampling:
         assert not np.array_equal(a.values, c.values)
         assert not np.array_equal(a.values, d.values)
         assert a.n == 64 and a.grid()[1] == pytest.approx(0.125)
-        assert a.prng == "philox4x64(numpy)"
 
     def test_empirical_covariance_periodic(self):
         """Sample covariance at lags {0, l/4, l/2, l} within 3 SE of C."""

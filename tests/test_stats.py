@@ -52,16 +52,14 @@ def material():
     return EnergyDensity("saint-venant-kirchhoff", lame=(1.2, 0.8), modulation=0.3, dim=2)
 
 
-def make_plan(lengths, count, seed=7, order=0, workers=1, variance=1.0,
-              magnitude=0.05, options=None):
+def make_plan(lengths, count, seed=7, order=0, workers=1, variance=1.0, magnitude=0.05):
     F = np.eye(2)
     F[0, 1] += magnitude
     F[1, 0] += magnitude
     return EnsemblePlan(material=material(),
                         covariance=CovarianceSpec("triangle", variance, 1.0),
-                        F=F, spacing=0.25, lengths=tuple(lengths),
-                        counts={L: count for L in lengths}, seed=seed, order=order,
-                        options=options or SolverOptions(), workers=workers)
+                        F=F, spacing=0.25, counts={L: count for L in lengths},
+                        seed=seed, order=order, workers=workers)
 
 
 def fake_run(values_by_L, seed=0):
@@ -110,10 +108,10 @@ class TestRunEnsemble:
         assert np.array_equal(vals[0], vals[1])
         assert np.array_equal(vals[0], vals[2])
 
-    def test_failure_budget(self):
-        bad = make_plan([8], count=4, options=SolverOptions(max_outer=1))
+    def test_failure_budget(self, monkeypatch):
+        monkeypatch.setattr(cell, "MAX_STEPS", 1)
         with pytest.raises(EnsembleError):
-            run_ensemble(bad)
+            run_ensemble(make_plan([8], count=4))
 
     def test_failure_budget_is_per_period(self, monkeypatch):
         fail_sample(monkeypatch, 8, 3)
@@ -161,6 +159,24 @@ class TestRunEnsemble:
         run = run_ensemble(make_plan([8], count=2, order=1))
         with pytest.raises(StatisticsError):
             run.values(8, 2)
+
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_order_is_rejected(self, order):
+        # a negative order must not index back to the highest order the run holds
+        run = run_ensemble(make_plan([8, 16], count=2, order=2))
+        with pytest.raises(StatisticsError):
+            run.values(8, order)
+        with pytest.raises(StatisticsError):
+            systematic_estimate(run, order=order)
+
+    def test_periods_are_the_keys_of_counts(self):
+        # each period once, in the order of counts, with counts[L] distinct samples
+        plan = dataclasses.replace(make_plan([8], count=1), counts={16.0: 2, 8.0: 3})
+        run = run_ensemble(plan)
+        assert run.lengths == (16.0, 8.0) and run.counts == {16.0: 2, 8.0: 3}
+        for L, count in plan.counts.items():
+            assert run.count(L) == count
+            assert list(run.samples[L].metadata["index"]) == list(range(count))
 
     def test_split_seed_consistency(self):
         ga = run_ensemble(make_plan([16], count=96, seed=100))
@@ -296,7 +312,7 @@ from laminhom.fields import CovarianceSpec
 plan = stats.EnsemblePlan(
     material=EnergyDensity("svk", (1.2, 0.8), 0.3, 2),
     covariance=CovarianceSpec("triangle", 1.0, 1.0), F=np.array([[1.0, 0.05], [0.05, 1.0]]),
-    spacing=0.125, lengths=(64.0,), counts={64.0: 4 * stats.BLOCK_CELLS // 512}, seed=3, order=0)
+    spacing=0.125, counts={64.0: 4 * stats.BLOCK_CELLS // 512}, seed=3, order=0)
 stats.run_ensemble(plan)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 stats.run_ensemble(plan)
@@ -329,7 +345,7 @@ class TestHighContrast:
         plan = EnsemblePlan(
             material=EnergyDensity(family, lame=(1.2, 0.8), modulation=0.95, dim=2),
             covariance=CovarianceSpec("triangle", variance, 4.0), F=F, spacing=0.5,
-            lengths=(64.0,), counts={64.0: 50}, seed=11, order=0)
+            counts={64.0: 50}, seed=11, order=0)
         run = run_ensemble(plan)
         assert run.failures[64.0] == [] and run.count(64.0) == 50
         opts = plan.options
