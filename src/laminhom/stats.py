@@ -240,16 +240,14 @@ def _solve_batch(args):
     return L, columns, failures
 
 
-def _blocks(count, n, workers):
+def _blocks(count, n):
     """Consecutive sample-index ranges of one period, one per block.
 
-    A block holds at most BLOCK_CELLS cells (at least one sample); in a
-    pool it also holds at most count // (2 workers) + 1 samples, so that
-    every worker gets about two blocks or more.
+    A block holds at most BLOCK_CELLS cells (at least one sample), whatever
+    the worker count: the pool solves the serial run's blocks, since small
+    blocks pay more per-call overhead than a worker gains.
     """
     size = max(1, BLOCK_CELLS // n)
-    if workers > 1:
-        size = min(size, count // (2 * workers) + 1)
     return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -266,7 +264,11 @@ def run_ensemble(plan):
     completed, the interrupt propagates.  Results and all downstream
     reductions are ordered by sample index, and a sample's bits do not
     depend on its block, so the output is independent of the block size
-    and the worker count.
+    and the worker count.  A pool of plan.workers processes, or of one per
+    block when there are fewer blocks, solves the same blocks as a serial
+    run; it starts only for two blocks or more.  The blocks are submitted
+    largest first (in cells) and their results taken in block order, so the
+    failure budget counts the blocks in the order a serial run solves them.
 
     Before any block is solved, and before a pool forks, it allocates
     HEAP_HINT_MATRICES (d, d) float matrices per cell of a full block
@@ -296,7 +298,7 @@ def run_ensemble(plan):
     done = {L: 0 for L in lengths}
     timing = {}
     jobs = [(plan, L, grids[L], indices) for L in lengths
-            for indices in _blocks(counts[L], grids[L], plan.workers)]
+            for indices in _blocks(counts[L], grids[L])]
     started = time.perf_counter()
 
     def absorb(results):
@@ -313,12 +315,16 @@ def run_ensemble(plan):
 
     over = None
     try:
-        if plan.workers > 1:
+        if plan.workers > 1 and len(jobs) > 1:
             # the pool machinery (about 2 MiB) loads only when a pool starts
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                futures = [pool.submit(_solve_batch, job) for job in jobs]
+            with ProcessPoolExecutor(max_workers=min(plan.workers, len(jobs))) as pool:
+                # submitted largest block (in cells) first, so that no worker
+                # ends on a long one; absorbed in job order all the same
+                futures = [None] * len(jobs)
+                for j in sorted(range(len(jobs)), key=lambda j: -len(jobs[j][3]) * jobs[j][2]):
+                    futures[j] = pool.submit(_solve_batch, jobs[j])
                 try:
                     over = absorb(future.result() for future in futures)
                 finally:

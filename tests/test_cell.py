@@ -354,7 +354,8 @@ class TestErrors:
         # the linearized solve reads its acoustic tensors off the moduli
         monkeypatch.setattr(w, "moduli_cells",
                             lambda omega, Fc: np.full((2, 2, 2, 2, len(omega)), bad))
-        with pytest.raises(SingularityError):
+        # M = 0 has |M|^2 = det = 0: it must not pass the condition screen
+        with pytest.raises(SingularityError, match="^acoustic tensor singular or not finite$"):
             solve_linearized(w, sample, F, sol, np.eye(2))
         # the first Newton step of a fresh solve needs M^{-1} at once; its
         # acoustic tensors come from the column-form kernel
@@ -365,7 +366,7 @@ class TestErrors:
             return flux, (None if M is None else np.full_like(M, bad))
 
         monkeypatch.setattr(w, "flux_cells", broken)
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match="^acoustic tensor singular or not finite$"):
             solve_corrector(w, sample, F)
 
     def test_inner_budget_exhausted(self, monkeypatch):
@@ -494,6 +495,93 @@ class TestBlocks:
         assert isinstance(inside[4], SingularityError) and str(inside[4]) == str(alone.value)
         for s in (0, 1, 2, 3, 5):
             assert same_quantities(inside[s], expected[s])
+
+
+def ill_conditioned(d, cond):
+    """diag(1, ..., 1, sqrt(d - 1) / cond), of Frobenius condition number
+    cond to within a relative (d / cond)^2."""
+    M = np.eye(d)
+    M[-1, -1] = np.sqrt(d - 1) / cond
+    return M
+
+
+def exact_cap(M, S):
+    """The message of each sample's cap error, or None, from the condition
+    numbers of every cell (the route of a block that fails the screen)."""
+    with np.errstate(all="ignore"):
+        Minv = cell._inverses(M)
+        worst = np.sqrt(cell._square_sums(M) * cell._square_sums(Minv)).reshape(S, -1).max(axis=1)
+    return [None if worst[s] <= cell.COND_CAP
+            else "acoustic tensor singular or not finite"
+            if not np.isfinite(Minv.reshape(*Minv.shape[:2], S, -1)[:, :, s]).all()
+            else f"acoustic tensor condition {worst[s]:.3e} above cap {cell.COND_CAP:.1e}"
+            for s in range(S)]
+
+
+class TestConditionCap:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_condition_above_cap_fails_its_sample_alone(self, monkeypatch, dim):
+        w, samples = contrast_block("saint-venant-kirchhoff", dim, count=6)
+        F = stretch(dim, *BACKTRACKING["saint-venant-kirchhoff"])
+        expected = assemble_in_block(w, samples, F, order=2)
+        column = w.flux_cells
+        target = samples[2].values
+        ill = ill_conditioned(dim, 1e13)
+
+        def broken(om, cols, f, acoustic=False):
+            # sample 2's acoustic tensors are finite, with condition about 1e13
+            flux, M = column(om, cols, f, acoustic)
+            return flux, (None if M is None else np.where(np.isin(om, target), ill[..., None], M))
+
+        monkeypatch.setattr(w, "flux_cells", broken)
+        inside = assemble_in_block(w, samples, F, order=2)
+        with pytest.raises(SingularityError) as alone:
+            assemble(w, samples[2], F, order=2)
+        message = (f"acoustic tensor condition {np.linalg.cond(ill, 'fro'):.3e} "
+                   f"above cap {cell.COND_CAP:.1e}")
+        assert str(alone.value) == message
+        assert isinstance(inside[2], SingularityError) and str(inside[2]) == message
+        for s in (0, 1, 3, 4, 5):
+            assert same_quantities(inside[s], expected[s])
+
+    # (condition number, scale of the tensor, whether the block passes the screen)
+    CASES = [
+        pytest.param(1e11, 1.0, True, id="1e11"),
+        pytest.param(1e13, 1.0, False, id="1e13"),
+        pytest.param(1e12 * (1 + 1e-11), 1.0, False, id="just-above-cap"),
+        pytest.param(1e12 * (1 - 1e-11), 1.0, False, id="just-below-cap"),
+        pytest.param(10.0, 1e-60, False, id="below-screen-range"),
+        pytest.param(10.0, 1e60, False, id="above-screen-range"),
+        # squares in the subnormal range: |M|^2 / det reads 10, but the
+        # inverse overflows and the exact route fails the sample
+        pytest.param(10.0, 1e-160, False, id="subnormal"),
+    ]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cond,scale,screened", CASES)
+    def test_decisions_are_the_exact_ones(self, monkeypatch, dim, cond, scale, screened):
+        # three samples of four cells; one cell of sample 1 has the case's tensor
+        rng = np.random.default_rng(31)
+        M = 3.0 * np.eye(dim)[..., None] + 0.3 * rng.standard_normal((dim, dim, 12))
+        M[..., 5] = scale * ill_conditioned(dim, cond)
+        expected = exact_cap(M, 3)
+        squares = []
+
+        def counted(A):
+            squares.append(1)
+            return cell._square_sums.__wrapped__(A)
+
+        counted.__wrapped__ = cell._square_sums
+        monkeypatch.setattr(cell, "_square_sums", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Minv, errors = _capped_inverses(M, 3)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(Minv, cell._inverses(M), equal_nan=True)
+        assert [e and str(e) for e in errors] == expected
+        assert (expected[1] is not None) == (cond > cell.COND_CAP or scale == 1e-160)
+        # the exact route forms |M^{-1}|^2 too
+        assert len(squares) == (1 if screened else 2)
 
 
 class TestLineSearchWork:

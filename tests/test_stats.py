@@ -243,8 +243,9 @@ class TestRunEnsemble:
         thawed = pickle.loads(pickle.dumps(run))
         assert np.array_equal(thawed.values(8, 1), run.values(8, 1))
 
-    def test_metadata_columns_are_compact(self):
+    def test_metadata_columns_are_compact(self, monkeypatch):
         # blocks of 2 samples solved in a pool: the columns join unpickled parts
+        monkeypatch.setattr(stats, "BLOCK_CELLS", 2 * 32)
         run = run_ensemble(make_plan([8], count=5, order=0, workers=2))
         columns = run.samples[8]
         for key in cell.RUN_CONSTANTS:
@@ -291,9 +292,41 @@ class TestRunEnsemble:
         monkeypatch.setattr(stats, "BLOCK_CELLS", 5 * 32)
         with pytest.raises(EnsembleError, match="1/100 samples failed"):
             run_ensemble(make_plan([8], count=100, workers=2))
-        blocks = stats._blocks(100, 32, 2)
+        blocks = stats._blocks(100, 32)
         assert [len(b) for b in blocks] == [5] * 20
         assert len(list(tmp_path.iterdir())) < len(blocks)
+
+    @pytest.mark.parametrize("workers,counts,pool", [
+        (4, {8: 5}, None),                  # one block: no pool
+        (4, {8: 5, 16: 3}, 2),              # two blocks: two workers, not four
+        (2, {4: 2, 16: 3, 8: 300}, 2),      # submitted as 8192, 1408, 192, 32 cells
+    ])
+    def test_no_idle_workers(self, monkeypatch, workers, counts, pool):
+        import concurrent.futures
+
+        started, submitted = [], []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def submit(self, fn, job, /):
+                submitted.append((job[1], len(job[3]) * job[2]))
+                return super().submit(fn, job)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        plan = dataclasses.replace(make_plan([8], count=1, workers=workers), counts=counts)
+        run = run_ensemble(plan)
+        serial = run_ensemble(dataclasses.replace(plan, workers=1))
+        for L in counts:
+            assert np.array_equal(run.values(L, 0), serial.values(L, 0))
+        assert started == ([] if pool is None else [pool])
+        # the serial run's blocks, submitted largest first (by cells)
+        jobs = [(L, len(b) * stats.cells_for(L, plan.spacing)) for L in counts
+                for b in stats._blocks(counts[L], stats.cells_for(L, plan.spacing))]
+        assert submitted == ([] if pool is None
+                             else sorted(jobs, key=lambda job: -job[1]))
 
     def test_spacing_must_divide_period(self):
         with pytest.raises(ValueError):
