@@ -566,12 +566,12 @@ class TestConditionCap:
         M[..., 5] = scale * ill_conditioned(dim, cond)
         expected = exact_cap(M, 3)
         squares = []
+        square_sums = cell._square_sums
 
         def counted(A):
             squares.append(1)
-            return cell._square_sums.__wrapped__(A)
+            return square_sums(A)
 
-        counted.__wrapped__ = cell._square_sums
         monkeypatch.setattr(cell, "_square_sums", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
