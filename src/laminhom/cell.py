@@ -161,8 +161,6 @@ GRAM_CAP = ADMISSIBLE_DIST * (2.0 + ADMISSIBLE_DIST)
 LIPSCHITZ_FACTOR = 20.0
 # bound on the Frobenius condition number of the acoustic tensors
 COND_CAP = 1e12
-# squared Frobenius norms of acoustic tensors that `_capped_inverses` may screen
-SCREEN_RANGE = (1e-100, 1e100)
 # a cell flux is evaluated to within a few ulps of |M| |f| (acoustic tensor,
 # last column); residuals below this many ulps of it are rounding
 ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
@@ -403,11 +401,7 @@ def _inverses(A):
 
     A singular or non-finite A_c gives non-finite entries, with no warning.
     """
-    return _adjugate_over(*adjugate(A))
-
-
-def _adjugate_over(det, adj):
-    """The inverses adj / det of `adjugate`'s result, as one (d, d, ...) array."""
+    det, adj = adjugate(A)
     d = len(adj)
     inv = np.empty((d, d, *np.shape(det)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -441,29 +435,10 @@ def _capped_inverses(M, S):
     exceeds COND_CAP; None otherwise.  A condition number is finite only
     where the inverse is, so only the samples above the cap (or NaN) are
     looked at again.
-
-    The whole block is screened first, from |M|^2 and det alone: the
-    condition |M| |adj M| / |det| is |M|^2 / |det| at d = 2, where
-    |adj M| = |M|, and at most |M|^3 / (sqrt(3) |det|) at d = 3, where
-    |adj M|^2 <= |M|^4 / 3.  When that bound is below COND_CAP (1 - 1e-9)
-    on every cell and every |M|^2 lies in SCREEN_RANGE, where the rounding
-    of either route is far below that margin, no tensor can fail the cap,
-    and the exact condition numbers are not formed.  The comparisons are
-    strict, so a NaN (M = 0 gives 0 / 0) fails the screen; a block that
-    fails it takes the exact route, so the errors do not depend on the
-    screen.
     """
-    det, adj = adjugate(M)
-    Minv = _adjugate_over(det, adj)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        square = _square_sums(M)
-        norm_power = square if len(M) == 2 else square * np.sqrt(square) / np.sqrt(3.0)
-        bound = norm_power / np.abs(det)
-    if ((bound < COND_CAP * (1.0 - 1e-9)).all()
-            and SCREEN_RANGE[0] < square.min() and square.max() < SCREEN_RANGE[1]):
-        return Minv, [None] * S
+    Minv = _inverses(M)
     with np.errstate(invalid="ignore", over="ignore"):
-        cond = np.sqrt(square * _square_sums(Minv))
+        cond = np.sqrt(_square_sums(M) * _square_sums(Minv))
     worst = _per_sample(cond, S).max(axis=1)
     errors = [None] * S
     for s in np.flatnonzero(~(worst <= COND_CAP)):
@@ -585,14 +560,9 @@ def _solve_block(w, omega, F, opts):
         # the start p = 0 has mean zero exactly; stagnation counts from the first step
         best[live] = np.where(steps[live] > 0, np.minimum(best[live], rn), np.inf)
         # run to the stagnation floor so the exact recentering below is a
-        # no-op at working precision; only a sample within tol_inner at two
-        # states can stop, so the floor is looked at only when there is one
-        ready = ~failed[live] & within & met[live]
-        if ready.any():
-            floor = rn <= 1e-14 * (1.0 + _per_sample(np.abs(p).max(axis=0), k).max(axis=1))
-            stop = ready & (floor | (~improved & (rn <= opts.tol_outer)))
-        else:
-            stop = ready
+        # no-op at working precision
+        floor = rn <= 1e-14 * (1.0 + _per_sample(np.abs(p).max(axis=0), k).max(axis=1))
+        stop = ~failed[live] & within & met[live] & (floor | (~improved & (rn <= opts.tol_outer)))
         met[live] |= within
         for j in np.flatnonzero(stop & (rn > opts.tol_outer)):
             fail(live[j], ConvergenceError(
@@ -869,7 +839,7 @@ class SampleBlock:
         """The row of `sample`; ValueError unless the block holds it and was
         built with the same w, F and opts."""
         row = self._rows.get(id(sample))
-        if (row is None or w is not self.w or (opts is not self.opts and opts != self.opts)
+        if (row is None or w is not self.w or opts != self.opts
                 or (F is not self.F and not np.array_equal(F, self.F))):
             raise ValueError("the sample block does not hold this sample, or was built "
                              "with another material, F or solver options")

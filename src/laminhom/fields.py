@@ -196,16 +196,8 @@ def _length_key(length):
 
 
 def _stream(seed, *keys):
-    """Philox generator seeded by SeedSequence([seed, *keys]).
-
-    numpy splits each int of a list into 32-bit words one by one, but takes
-    a uint32 array as it is; for words in [0, 2**32) both give the same
-    entropy, so such words go in as an array, which is faster.
-    """
-    words = [int(seed), *map(int, keys)]
-    if 0 <= min(words) and max(words) < 2 ** 32:
-        words = np.array(words, dtype=np.uint32)
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(words)))
+    seq = np.random.SeedSequence([int(seed), *map(int, keys)])
+    return np.random.Generator(np.random.Philox(seed=seq))
 
 
 @functools.lru_cache(maxsize=32)

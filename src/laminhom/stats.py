@@ -266,9 +266,7 @@ def run_ensemble(plan):
     depend on its block, so the output is independent of the block size
     and the worker count.  A pool of plan.workers processes, or of one per
     block when there are fewer blocks, solves the same blocks as a serial
-    run; it starts only for two blocks or more.  The blocks are submitted
-    largest first (in cells) and their results taken in block order, so the
-    failure budget counts the blocks in the order a serial run solves them.
+    run, in the same order; it starts only for two blocks or more.
 
     Before any block is solved, and before a pool forks, it allocates
     HEAP_HINT_MATRICES (d, d) float matrices per cell of a full block
@@ -320,11 +318,7 @@ def run_ensemble(plan):
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=min(plan.workers, len(jobs))) as pool:
-                # submitted largest block (in cells) first, so that no worker
-                # ends on a long one; absorbed in job order all the same
-                futures = [None] * len(jobs)
-                for j in sorted(range(len(jobs)), key=lambda j: -len(jobs[j][3]) * jobs[j][2]):
-                    futures[j] = pool.submit(_solve_batch, jobs[j])
+                futures = [pool.submit(_solve_batch, job) for job in jobs]
                 try:
                     over = absorb(future.result() for future in futures)
                 finally:

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import pickle
 import platform
+import signal
 import subprocess
 import sys
 import time
@@ -134,6 +135,30 @@ class TestRunEnsemble:
         assert run.count(8) == 100 and run.count(12) == 101
         for L in (8, 12):
             assert np.array_equal(run.values(L, 0), full.values(L, 0))
+
+    def test_pooled_interrupt_keeps_the_completed_periods(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched field draw reaches pool workers only by fork")
+        draw = stats.sample_periodic_field
+        parent = os.getpid()
+
+        def interrupting(cov, period, n, seed, index):
+            # Ctrl-C reaches the parent while the last block of L = 16 runs;
+            # L = 8's one small block comes first and has completed by then
+            if (period, index) == (16, 256):
+                os.kill(parent, signal.SIGINT)
+            return draw(cov, period, n, seed, index)
+
+        monkeypatch.setattr(stats, "sample_periodic_field", interrupting)
+        # blocks of 160, 8192, 8192 and 2816 cells
+        plan = dataclasses.replace(make_plan([8], count=1, workers=2), counts={8: 5, 16: 300})
+        try:
+            run = run_ensemble(plan)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt dropped the completed period L = 8")
+        assert run.lengths == (8,) and set(run.timing) == {8}
+        serial = run_ensemble(make_plan([8], count=5))
+        assert np.array_equal(run.values(8, 0), serial.values(8, 0))
 
     def test_interrupt_in_the_first_period_propagates(self, interrupt_at):
         interrupt_at(8)
@@ -299,7 +324,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("workers,counts,pool", [
         (4, {8: 5}, None),                  # one block: no pool
         (4, {8: 5, 16: 3}, 2),              # two blocks: two workers, not four
-        (2, {4: 2, 16: 3, 8: 300}, 2),      # submitted as 8192, 1408, 192, 32 cells
+        (2, {4: 2, 16: 3, 8: 300}, 2),      # blocks of 32, 192, 8192 and 1408 cells
     ])
     def test_no_idle_workers(self, monkeypatch, workers, counts, pool):
         import concurrent.futures
@@ -322,11 +347,10 @@ class TestRunEnsemble:
         for L in counts:
             assert np.array_equal(run.values(L, 0), serial.values(L, 0))
         assert started == ([] if pool is None else [pool])
-        # the serial run's blocks, submitted largest first (by cells)
+        # the serial run's blocks, in its order
         jobs = [(L, len(b) * stats.cells_for(L, plan.spacing)) for L in counts
                 for b in stats._blocks(counts[L], stats.cells_for(L, plan.spacing))]
-        assert submitted == ([] if pool is None
-                             else sorted(jobs, key=lambda job: -job[1]))
+        assert submitted == ([] if pool is None else jobs)
 
     def test_spacing_must_divide_period(self):
         with pytest.raises(ValueError):
