@@ -158,18 +158,14 @@ class TestSampling:
     @pytest.mark.parametrize("seed,index", [
         (2 ** 32 + 5, 3), (2 ** 64 - 1, 3), (0, 0), (2 ** 32 - 1, 2 ** 32 - 1),
     ])
-    def test_stream_draws_what_the_listed_words_seed(self, seed, index):
+    def test_field_draws_from_the_listed_words(self, seed, index):
         # any u64 seed is accepted; numpy splits words of 2**32 and above
         # into 32-bit words
         key = fields._length_key(8.0)
-        expected = np.random.Generator(np.random.Philox(
+        z = np.random.Generator(np.random.Philox(
             seed=np.random.SeedSequence([seed, key, index]))).standard_normal(128)
-        drawn = fields._stream(seed, key, index).standard_normal(128)
-        assert drawn.tobytes() == expected.tobytes()
-        # a field at that seed draws from the same words
         cov = CovarianceSpec("triangle", 1.0, 1.0)
         root = np.sqrt(periodize_covariance(cov, 8.0, 64).spectrum)
-        z = expected
         values = np.sqrt(64) * np.fft.ifft(root * (z[:64] + 1j * z[64:])).real
         assert sample_periodic_field(cov, 8.0, 64, seed, index).values.tobytes() == values.tobytes()
 
