@@ -19,7 +19,7 @@ metadata lines (version, PRNG, effective seed, config hash, resolved config)
 sufficient to reproduce the file exactly; no timestamps, so identical
 config+seed reruns are byte-identical regardless of worker count.
 
-Exit codes: 0 ok, 1 invariant failure, 2 solver failure, 3 config error.
+Exit codes: 0 ok, 1 invariant failure, 2 solver failure, 3 config or usage error.
 Errors print one machine-readable line on stderr:
     laminhom-error code=<n> kind=<config|solver|invariant> message="..."
 """
@@ -31,7 +31,6 @@ import configparser
 import contextlib
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields
@@ -66,9 +65,7 @@ from .stats import (
     DegenerateFitError,
     EnsembleError,
     EnsemblePlan,
-    FluctuationEstimate,
     StatisticsError,
-    SystematicEstimate,
     balanced_count,
     cells_for,
     fit_envelope_scale,
@@ -507,71 +504,6 @@ def cmd_single(config, out_dir):
 # =====================================================================
 
 
-def _parse_synthetic(text):
-    kind, _, arg = text.partition(":")
-    if kind.strip().lower() != "powerlaw":
-        raise ConfigError(f"unknown synthetic form {text!r} (expected powerlaw:EXP)")
-    try:
-        return float(arg)
-    except ValueError as exc:
-        raise ConfigError(f"bad synthetic exponent {arg!r}") from exc
-
-
-def _synthetic_rates(config, out_dir, exponent):
-    """Exact power-law estimates L**exponent, written by the tables and fits
-    of a real run: every sd, CI bound and bias is L**exponent, every SE 0."""
-    lengths = sorted(config.lengths)
-    values = {L: float(L) ** exponent for L in lengths}
-    orders = range(config.order + 1)
-    fluct = {order: {L: FluctuationEstimate(sd=v, ci_low=v, ci_high=v, count=config.samples)
-                     for L, v in values.items()} for order in orders}
-    syst = {order: SystematicEstimate(order=order, strategy="synthetic", reference=None,
-                                      biases=values, ses=dict.fromkeys(lengths, 0.0),
-                                      underpowered=dict.fromkeys(lengths, False), excluded=())
-            for order in orders}
-    meta = base_metadata(config, "rates", [("synthetic", f"powerlaw:{fmt(exponent)}")])
-    _write_rates(config, out_dir, dict.fromkeys(lengths, config.samples), fluct, syst, meta)
-    return EXIT_OK
-
-
-def _write_rates(config, out_dir, counts, fluct, syst, meta):
-    """fluctuations.csv, systematic.csv and rates.csv of the per-order
-    estimates fluct {order: {L: FluctuationEstimate}} and syst {order:
-    SystematicEstimate} at the lengths of counts {L: solved samples}, and a
-    log-log rate fit of each series: every fluctuation fit, then every
-    systematic fit."""
-    lengths = list(counts)
-    fl_rows = [(order, L, per_l[L].count, per_l[L].sd, per_l[L].ci_low, per_l[L].ci_high)
-               for order, per_l in fluct.items() for L in lengths]
-    sy_rows = []
-    for order, est in syst.items():
-        for L in lengths:
-            if est.underpowered[L] and L not in est.excluded:
-                print(f"warning: systematic order {order} underpowered at L={fmt(L)} "
-                      f"(bias below 3 SE)", file=sys.stderr)
-            sy_rows.append((order, L, counts[L], est.biases[L], est.ses[L],
-                            est.underpowered[L], L in est.excluded))
-
-    series = [("fluctuation", order, {L: per_l[L].sd for L in lengths})
-              for order, per_l in fluct.items()]
-    series += [("systematic", order, {L: est.biases[L] for L in lengths if L not in est.excluded})
-               for order, est in syst.items()]
-    rate_rows = []
-    for name, order, ys in series:
-        try:
-            fit = fit_rate(np.array(list(ys), dtype=float), np.array(list(ys.values())),
-                           seed=config.seed)
-        except DegenerateFitError as exc:
-            print(f"warning: {name} fit order {order}: {exc}", file=sys.stderr)
-        else:
-            rate_rows.append((name, order, fit.slope, fit.intercept,
-                              fit.ci_low, fit.ci_high, fit.count))
-
-    write_csv(out_dir, "fluctuations", fl_rows, meta)
-    write_csv(out_dir, "systematic", sy_rows, meta)
-    write_csv(out_dir, "rates", rate_rows, meta)
-
-
 def _warn_failures(config, run):
     for L in run.lengths:
         for index, reason in run.failures[L]:
@@ -603,13 +535,12 @@ def _ensembles(config, counts, order):
     return run, reference_run, interrupted
 
 
-def cmd_rates(config, out_dir, synthetic=None):
-    if synthetic is not None:
-        return _synthetic_rates(config, out_dir, _parse_synthetic(synthetic))
-
+def cmd_rates(config, out_dir):
+    """fluctuations.csv, systematic.csv and rates.csv: the per-order
+    estimates at every length the ensemble solved, and a log-log rate fit
+    of each series, every fluctuation fit, then every systematic fit."""
     run, reference_run, interrupted = _ensembles(
         config, {L: config.samples for L in config.lengths}, config.order)
-    meta_tail = [("interrupted", "1")] if interrupted else []
     fluct, syst = {}, {}
     for order in range(config.order + 1):
         try:
@@ -623,8 +554,38 @@ def cmd_rates(config, out_dir, synthetic=None):
                                               reference_run=reference_run)
         except StatisticsError as exc:
             print(f"warning: systematic order {order}: {exc}", file=sys.stderr)
-    _write_rates(config, out_dir, {L: run.count(L) for L in run.lengths}, fluct, syst,
-                 base_metadata(config, "rates", meta_tail))
+
+    fl_rows = [(order, L, per_l[L].count, per_l[L].sd, per_l[L].ci_low, per_l[L].ci_high)
+               for order, per_l in fluct.items() for L in run.lengths]
+    sy_rows = []
+    for order, est in syst.items():
+        for L in run.lengths:
+            if est.underpowered[L] and L not in est.excluded:
+                print(f"warning: systematic order {order} underpowered at L={fmt(L)} "
+                      f"(bias below 3 SE)", file=sys.stderr)
+            sy_rows.append((order, L, run.count(L), est.biases[L], est.ses[L],
+                            est.underpowered[L], L in est.excluded))
+
+    series = [("fluctuation", order, {L: per_l[L].sd for L in run.lengths})
+              for order, per_l in fluct.items()]
+    series += [("systematic", order,
+                {L: est.biases[L] for L in run.lengths if L not in est.excluded})
+               for order, est in syst.items()]
+    rate_rows = []
+    for name, order, ys in series:
+        try:
+            fit = fit_rate(np.array(list(ys), dtype=float), np.array(list(ys.values())),
+                           seed=config.seed)
+        except DegenerateFitError as exc:
+            print(f"warning: {name} fit order {order}: {exc}", file=sys.stderr)
+        else:
+            rate_rows.append((name, order, fit.slope, fit.intercept,
+                              fit.ci_low, fit.ci_high, fit.count))
+
+    meta = base_metadata(config, "rates", [("interrupted", "1")] if interrupted else [])
+    write_csv(out_dir, "fluctuations", fl_rows, meta)
+    write_csv(out_dir, "systematic", sy_rows, meta)
+    write_csv(out_dir, "rates", rate_rows, meta)
     return 130 if interrupted else EXIT_OK
 
 
@@ -645,6 +606,10 @@ def cmd_mc(config, out_dir):
         schedule = [(L, N) for L, N in schedule if L in run.lengths]
     est = systematic_estimate(run, order=0, strategy=config.reference_strategy,
                               reference_run=reference_run)
+    for L, _ in schedule:
+        if L in est.excluded:
+            print(f"warning: mc row L={fmt(L)} is measured against a reference made from "
+                  f"its own samples ({config.reference_strategy})", file=sys.stderr)
     rows = mc_total_error(run, schedule, est.reference)
     scale = fit_envelope_scale(rows)
     out_rows = [(r.L, r.N, r.groups, r.total, r.scatter, r.bias, r.envelope,
@@ -766,10 +731,10 @@ def _check_golden_headers():
     config = _builtin_config(lengths=(8.0, 16.0, 32.0, 48.0), samples=2)
     mc_config = _builtin_config(lengths=(8.0, 16.0), samples=2)
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
             codes = {"single": cmd_single(config, tmp), "dump-field": cmd_dump_field(config, tmp),
-                     "rates": cmd_rates(config, tmp, synthetic="powerlaw:-0.5"),
-                     "mc": cmd_mc(mc_config, tmp)}
+                     "rates": cmd_rates(config, tmp), "mc": cmd_mc(mc_config, tmp)}
         failed = [f"{name} exited {code}" for name, code in codes.items() if code != EXIT_OK]
         if failed:
             return False, ", ".join(failed)
@@ -812,22 +777,9 @@ def cmd_validate():
 # =====================================================================
 
 
-def _workers(args):
-    """The worker count of --workers or LAMINHOM_WORKERS, or None when neither is set."""
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("LAMINHOM_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"LAMINHOM_WORKERS={env!r} is not an integer") from exc
-    return None
-
-
 def _prepare(args):
     """The config of the command line, validated once with its overrides, and the output dir."""
-    config = load_config(args.config, seed=args.seed, workers=_workers(args))
+    config = load_config(args.config, seed=args.seed, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
@@ -837,13 +789,19 @@ def _add_common(sub):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--seed", type=int, default=None, help="override run.seed")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: LAMINHOM_WORKERS or config)")
+                     help="worker processes (default: run.workers)")
     sub.add_argument("--out", required=True, help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, which exits 3; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="laminhom",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="laminhom", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("single", help="solve one sample and write quantities")
@@ -852,9 +810,7 @@ def build_parser():
 
     s = subs.add_parser("rates", help="fluctuation and systematic rate tables")
     _add_common(s)
-    s.add_argument("--synthetic", default=None, metavar="SPEC",
-                   help="bypass solves with exact synthetic data (powerlaw:EXP)")
-    s.set_defaults(func=lambda a: cmd_rates(*_prepare(a), synthetic=a.synthetic))
+    s.set_defaults(func=lambda a: cmd_rates(*_prepare(a)))
 
     s = subs.add_parser("mc", help="Monte Carlo total-error table")
     _add_common(s)
@@ -870,8 +826,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, PeriodizationError, SpectrumError, StatisticsError,
             DegenerateFitError, DomainError) as exc:

@@ -162,7 +162,6 @@ class FluctuationEstimate:
 @dataclass
 class SystematicEstimate:
     order: int
-    strategy: str
     reference: np.ndarray
     biases: dict               # L -> |mean_L - reference|
     ses: dict                  # L -> propagated standard error of the bias
@@ -422,18 +421,18 @@ def _reference(run, order, strategy, reference_run):
     """Reference vector, its standard error, and lengths to exclude from fits."""
     if reference_run is not None:
         vals = reference_run.values(max(reference_run.lengths), order)
-        excluded, name = (), "external"
+        excluded = ()
     else:
-        excluded, name = reference_lengths(strategy, run.lengths), strategy
+        excluded = reference_lengths(strategy, run.lengths)
         vals = run.values(excluded[0], order)
         if strategy == "extrapolated":
             v2 = run.values(excluded[1], order)
             # Richardson step assuming first-order bias decay
             ref = 2.0 * vals.mean(axis=0) - v2.mean(axis=0)
             se = float(np.sqrt(4.0 * _sd(vals) ** 2 / len(vals) + _sd(v2) ** 2 / len(v2)))
-            return ref, se, excluded, name
+            return ref, se, excluded
     # the mean of one ensemble: the external run's largest L, or this run's
-    return vals.mean(axis=0), _sd(vals) / np.sqrt(len(vals)), excluded, name
+    return vals.mean(axis=0), _sd(vals) / np.sqrt(len(vals)), excluded
 
 
 def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=None):
@@ -445,7 +444,7 @@ def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=N
     underpowered unless its bias is at least 3 standard errors, so also
     when its SE is NaN (one sample at L or at the reference).
     """
-    ref, se_ref, excluded, name = _reference(run, order, strategy, reference_run)
+    ref, se_ref, excluded = _reference(run, order, strategy, reference_run)
     biases, ses, weak = {}, {}, {}
     for L in run.lengths:
         vals = run.values(L, order)
@@ -455,9 +454,8 @@ def systematic_estimate(run, order=0, strategy="largest_L_mean", reference_run=N
         ses[L] = se
         # an SE that is not a number (one sample) powers nothing
         weak[L] = not bias >= 3.0 * se
-    return SystematicEstimate(order=order, strategy=name, reference=ref,
-                              biases=biases, ses=ses, underpowered=weak,
-                              excluded=excluded)
+    return SystematicEstimate(order=order, reference=ref, biases=biases, ses=ses,
+                              underpowered=weak, excluded=excluded)
 
 
 def decompose_error(values, reference):

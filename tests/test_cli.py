@@ -1,5 +1,6 @@
 """CLI tests: config grammar, golden CSV headers, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import re
 import textwrap
@@ -261,6 +262,16 @@ class TestConfigParsing:
                 keys.add((section, m[1]))
         assert keys == {(section, key) for section, key, _ in cli._KEYS}
 
+    def test_readme_flags_match_the_parser(self):
+        # README's Flags paragraph names every option of every subcommand, and no other
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        paragraph = text.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        options = {o for sub in subs.choices.values() for a in sub._actions
+                   for o in a.option_strings if o.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options
+
     def test_sha_covers_resolved_config(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.cfg"))
         b = load_config(write_config(tmp_path / "b.cfg"))
@@ -449,24 +460,48 @@ class TestExitCodes:
         assert ensemble_calls == []
         assert not any(out.glob("*.csv"))
 
-    def test_bad_workers_env_exits_three(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv,fragment", [
+        (["rates", "--out", "o", "--synthetic", "powerlaw:-0.5"],
+         "unrecognized arguments: --synthetic"),
+        (["single", "--out", "o", "--workers", "many"], "invalid int value: 'many'"),
+        (["single"], "required: --out"),
+    ], ids=["removed_synthetic_flag", "non_integer_workers", "missing_out"])
+    def test_usage_error_exits_three(self, tmp_path, monkeypatch, capsys, argv, fragment):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "a.cfg")
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("laminhom-error code=3 kind=config")
+        assert err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["rates", "--help"])
+        assert exit_.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
+    def test_workers_env_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # the worker count comes from run.workers or --workers only
         monkeypatch.setenv("LAMINHOM_WORKERS", "many")
         cfg = write_config(tmp_path / "a.cfg")
-        assert main(["single", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        args = cli.build_parser().parse_args(
+            ["single", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert cli._prepare(args)[0].workers == 1
+        assert main(["single", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestSeedAndWorkers:
-    @pytest.mark.parametrize("flags,env,message", [
+    @pytest.mark.parametrize("flags,overrides,message", [
         (["--workers", "0"], None, "workers must be >= 1"),
         (["--workers", "-5"], None, "workers must be >= 1"),
-        ([], "0", "workers must be >= 1"),
+        # a valid run.workers does not rescue a bad --workers
+        (["--workers", "0"], {"extra_run": "workers = 2"}, "workers must be >= 1"),
         (["--seed", "-1"], None, "seed must fit in a u64"),
     ])
-    def test_bad_override_exits_three(self, tmp_path, monkeypatch, capsys, flags, env, message):
-        if env is not None:
-            monkeypatch.setenv("LAMINHOM_WORKERS", env)
-        cfg = write_config(tmp_path / "a.cfg")
+    def test_bad_override_exits_three(self, tmp_path, capsys, flags, overrides, message):
+        cfg = write_config(tmp_path / "a.cfg", **(overrides or {}))
         out = tmp_path / "o"
         assert main(["single", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -484,10 +519,10 @@ class TestSeedAndWorkers:
 
         monkeypatch.setattr(fields, "periodize_covariance", counted)
         fields._spectral_root.cache_clear()
-        monkeypatch.setenv("LAMINHOM_WORKERS", "3")
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12")
         args = cli.build_parser().parse_args(
-            ["rates", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "o")])
+            ["rates", "--config", str(cfg), "--seed", "9", "--workers", "3",
+             "--out", str(tmp_path / "o")])
         config, _ = cli._prepare(args)
         assert (config.seed, config.workers) == (9, 3)
         assert periodized == [8.0, 12.0]
@@ -515,39 +550,18 @@ class TestSeedAndWorkers:
         assert meta1["config_sha256"] != meta2["config_sha256"]
         assert rows1 != rows2
 
-    def test_worker_env_does_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_worker_env_does_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12",
                            samples="8", order="1")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["rates", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-        monkeypatch.setenv("LAMINHOM_WORKERS", "3")
-        assert main(["rates", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
+        assert main(["rates", "--config", str(cfg), "--workers", "3",
+                     "--out", str(out2)]) == EXIT_OK
         for name in ("fluctuations.csv", "systematic.csv", "rates.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestRates:
-    def test_synthetic_powerlaw_recovers_exact_slope(self, tmp_path):
-        cfg = write_config(tmp_path / "a.cfg", lengths="8 16 32 64", samples="4")
-        out = tmp_path / "o"
-        code = main(["rates", "--config", str(cfg), "--out", str(out),
-                     "--synthetic", "powerlaw:-0.5"])
-        assert code == EXIT_OK
-        meta, header, rows = read_table(out / "rates.csv")
-        assert header == GOLDEN_HEADERS["rates"]
-        assert meta["synthetic"] == "powerlaw:-0.5"
-        assert len(rows) == 6  # two series, orders 0..2
-        for r in rows:
-            assert abs(float(r[2]) + 0.5) <= 1e-12
-            assert abs(float(r[4]) + 0.5) <= 1e-12 and abs(float(r[5]) + 0.5) <= 1e-12
-            assert r[6] == "4"
-
-    def test_synthetic_rejects_unknown_form(self, tmp_path):
-        cfg = write_config(tmp_path / "a.cfg")
-        code = main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--synthetic", "cubic:3"])
-        assert code == EXIT_CONFIG
-
     def test_real_rates_tables_are_consistent(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", lengths="8 12 16", samples="8",
                            order="0", extra_run="reference_length = 24")
@@ -646,6 +660,24 @@ class TestMcAndField:
             assert scaled == pytest.approx(scale * envelope, rel=1e-15)
             assert ratio == pytest.approx(total / scaled, rel=1e-15)
 
+    @pytest.mark.parametrize("extra_run,warned", [
+        ("", ["16"]),
+        ("reference_strategy = extrapolated", ["8", "16"]),
+        ("reference_length = 24", []),
+    ], ids=["largest_L_mean", "extrapolated", "reference_length"])
+    def test_mc_warns_of_rows_in_their_own_reference(self, tmp_path, capsys, extra_run,
+                                                     warned):
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 16", samples="1", order="0",
+                           extra_run="mc_groups = 4\nmc_scale = 4\n" + extra_run)
+        out = tmp_path / "o"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert re.findall(r"warning: mc row L=(\w+) is measured against a reference made "
+                          r"from its own samples", err) == warned
+        assert err.count("\n") == len(warned)
+        # the rows stay in the table
+        assert [r[0] for r in read_table(out / "mc.csv")[2]] == ["8", "16"]
+
     def test_interrupted_mc_runs_no_reference_ensemble(self, tmp_path, interrupt_at,
                                                         ensemble_calls):
         cfg = write_config(tmp_path / "a.cfg", lengths="8 16", samples="1", order="0",
@@ -687,7 +719,8 @@ class TestMcAndField:
 class TestValidate:
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == EXIT_OK
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == ""
         assert "negative_control_loose_tolerance: pass" in out
         assert "golden_headers: pass" in out
         assert "FAIL" not in out

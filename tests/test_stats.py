@@ -520,7 +520,6 @@ class TestSystematicEstimate:
         run = fake_run({8: [1.5, 1.7]})
         ref = fake_run({64: [1.0, 1.0, 1.0, 1.0]})
         est = systematic_estimate(run, order=0, reference_run=ref)
-        assert est.strategy == "external"
         assert est.excluded == ()
         assert est.biases[8] == pytest.approx(0.6)
 
