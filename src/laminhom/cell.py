@@ -174,14 +174,19 @@ class SolverOptions:
     |DW e_d - sigma| <= tol_inner * (1 + |sigma|).  tol_outer is the
     acceptance threshold on |mean p|; the iteration actually continues to
     the stagnation floor (near machine precision) so that the final exact
-    recentering of p stays within tol_inner.  delta_bar gates the input
-    deformation (`check_deformation`: dist(F, SO(d)) < delta_bar).  The
-    Newton step budget is the constant MAX_STEPS.
+    recentering of p stays within tol_inner.  Both are positive and finite.
+    delta_bar gates the input deformation (`check_deformation`:
+    dist(F, SO(d)) < delta_bar).  The Newton step budget is MAX_STEPS.
     """
 
     tol_inner: float = 1e-12
     tol_outer: float = 1e-10
     delta_bar: float = 0.2
+
+    def __post_init__(self):
+        for name, value in (("tol_inner", self.tol_inner), ("tol_outer", self.tol_outer)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def check_deformation(self, F):
         """dist(F, SO(d)), the gate of every solve: raises DomainError

@@ -373,7 +373,7 @@ class EnergyDensity:
         'saint-venant-kirchhoff' (alias 'svk') or 'neo-hookean'
         (aliases 'nh', 'compressible-neo-hookean').
     lame : (float, float)
-        Base Lame constants (lam0, mu0), both > 0.
+        Base Lame constants (lam0, mu0), both positive and finite.
     modulation : float
         Amplitude a in [0, 1) of m(omega) = 1 + a*tanh(omega).
     dim : int
@@ -386,14 +386,14 @@ class EnergyDensity:
             raise ValueError(f"unknown material family {family!r}")
         self.family = family = _FAMILY_ALIASES[key]
         self.lam, self.mu = float(lame[0]), float(lame[1])
-        if self.lam <= 0.0 or self.mu <= 0.0:
-            raise ValueError(f"Lame constants must be positive, got {lame!r}")
+        if not (0.0 < self.lam < np.inf and 0.0 < self.mu < np.inf):
+            raise ValueError(f"Lame constants must be positive and finite, got {lame!r}")
         self.modulation = float(modulation)
         if not 0.0 <= self.modulation < 1.0:
             raise ValueError(f"modulation amplitude must be in [0,1), got {modulation!r}")
         self.dim = int(dim)
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+            raise ValueError(f"dimension must be 2 or 3, got {dim!r}")
         law = _NeoHookean if family == NEO_HOOKEAN else _SaintVenantKirchhoff
         self._law = law(self.lam, self.mu, self.dim)
 

@@ -57,7 +57,7 @@ SPECTRUM_CLAMP = 1e-10
 TRIANGLE = "triangle"
 COSINE_BUMP = "cosine-bump"
 
-_KIND_ALIASES = {"triangle": TRIANGLE, "cosine-bump": COSINE_BUMP}
+_KINDS = (TRIANGLE, COSINE_BUMP)
 
 
 class PeriodizationError(ValueError):
@@ -81,9 +81,9 @@ class CovarianceSpec:
 
     def __post_init__(self):
         key = str(self.kind).strip().lower()
-        if key not in _KIND_ALIASES:
+        if key not in _KINDS:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
-        object.__setattr__(self, "kind", _KIND_ALIASES[key])
+        object.__setattr__(self, "kind", key)
         # variance 0 is allowed: degenerate deterministic field
         if not 0.0 <= self.variance < np.inf:
             raise ValueError(f"variance must be finite and nonnegative, got {self.variance!r}")

@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
-    """Small d=2 config; overrides replace whole `key = value` lines."""
+    """Small d=2 config; overrides replace the value of a `key = value` line,
+    and None deletes the line of that key, or the header of that [section]."""
     base = {
         "family": "saint-venant-kirchhoff", "lambda": "1.2", "mu": "0.8",
         "modulation": "0.3", "dimension": "2",
@@ -70,7 +71,9 @@ def write_config(path, **overrides):
         order = {order}
         {extra_run}
         """).format(**base)
-    path.write_text(text)
+    dropped = {k for k, v in base.items() if v is None}
+    path.write_text("".join(line for line in text.splitlines(keepends=True)
+                            if line.strip("[]\n").split(" = ")[0] not in dropped))
     return path
 
 
@@ -143,6 +146,20 @@ class TestConfigParsing:
         ({"lengths": "inf"}, "divide"),
         ({"spacing": "0"}, "positive"),
         ({"variance": "inf"}, "variance"),
+        ({"lambda": "nan"}, "Lame constants must be positive and finite"),
+        ({"mu": "inf"}, "Lame constants must be positive and finite"),
+        ({"extra_run": "tol_inner = nan"}, "tol_inner must be positive and finite"),
+        ({"extra_run": "tol_inner = -1"}, "tol_inner must be positive and finite"),
+        ({"extra_run": "tol_outer = nan"}, "tol_outer must be positive and finite"),
+        ({"extra_run": "mc_scale = inf"}, "mc_scale must be positive and finite"),
+        ({"matrix": " ; "}, "deformation.matrix: needs rows"),
+        ({"matrix": "1 0.05 ; 0.05"}, "needs 2 entries"),
+        ({"lengths": ""}, "need at least one length"),
+        ({"mode": "identity_plus", "matrix": None}, "missing deformation.strain"),
+        ({"mode": "identity_plus"}, "does not take a matrix key"),
+        ({"mode": "shear"}, "deformation.mode must be matrix or identity_plus"),
+        ({"extra_run": "seed = 8"}, "malformed config"),
+        ({"discretization": None, "spacing": None}, r"missing \[discretization\] section"),
     ])
     def test_rejects_bad_values(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path / "bad.cfg", **overrides)
@@ -169,8 +186,8 @@ class TestConfigParsing:
     def test_missing_file_and_missing_key(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
-        path = write_config(tmp_path / "a.cfg", seed="")
-        with pytest.raises(ConfigError):
+        path = write_config(tmp_path / "a.cfg", seed=None)
+        with pytest.raises(ConfigError, match="missing run.seed"):
             load_config(path)
 
     def test_inline_hash_comment_and_semicolon_rows(self, tmp_path):
@@ -260,7 +277,20 @@ class TestConfigParsing:
                 section = m[1]
             elif m := re.match(r"#? ?(\w+) = ", line):
                 keys.add((section, m[1]))
-        assert keys == {(section, key) for section, key, _ in cli._KEYS}
+        assert keys == {(section, key) for section, key, _, _ in cli._KEYS}
+
+    def test_readme_states_the_field_defaults(self):
+        # a trailing parenthesized number in README's Config format block is
+        # the default on the key's ExperimentConfig field
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Config format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+        stated = dict(re.findall(r"^#? ?(\w+) = .*\(([-+.\de]+)\)$", block, re.M))
+        assert stated.keys() == {"order", "tol_inner", "tol_outer", "delta_bar", "workers",
+                                 "mc_groups", "mc_scale"}
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        field_of = {key: name for _, key, _, name in cli._KEYS}
+        for key, number in stated.items():
+            assert float(number) == defaults[field_of[key]], key
 
     def test_readme_flags_match_the_parser(self):
         # README's Flags paragraph names every option of every subcommand, and no other
@@ -447,8 +477,11 @@ class TestExitCodes:
          "ratio 2"),
         ("rates", {"lengths": "8 12 16", "extra_run": "reference_length = 16"},
          "reference_length 16 is one of the lengths"),
+        ("mc", {"lambda": "nan"}, "Lame constants must be positive and finite"),
+        ("mc", {"extra_run": "mc_scale = inf"}, "mc_scale must be positive and finite"),
     ], ids=["zero_reference_length", "mc_length_one", "rates_extrapolated_ratio",
-            "mc_extrapolated_ratio", "reference_length_in_lengths"])
+            "mc_extrapolated_ratio", "reference_length_in_lengths", "mc_nan_lambda",
+            "mc_infinite_scale"])
     def test_unrunnable_config_exits_three_before_any_ensemble(
             self, tmp_path, capsys, ensemble_calls, command, overrides, fragment):
         cfg = write_config(tmp_path / "a.cfg", samples="8", order="0", **overrides)
@@ -580,6 +613,21 @@ class TestRates:
         # rates.csv has a fluctuation fit only if >= 4 lengths; here 3 -> none
         _, _, rows_r = read_table(out / "rates.csv")
         assert rows_r == []
+
+    def test_series_of_four_lengths_gets_a_rate_row(self, tmp_path, capsys):
+        # each fluctuation series has 4 lengths and gets a fit; each systematic
+        # series loses the largest length to its reference, and gets a warning
+        cfg = write_config(tmp_path / "a.cfg", lengths="8 12 16 24", samples="8", order="1")
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        _, header, rows = read_table(out / "rates.csv")
+        assert header == GOLDEN_HEADERS["rates"]
+        assert [r[:2] for r in rows] == [["fluctuation", "0"], ["fluctuation", "1"]]
+        assert all(r[6] == "4" and float(r[2]) < 0 for r in rows)
+        err = capsys.readouterr().err
+        for order in (0, 1):
+            assert (f"warning: systematic fit order {order}: need at least 4 distinct "
+                    "abscissae") in err
 
     @pytest.mark.filterwarnings("error")
     def test_one_sample_per_length_is_underpowered(self, tmp_path):
@@ -742,6 +790,17 @@ class TestValidate:
         assert errors[0].startswith("laminhom-error code=1 kind=invariant")
         assert "covariance_spectra" in errors[0]
 
+    def test_row_of_the_wrong_width_fails(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(ValueError, match="does not fit its header"):
+            cli.write_csv(tmp_path, "field", [(0, 0.0)], [])
+        assert not (tmp_path / "field.csv").exists()
+        # dump-field's rows are one column short of this header
+        monkeypatch.setitem(GOLDEN_HEADERS, "field", "cell,x,omega,extra")
+        assert main(["validate"]) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "golden_headers: FAIL (ValueError: field.csv row" in out
+        assert out.count("FAIL") == 1
+
     def test_failing_command_fails_golden_headers(self, monkeypatch):
         single = cli.cmd_single
 
@@ -753,6 +812,10 @@ class TestValidate:
         monkeypatch.setattr(cli, "cmd_single", failing)
         ok, detail = cli._check_golden_headers()
         assert not ok and detail == f"single exited {EXIT_INVARIANT}"
+
+    def test_command_that_writes_nothing_fails_golden_headers(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_dump_field", lambda config, out_dir: EXIT_OK)
+        assert cli._check_golden_headers() == (False, "not written: field")
 
 
 class TestBuiltinConfigGuard:
